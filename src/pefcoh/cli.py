@@ -8,6 +8,7 @@ cause on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -138,13 +139,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"wrote {out_dir / 'aggregate.json'}")
 
     if args.format in ("csv", "markdown"):
-        model = reports[0].model_name
-        _, table = report.build_comparison(
-            {model: [report.report_to_dict(r, args.fixed_timestamp) for r in reports]}
+        table = report.comparison_table(
+            {reports[0].model_name: properties}, list(reports[0].scores.specialization)
         )
         if args.format == "markdown":
             (out_dir / "summary.md").write_text(
-                report.render_markdown(table, config.to_dict()), encoding="utf-8"
+                report.render_markdown(table, dumpio.to_json(config)), encoding="utf-8"
             )
             print(f"wrote {out_dir / 'summary.md'}")
         else:
@@ -158,12 +158,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for path in args.reports:
         raw = report.load_report(path)
         by_model.setdefault(raw["model_name"], []).append(raw)
-    payload, table = report.build_comparison(by_model)
-    payload = {
-        "format": payload["format"],
-        "generated_at": report.timestamp(args.fixed_timestamp),
-        **{key: value for key, value in payload.items() if key != "format"},
-    }
+    payload, table = report.build_comparison(by_model, args.fixed_timestamp)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     wanted = ("json", "csv", "markdown") if args.format == "all" else (args.format,)
@@ -188,9 +183,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "structure_seed": args.structure_seed,
         "model_name": args.model_name,
     }
-    for name, value in overrides.items():
-        if value is not None:
-            spec = synth.SynthSpec(**{**_spec_dict(spec), name: value})
+    spec = dataclasses.replace(
+        spec, **{name: value for name, value in overrides.items() if value is not None}
+    )
     dump, annotations, lexicon, ledger = synth.generate(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,12 +196,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for name in ("dump.json", "annotations.json", "lexicon.json", "ledger.json"):
         print(f"wrote {out_dir / name}")
     return 0
-
-
-def _spec_dict(spec: synth.SynthSpec) -> dict:
-    raw = spec.to_dict()
-    raw.pop("format")
-    return raw
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,15 +10,20 @@ Parsing is strict: every schema or invariant violation raises
 :class:`FormatError` naming the offending field and record index.
 Cross-file checks (shared class list, split agreement, ...) are collected by
 :func:`cross_validate`.
+
+The schema dataclasses (scores, run config, synth spec, ledger) are written
+as :func:`to_json` gives them and read back with :func:`read_dataclass`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Any, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from .records import (
     COMBINED_LEVEL,
@@ -95,6 +100,80 @@ def write_json(path: str | Path, obj: Any) -> None:
 def dumps_canonical(obj: Any) -> str:
     """Stable JSON text: fixed key order (insertion), 2-space indent, newline."""
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# dataclass <-> JSON
+
+T = TypeVar("T")
+
+
+def to_json(obj: Any) -> dict:
+    """The JSON form of a dataclass: :func:`dataclasses.asdict` with tuple
+    fields as lists, so that it equals what :func:`json.load` reads back."""
+    return asdict(obj, dict_factory=_json_object)
+
+
+def _json_object(items: list[tuple[str, Any]]) -> dict:
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in items}
+
+
+def read_dataclass(cls: type[T], raw: Any, where: str, what: str) -> T:
+    """Build dataclass ``cls`` from its JSON form (see :func:`to_json`).
+
+    Every field must be present and no other key may be. Values are checked
+    against the field annotations: int rejects bools, float accepts integers,
+    and nested dataclasses, arrays and objects are read recursively. A
+    violation raises :class:`FormatError` naming the field, as ``what.name``.
+    """
+    if not isinstance(raw, dict):
+        raise FormatError(f"{where}: {what} must be an object")
+    types = get_type_hints(cls)
+    for key in raw:
+        if key not in types:
+            raise FormatError(f"{where}: unknown {what} field {key!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            raise FormatError(f"{where}: missing {what} field {f.name!r}")
+        values[f.name] = _read_value(types[f.name], raw[f.name], where, f"{what}.{f.name}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise FormatError(f"{where}: bad {what}: {exc}") from exc
+
+
+def _read_value(tp: Any, value: Any, where: str, what: str) -> Any:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [arg for arg in args if arg is not type(None)]
+        return _read_value(tp, value, where, what)
+    if is_dataclass(tp):
+        return read_dataclass(tp, value, where, what)
+    if origin is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise FormatError(f"{where}: {what} must be an array")
+        return tuple(
+            _read_value(args[0], item, where, f"{what}[{i}]") for i, item in enumerate(value)
+        )
+    if origin in (dict, Mapping):  # string keys, as JSON has
+        if not isinstance(value, dict):
+            raise FormatError(f"{where}: {what} must be an object")
+        return {
+            key: _read_value(args[1], item, where, f"{what}.{key}")
+            for key, item in value.items()
+        }
+    if tp is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif tp is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, tp)
+    if not ok:
+        raise FormatError(f"{where}: {what} must be {tp.__name__}, got {type(value).__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,17 @@ across platforms.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dumpio import derive_category_universe, require_consistent
+from .dumpio import (
+    ConsistencyError,
+    derive_category_universe,
+    require_consistent,
+    to_json,
+    total_categories,
+)
 from .geometry import (
     PatchBox,
     contains_point,
@@ -77,18 +83,6 @@ class RunConfig:
 
     def levels_for(self, lexicon: Lexicon) -> tuple[str, ...]:
         return self.levels if self.levels is not None else lexicon.levels()
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "patch_size": self.patch_size,
-            "eps": self.eps,
-            "levels": list(self.levels) if self.levels is not None else None,
-            "class_specific_level": self.class_specific_level,
-            "tc_override": self.tc_override,
-            "tc_split": self.tc_split,
-            "lp_weight_class": self.lp_weight_class,
-        }
 
 
 @dataclass(frozen=True)
@@ -517,7 +511,7 @@ def evaluate(
 
     tc = config.tc_override
     if tc is None:
-        tc = len(derive_category_universe(annotations, lexicon, COMBINED_LEVEL, config.tc_split))
+        tc = total_categories(annotations, lexicon, config.tc_split)
     if tc < 1:
         raise ValueError("total category count must be >= 1 (empty annotation universe)")
 
@@ -558,26 +552,16 @@ def evaluate(
 
 def flatten_scores(scores: PropertyScores) -> dict[str, float | int | None]:
     """Dotted-key view of the scores used for aggregation and comparison."""
-    flat: dict[str, float | int | None] = {
-        "total_prototypes": scores.total_prototypes,
-        "global_prototypes": scores.global_prototypes,
-        "sparsity_ratio": scores.sparsity_ratio,
-        "local_positive": scores.local_positive,
-        "local_negative": scores.local_negative,
-        "relevance": scores.relevance,
-        "relevant_prototypes": scores.relevant_prototypes,
-        "uniqueness": scores.uniqueness,
-        "unique_categories": scores.unique_categories,
-        "coverage": scores.coverage,
-        "total_categories": scores.total_categories,
-        "class_specific": scores.class_specific,
-        "class_specific_eligible": scores.class_specific_eligible,
-    }
-    for level, value in scores.specialization.items():
-        flat[f"specialization.{level}"] = value
-    for variant, score in scores.localization.items():
-        flat[f"localization.{variant}.iou"] = score.iou
-        flat[f"localization.{variant}.dsc"] = score.dsc
+    return flatten(asdict(scores))
+
+
+def flatten(raw: dict) -> dict:
+    """Scalar fields in field order, then each object field, flattened the
+    same way, under dotted keys (``localization.top1.iou``)."""
+    flat = {key: value for key, value in raw.items() if not isinstance(value, dict)}
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}.{sub}", item) for sub, item in flatten(value).items())
     return flat
 
 
@@ -617,16 +601,18 @@ def aggregate_flat(
     return out
 
 
+def require_same_config(configs: Sequence[Mapping]) -> None:
+    """Raise :class:`ConsistencyError` naming the fields on which the JSON
+    forms of the runs' configs differ."""
+    first = configs[0]
+    for other in configs[1:]:
+        if other != first:
+            mismatched = [key for key in first if other.get(key) != first[key]]
+            raise ConsistencyError(f"mixed configs across runs: {', '.join(mismatched)}")
+
+
 def aggregate(reports: Sequence[EvaluationReport]) -> dict[str, AggregateProperty | None]:
     if not reports:
         raise ValueError("no reports to aggregate")
-    first = reports[0].config
-    for rep in reports[1:]:
-        if rep.config != first:
-            mismatched = [
-                name
-                for name, value in first.to_dict().items()
-                if rep.config.to_dict()[name] != value
-            ]
-            raise ValueError(f"mixed configs across runs: {', '.join(mismatched)}")
+    require_same_config([to_json(r.config) for r in reports])
     return aggregate_flat([flatten_scores(r.scores) for r in reports])

@@ -10,19 +10,20 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .dumpio import ConsistencyError, dumps_canonical, _check_format, _load_json
+from .dumpio import _check_format, _load_json, _require, dumps_canonical, read_dataclass, to_json
 from .metrics import (
     AggregateProperty,
     EvaluationReport,
-    LocalizationScore,
     PropertyScores,
     RunConfig,
     VARIANTS,
     aggregate_flat,
-    flatten_scores,
+    flatten,
+    require_same_config,
 )
 from .records import COMBINED_LEVEL
 
@@ -45,65 +46,6 @@ def timestamp(fixed: bool) -> str:
 
 # ---------------------------------------------------------------------------
 # JSON shapes
-
-
-def scores_to_dict(scores: PropertyScores) -> dict:
-    return {
-        "total_prototypes": scores.total_prototypes,
-        "global_prototypes": scores.global_prototypes,
-        "sparsity_ratio": scores.sparsity_ratio,
-        "local_positive": scores.local_positive,
-        "local_negative": scores.local_negative,
-        "relevance": scores.relevance,
-        "relevant_prototypes": scores.relevant_prototypes,
-        "specialization": dict(scores.specialization),
-        "uniqueness": scores.uniqueness,
-        "unique_categories": scores.unique_categories,
-        "coverage": scores.coverage,
-        "total_categories": scores.total_categories,
-        "class_specific": scores.class_specific,
-        "class_specific_eligible": scores.class_specific_eligible,
-        "localization": {
-            variant: {"iou": s.iou, "dsc": s.dsc}
-            for variant, s in scores.localization.items()
-        },
-    }
-
-
-def scores_from_dict(raw: Mapping) -> PropertyScores:
-    return PropertyScores(
-        total_prototypes=raw["total_prototypes"],
-        global_prototypes=raw["global_prototypes"],
-        sparsity_ratio=raw["sparsity_ratio"],
-        local_positive=raw["local_positive"],
-        local_negative=raw["local_negative"],
-        relevance=raw["relevance"],
-        relevant_prototypes=raw["relevant_prototypes"],
-        specialization=dict(raw["specialization"]),
-        uniqueness=raw["uniqueness"],
-        unique_categories=raw["unique_categories"],
-        coverage=raw["coverage"],
-        total_categories=raw["total_categories"],
-        class_specific=raw["class_specific"],
-        class_specific_eligible=raw["class_specific_eligible"],
-        localization={
-            variant: LocalizationScore(entry["iou"], entry["dsc"])
-            for variant, entry in raw["localization"].items()
-        },
-    )
-
-
-def config_from_dict(raw: Mapping) -> RunConfig:
-    return RunConfig(
-        k=raw["k"],
-        patch_size=raw["patch_size"],
-        eps=raw["eps"],
-        levels=tuple(raw["levels"]) if raw["levels"] is not None else None,
-        class_specific_level=raw["class_specific_level"],
-        tc_override=raw["tc_override"],
-        tc_split=raw["tc_split"],
-        lp_weight_class=raw["lp_weight_class"],
-    )
 
 
 def report_to_dict(report: EvaluationReport, fixed_timestamp: bool = False) -> dict:
@@ -149,18 +91,15 @@ def report_to_dict(report: EvaluationReport, fixed_timestamp: bool = False) -> d
         "generated_at": timestamp(fixed_timestamp),
         "model_name": report.model_name,
         "seed": report.seed,
-        "config": report.config.to_dict(),
+        "config": to_json(report.config),
         "warnings": list(report.warnings),
-        "scores": scores_to_dict(report.scores),
+        "scores": to_json(report.scores),
         "prototypes": verdicts,
         "localization_rows": [
             {
                 "image_id": row.image_id,
                 "n_candidates": row.n_candidates,
-                **{
-                    variant: {"iou": s.iou, "dsc": s.dsc}
-                    for variant, s in row.per_variant.items()
-                },
+                **{variant: asdict(s) for variant, s in row.per_variant.items()},
             }
             for row in report.localization_rows
         ],
@@ -174,19 +113,18 @@ def write_report(path: str | Path, report: EvaluationReport, fixed_timestamp: bo
 
 
 def load_report(path: str | Path) -> dict:
-    """Load a report file; returns the raw dict after a format check."""
-    return _check_format(_load_json(path), REPORT_FORMAT, path)
+    """Load a report file; returns the raw dict after checking its format,
+    model name, config and scores."""
+    raw = _check_format(_load_json(path), REPORT_FORMAT, path)
+    where = str(path)
+    _require(raw, "model_name", str, where)
+    read_dataclass(RunConfig, _require(raw, "config", dict, where), where, "config")
+    read_dataclass(PropertyScores, _require(raw, "scores", dict, where), where, "scores")
+    return raw
 
 
-def properties_to_dict(
-    properties: Mapping[str, AggregateProperty | None]
-) -> dict:
-    return {
-        key: (
-            None if prop is None else {"mean": prop.mean, "std": prop.std, "n": prop.n}
-        )
-        for key, prop in properties.items()
-    }
+def _properties_json(properties: Mapping[str, AggregateProperty | None]) -> dict:
+    return {key: None if prop is None else asdict(prop) for key, prop in properties.items()}
 
 
 def aggregate_to_dict(
@@ -200,8 +138,8 @@ def aggregate_to_dict(
         "models": [r.model_name for r in reports],
         "seeds": [r.seed for r in reports],
         "n_runs": len(reports),
-        "config": reports[0].config.to_dict(),
-        "properties": properties_to_dict(properties),
+        "config": to_json(reports[0].config),
+        "properties": _properties_json(properties),
     }
 
 
@@ -257,42 +195,46 @@ def _format_cell(prop: AggregateProperty | None, kind: str) -> str:
 
 
 def build_comparison(
-    model_reports: Mapping[str, Sequence[dict]],
+    model_reports: Mapping[str, Sequence[dict]], fixed_timestamp: bool = False
 ) -> tuple[dict, list[list[str]]]:
     """From per-model lists of loaded report dicts, build the comparison JSON
     payload and the display table (header row first).
 
-    All reports must share the same config; the first model's level list
-    fixes the row set.
+    All reports must share the same config; the first report's
+    specialization levels fix the row set.
     """
     if not model_reports:
         raise ValueError("no reports to compare")
-    configs = []
-    for reports in model_reports.values():
-        configs.extend(r["config"] for r in reports)
-    first = configs[0]
-    for other in configs[1:]:
-        if other != first:
-            mismatched = sorted(
-                key for key in first if other.get(key) != first.get(key)
-            )
-            raise ConsistencyError(
-                f"reports disagree on config fields: {', '.join(mismatched)}"
-            )
+    runs = [r for reports in model_reports.values() for r in reports]
+    require_same_config([r["config"] for r in runs])
+    per_model = {
+        model: aggregate_flat([flatten(r["scores"]) for r in reports])
+        for model, reports in model_reports.items()
+    }
+    payload = {
+        "format": COMPARISON_FORMAT,
+        "generated_at": timestamp(fixed_timestamp),
+        "config": runs[0]["config"],
+        "models": {
+            model: {
+                "n_runs": len(model_reports[model]),
+                "properties": _properties_json(properties),
+            }
+            for model, properties in per_model.items()
+        },
+    }
+    return payload, comparison_table(per_model, list(runs[0]["scores"]["specialization"]))
 
-    per_model: dict[str, dict[str, AggregateProperty | None]] = {}
-    for model, reports in model_reports.items():
-        per_model[model] = aggregate_flat([_flatten_report(r) for r in reports])
 
-    levels = first["levels"]
-    if levels is None:
-        some_report = next(iter(model_reports.values()))[0]
-        levels = list(some_report["scores"]["specialization"])
-    rows = comparison_rows(levels)
-
-    models = list(model_reports)
+def comparison_table(
+    per_model: Mapping[str, Mapping[str, AggregateProperty | None]],
+    levels: Sequence[str],
+) -> list[list[str]]:
+    """The display table (header row first) of per-model aggregates, with
+    specialization rows for ``levels``; the best value per row is bolded."""
+    models = list(per_model)
     table = [["Property"] + models]
-    for key, label, direction, kind in rows:
+    for key, label, direction, kind in comparison_rows(levels):
         cells = [f"{label} {direction}"]
         values = {m: per_model[m].get(key) for m in models}
         present = {m: v.mean for m, v in values.items() if v is not None}
@@ -306,23 +248,7 @@ def build_comparison(
                 cell = f"**{cell}**"
             cells.append(cell)
         table.append(cells)
-
-    payload = {
-        "format": COMPARISON_FORMAT,
-        "config": first,
-        "models": {
-            model: {
-                "n_runs": len(model_reports[model]),
-                "properties": properties_to_dict(per_model[model]),
-            }
-            for model in models
-        },
-    }
-    return payload, table
-
-
-def _flatten_report(raw: dict) -> dict:
-    return flatten_scores(scores_from_dict(raw["scores"]))
+    return table
 
 
 def render_markdown(table: list[list[str]], config: Mapping) -> str:

@@ -18,12 +18,11 @@ dimensions, even cell sides of at least ``patch_size``, an even
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
 
-from .dumpio import FormatError, _check_format, _load_json
+from .dumpio import _check_format, _load_json, read_dataclass, to_json
 from .metrics import LocalizationScore, PropertyScores, RunConfig, VARIANTS
 from .records import (
     COMBINED_LEVEL,
@@ -84,26 +83,17 @@ class SynthSpec:
     structure_seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {"format": SYNTHSPEC_FORMAT, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        return {"format": SYNTHSPEC_FORMAT, **asdict(self)}
 
     def config(self) -> RunConfig:
         return RunConfig(k=self.k, patch_size=self.patch_size)
 
 
 def parse_synth_spec(path: str | Path) -> SynthSpec:
+    """Read a spec file; fields it leaves out keep their defaults."""
     raw = _check_format(_load_json(path), SYNTHSPEC_FORMAT, path)
-    known = {f.name for f in fields(SynthSpec)}
-    values: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key == "format":
-            continue
-        if key not in known:
-            raise FormatError(f"{path}: unknown synth-spec field {key!r}")
-        values[key] = value
-    try:
-        return SynthSpec(**values)
-    except TypeError as exc:
-        raise FormatError(f"{path}: bad synth spec: {exc}") from exc
+    values = {key: value for key, value in raw.items() if key != "format"}
+    return read_dataclass(SynthSpec, {**asdict(SynthSpec()), **values}, str(path), "synth-spec")
 
 
 @dataclass(frozen=True)
@@ -126,45 +116,13 @@ class GroundTruthLedger:
 
 
 def ledger_to_json(ledger: GroundTruthLedger) -> dict:
-    from .report import scores_to_dict
-
-    return {
-        "format": LEDGER_FORMAT,
-        "config": ledger.config.to_dict(),
-        "scores": scores_to_dict(ledger.scores),
-        "prototypes": [
-            {
-                "prototype_id": v.prototype_id,
-                "is_global": v.is_global,
-                "is_relevant": v.is_relevant,
-                "combined_category": v.combined_category,
-                "align": v.align,
-                "purity": dict(v.purity),
-            }
-            for v in ledger.prototypes
-        ],
-    }
+    return {"format": LEDGER_FORMAT, **to_json(ledger)}
 
 
 def parse_ledger(path: str | Path) -> GroundTruthLedger:
-    from .report import config_from_dict, scores_from_dict
-
     raw = _check_format(_load_json(path), LEDGER_FORMAT, path)
-    return GroundTruthLedger(
-        config=config_from_dict(raw["config"]),
-        scores=scores_from_dict(raw["scores"]),
-        prototypes=tuple(
-            LedgerVerdict(
-                v["prototype_id"],
-                v["is_global"],
-                v["is_relevant"],
-                v["combined_category"],
-                v["align"],
-                dict(v["purity"]),
-            )
-            for v in raw["prototypes"]
-        ),
-    )
+    values = {key: value for key, value in raw.items() if key != "format"}
+    return read_dataclass(GroundTruthLedger, values, str(path), "ledger")
 
 
 Category = tuple[str, str, str]  # (type, first axis value, second axis value)

@@ -10,6 +10,8 @@ from pefcoh.dumpio import write_json
 from pefcoh.report import build_comparison, render_csv, render_markdown
 from pefcoh.synth import SynthSpec
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -197,6 +199,31 @@ class TestEvaluate:
         text = (out / "summary.md").read_text()
         assert "| Property | m1 |" in text
 
+    @pytest.mark.parametrize(
+        "fmt, name", [("markdown", "summary.md"), ("csv", "summary.csv")]
+    )
+    def test_summary_matches_golden(self, tmp_path, fmt, name):
+        # a three-seed family with an explicit level list, so the table has
+        # spreads and the Config line shows the levels as a list
+        dirs = []
+        for seed in (1, 2, 3):
+            out = tmp_path / f"s{seed}"
+            assert run_cli("synth", "--out", out, "--seed", seed,
+                           "--structure-seed", 77, "--model-name", "m") == 0
+            dirs.append(out)
+        out = tmp_path / "eval"
+        code = run_cli(
+            "evaluate",
+            *sum((["--dump", d / "dump.json"] for d in dirs), []),
+            "--annotations", dirs[0] / "annotations.json",
+            "--lexicon", dirs[0] / "lexicon.json",
+            "--k", 10, "--patch-size", 64, "--levels", "type,mass-shape,mass-margin",
+            "--out", out, "--format", fmt, "--fixed-timestamp",
+        )
+        assert code == 0
+        golden = (DATA / f"golden_{name}").read_bytes()
+        assert (out / name).read_bytes() == golden
+
     def test_parse_error_single_line_exit(self, tmp_path, synth_dir, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "pefcoh-dump/9"}', encoding="utf-8")
@@ -275,6 +302,26 @@ class TestCompare:
             outs.append(out / "m1-seed11.report.json")
         code = run_cli("compare", *outs, "--out", tmp_path / "cmp")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "removed", ["model_name", "config", "scores", "scores.coverage"]
+    )
+    def test_malformed_report_exit_2(self, tmp_path, capsys, removed):
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        raw = json.loads(paths[0].read_text())
+        *parents, key = removed.split(".")
+        target = raw
+        for part in parents:
+            target = target[part]
+        del target[key]
+        bad = tmp_path / "bad.report.json"
+        write_json(bad, raw)
+        capsys.readouterr()
+        code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.strip().count("\n") == 0
+        assert repr(key) in err
 
     def test_absent_property_rendered_as_dash(self, tmp_path):
         # a run with zero relevant prototypes reports uniqueness as absent

@@ -115,6 +115,31 @@ class TestGenerate:
         with pytest.raises(FormatError, match="unknown synth-spec field"):
             parse_synth_spec(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_prototypes", True),
+            ("k", "10"),
+            ("relevance_target", "0.5"),
+            ("noise_level", False),
+            ("model_name", 3),
+            ("structure_seed", 2.5),
+        ],
+    )
+    def test_spec_mistyped_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "spec.json"
+        write_json(path, {"format": "pefcoh-synthspec/1", field: value})
+        from pefcoh.dumpio import FormatError
+
+        with pytest.raises(FormatError, match=f"synth-spec.{field} must be"):
+            parse_synth_spec(path)
+
+    def test_spec_float_field_accepts_integer(self, tmp_path):
+        path = tmp_path / "spec.json"
+        write_json(path, {"format": "pefcoh-synthspec/1", "noise_level": 1,
+                          "structure_seed": None})
+        assert parse_synth_spec(path) == SynthSpec(noise_level=1.0)
+
     def test_ledger_round_trip(self, tmp_path):
         _, _, _, ledger = generate(SynthSpec(rng_seed=3))
         path = tmp_path / "ledger.json"
