@@ -117,23 +117,30 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations, lexicon = dumpio.load_annotations(args.annotations, args.lexicon)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # every dump is checked and evaluated before anything is written
     reports = []
-    names = set()
+    names = []
     for dump_path in args.dump:
         dump = dumpio.parse_dump(dump_path)
-        result = evaluate(dump, annotations, lexicon, config)
-        reports.append(result)
-        name = f"{result.model_name}-seed{result.seed}"
+        if reports and dump.model_name != reports[0].model_name:
+            raise dumpio.ConsistencyError(
+                f"dumps name different models ({reports[0].model_name!r}, "
+                f"{dump.model_name!r}); use compare to tabulate several models"
+            )
+        name = f"{dump.model_name}-seed{dump.seed}"
         if name in names:
-            raise ValueError(f"duplicate model/seed pair {name!r} across dumps")
-        names.add(name)
+            raise dumpio.ConsistencyError(f"duplicate model/seed pair {name!r} across dumps")
+        names.append(name)
+        reports.append(evaluate(dump, annotations, lexicon, config))
+    properties = aggregate(reports)
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, result in zip(names, reports):
         report.write_report(out_dir / f"{name}.report.json", result, args.fixed_timestamp)
         print(f"wrote {out_dir / f'{name}.report.json'}")
 
-    properties = aggregate(reports)
     payload = report.aggregate_to_dict(reports, properties, args.fixed_timestamp)
     dumpio.write_json(out_dir / "aggregate.json", payload)
     print(f"wrote {out_dir / 'aggregate.json'}")

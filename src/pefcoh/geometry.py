@@ -1,18 +1,22 @@
 """Pixel-space rectangle geometry with exact rational arithmetic.
 
 Boxes use a half-open convention: pixel (x, y) is inside iff
-x_min <= x < x_max and y_min <= y < y_max. All areas, intersections and
-unions are computed over :class:`fractions.Fraction`, so IoU/DSC values are
-exact rationals until the final float conversion and identical across
-platforms.
+x_min <= x < x_max and y_min <= y < y_max. Box edges are
+:class:`fractions.Fraction`. Union and intersection areas are exact integer
+sums over the cells of one coordinate-compressed grid whose edges are scaled
+by their common denominator, so IoU/DSC values are exact rationals, reduced
+to a float once, and identical across platforms.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .records import ROIAnnotation
 
@@ -105,51 +109,46 @@ def _fit_span(center: Fraction, size: int, limit: int) -> tuple[Fraction, Fracti
     return lo, hi
 
 
-def union_area(boxes: RegionSet) -> Fraction:
-    """Exact area of the union, via an x-slab sweep over compressed coordinates."""
+def _compress(values: list[Fraction]) -> tuple[list[int], np.ndarray, int]:
+    """Cell index of each edge on one axis, the cell sides as integers, and the
+    scale (common denominator) that makes them integers. Positions count from
+    the smallest edge; one past int64 raises ``OverflowError``."""
+    scale = math.lcm(*{v.denominator for v in values})
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    base = min(scaled)
+    edges, index = np.unique(np.array([v - base for v in scaled], dtype=np.int64),
+                             return_inverse=True)
+    return index.tolist(), np.diff(edges), scale
+
+
+def _areas(a: RegionSet, b: RegionSet) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact areas of union(a), union(b) and their intersection, from one grid
+    cut by all box edges (Klee's measure on compressed coordinates)."""
+    boxes = [*a, *b]
     if not boxes:
-        return Fraction(0)
-    xs = sorted({b.x_min for b in boxes} | {b.x_max for b in boxes})
-    total = Fraction(0)
-    for x_lo, x_hi in zip(xs, xs[1:]):
-        spans = sorted(
-            (b.y_min, b.y_max) for b in boxes if b.x_min <= x_lo and b.x_max >= x_hi
-        )
-        covered = Fraction(0)
-        cur_lo: Fraction | None = None
-        cur_hi: Fraction | None = None
-        for lo, hi in spans:
-            if cur_hi is None or lo > cur_hi:
-                if cur_hi is not None:
-                    covered += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            elif hi > cur_hi:
-                cur_hi = hi
-        if cur_hi is not None:
-            covered += cur_hi - cur_lo
-        total += covered * (x_hi - x_lo)
-    return total
+        return Fraction(0), Fraction(0), Fraction(0)
+    xi, dx, sx = _compress([v for box in boxes for v in (box.x_min, box.x_max)])
+    yi, dy, sy = _compress([v for box in boxes for v in (box.y_min, box.y_max)])
+    masks = np.zeros((3, len(dy), len(dx)), dtype=bool)
+    for n in range(len(boxes)):
+        masks[int(n >= len(a)), yi[2 * n]:yi[2 * n + 1], xi[2 * n]:xi[2 * n + 1]] = True
+    masks[2] = masks[0] & masks[1]
+    # row widths stay within the x extent (int64); their products are Python ints
+    heights = dy.tolist()
+    return tuple(
+        Fraction(sum(w * h for w, h in zip(widths, heights)), sx * sy)
+        for widths in (masks @ dx).tolist()
+    )
 
 
-def _clip(a: PatchBox, b: PatchBox) -> PatchBox | None:
-    x_min = max(a.x_min, b.x_min)
-    y_min = max(a.y_min, b.y_min)
-    x_max = min(a.x_max, b.x_max)
-    y_max = min(a.y_max, b.y_max)
-    if x_min < x_max and y_min < y_max:
-        return PatchBox(x_min, y_min, x_max, y_max)
-    return None
+def union_area(boxes: RegionSet) -> Fraction:
+    """Exact area of the union of ``boxes``."""
+    return _areas(boxes, ())[0]
 
 
 def intersection_area(a: RegionSet, b: RegionSet) -> Fraction:
     """Exact area of union(a) ∩ union(b)."""
-    pieces = []
-    for box_a in a:
-        for box_b in b:
-            clipped = _clip(box_a, box_b)
-            if clipped is not None:
-                pieces.append(clipped)
-    return union_area(pieces)
+    return _areas(a, b)[2]
 
 
 def iou_dsc_exact(a: RegionSet, b: RegionSet) -> tuple[Fraction, Fraction]:
@@ -158,14 +157,11 @@ def iou_dsc_exact(a: RegionSet, b: RegionSet) -> tuple[Fraction, Fraction]:
     Both are 0 when either set covers no area; the doubly-empty case is
     degenerate and logged.
     """
-    area_a = union_area(a)
-    area_b = union_area(b)
-    if area_a == 0 and area_b == 0:
-        logger.debug("iou/dsc over two empty region sets; returning 0")
-        return Fraction(0), Fraction(0)
+    area_a, area_b, inter = _areas(a, b)
     if area_a == 0 or area_b == 0:
+        if area_a == area_b:
+            logger.debug("iou/dsc over two empty region sets; returning 0")
         return Fraction(0), Fraction(0)
-    inter = intersection_area(a, b)
     union = area_a + area_b - inter
     return inter / union, 2 * inter / (area_a + area_b)
 

@@ -424,20 +424,14 @@ def _localization_detail(
                 candidates.append((abs(contribution), entry))
         candidates.sort(key=lambda t: (-t[0], t[1].prototype_id))
         roi_boxes = [PatchBox(*roi.bbox) for roi in ann.rois]
+        patches = [
+            resolve_patch_box(e.row, e.col, img.feature_h, img.feature_w,
+                              img.width, img.height, config.patch_size)
+            for _, e in candidates
+        ]
         per_variant = {}
         for variant, limit in (("top1", 1), ("top10", 10), ("all", len(candidates))):
-            selected = candidates[:limit]
-            if not selected:
-                i, d = Fraction(0), Fraction(0)
-            else:
-                patches = [
-                    resolve_patch_box(
-                        e.row, e.col, img.feature_h, img.feature_w,
-                        img.width, img.height, config.patch_size,
-                    )
-                    for _, e in selected
-                ]
-                i, d = iou_dsc_exact(patches, roi_boxes)
+            i, d = iou_dsc_exact(patches[:limit], roi_boxes)
             sums[variant][0] += i
             sums[variant][1] += d
             per_variant[variant] = LocalizationScore(float(i), float(d))

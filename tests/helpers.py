@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from pefcoh.geometry import PatchBox, RegionSet
 from pefcoh.records import (
     AnnotatedImage,
     AnnotationSet,
@@ -129,3 +132,55 @@ def ratio_fixture(n_global, n_relevant, n_unique, n_mass, n_calc):
     ]
     dump = make_dump(prototypes, images)
     return dump, make_annotations(ann_images), MAMMO_LEXICON
+
+
+# Reference geometry: the x-slab sweep and pairwise box clipping that the
+# coordinate-compressed grid in pefcoh.geometry replaced, kept verbatim as an
+# independent check on the grid's exact areas.
+
+
+def union_area(boxes: RegionSet) -> Fraction:
+    """Exact area of the union, via an x-slab sweep over compressed coordinates."""
+    if not boxes:
+        return Fraction(0)
+    xs = sorted({b.x_min for b in boxes} | {b.x_max for b in boxes})
+    total = Fraction(0)
+    for x_lo, x_hi in zip(xs, xs[1:]):
+        spans = sorted(
+            (b.y_min, b.y_max) for b in boxes if b.x_min <= x_lo and b.x_max >= x_hi
+        )
+        covered = Fraction(0)
+        cur_lo: Fraction | None = None
+        cur_hi: Fraction | None = None
+        for lo, hi in spans:
+            if cur_hi is None or lo > cur_hi:
+                if cur_hi is not None:
+                    covered += cur_hi - cur_lo
+                cur_lo, cur_hi = lo, hi
+            elif hi > cur_hi:
+                cur_hi = hi
+        if cur_hi is not None:
+            covered += cur_hi - cur_lo
+        total += covered * (x_hi - x_lo)
+    return total
+
+
+def _clip(a: PatchBox, b: PatchBox) -> PatchBox | None:
+    x_min = max(a.x_min, b.x_min)
+    y_min = max(a.y_min, b.y_min)
+    x_max = min(a.x_max, b.x_max)
+    y_max = min(a.y_max, b.y_max)
+    if x_min < x_max and y_min < y_max:
+        return PatchBox(x_min, y_min, x_max, y_max)
+    return None
+
+
+def intersection_area(a: RegionSet, b: RegionSet) -> Fraction:
+    """Exact area of union(a) ∩ union(b)."""
+    pieces = []
+    for box_a in a:
+        for box_b in b:
+            clipped = _clip(box_a, box_b)
+            if clipped is not None:
+                pieces.append(clipped)
+    return union_area(pieces)

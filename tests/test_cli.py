@@ -224,6 +224,32 @@ class TestEvaluate:
         golden = (DATA / f"golden_{name}").read_bytes()
         assert (out / name).read_bytes() == golden
 
+    def _evaluate_copies(self, synth_dir, tmp_path, **changes):
+        # the synth dump plus a copy with `changes` applied, evaluated together
+        dump = json.loads((synth_dir / "dump.json").read_text())
+        dump.update(changes)
+        write_json(tmp_path / "copy.json", dump)
+        return run_cli(
+            "evaluate",
+            "--dump", synth_dir / "dump.json", "--dump", tmp_path / "copy.json",
+            "--annotations", synth_dir / "annotations.json",
+            "--k", 10, "--patch-size", 64,
+            "--out", tmp_path / "eval", "--format", "markdown", "--fixed-timestamp",
+        )
+
+    def test_different_models_rejected(self, synth_dir, tmp_path, capsys):
+        code = self._evaluate_copies(synth_dir, tmp_path, model_name="zzz", seed=12)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'m1'" in err and "'zzz'" in err and "compare" in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_duplicate_model_seed_rejected(self, synth_dir, tmp_path, capsys):
+        code = self._evaluate_copies(synth_dir, tmp_path)
+        assert code == 2
+        assert "duplicate model/seed pair 'm1-seed11'" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     def test_parse_error_single_line_exit(self, tmp_path, synth_dir, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "pefcoh-dump/9"}', encoding="utf-8")

@@ -11,10 +11,12 @@ from pefcoh.geometry import (
     intersection_area,
     iou,
     iou_dsc,
+    iou_dsc_exact,
     resolve_patch_box,
     roi_center,
     union_area,
 )
+import helpers
 from helpers import make_roi
 
 
@@ -33,6 +35,18 @@ def int_boxes(max_side=512):
         x1 = draw(st.integers(x0 + 1, max_side))
         y1 = draw(st.integers(y0 + 1, max_side))
         return PatchBox(x0, y0, x1, y1)
+
+    return st.composite(build)()
+
+
+def fractional_boxes(denominators=(1, 2, 3, 48, 96)):
+    """Boxes whose every edge is n/d, with d drawn per edge from ``denominators``."""
+    def build(draw):
+        def part(low):
+            return Fraction(draw(st.integers(low, 200)), draw(st.sampled_from(denominators)))
+
+        x0, y0 = part(0), part(0)
+        return PatchBox(x0, y0, x0 + part(1), y0 + part(1))
 
     return st.composite(build)()
 
@@ -165,3 +179,25 @@ class TestIouDsc:
         b = [PatchBox(Fraction(2, 3), 0, Fraction(5, 3), 1)]
         assert intersection_area(a, b) == Fraction(2, 3)
         assert iou(a, b) == float(Fraction(2, 4))
+
+    @given(st.lists(fractional_boxes(), max_size=7), st.lists(fractional_boxes(), max_size=7))
+    @settings(max_examples=300)
+    def test_grid_matches_reference_sweep(self, a, b):
+        area_a, area_b = helpers.union_area(a), helpers.union_area(b)
+        inter = helpers.intersection_area(a, b)
+        assert union_area(a) == area_a
+        assert union_area(b) == area_b
+        assert intersection_area(a, b) == inter
+        if area_a and area_b:
+            expected = (inter / (area_a + area_b - inter), 2 * inter / (area_a + area_b))
+        else:
+            expected = (0, 0)
+        assert iou_dsc_exact(a, b) == expected
+
+    def test_extent_beyond_int64_raises(self):
+        # 2**62 + 1/2 scaled by its denominator 2 is 2**63 + 1 units wide
+        box = PatchBox(Fraction(1, 2), 0, 2**62 + 1, 1)
+        with pytest.raises(OverflowError):
+            union_area([box])
+        with pytest.raises(OverflowError):
+            iou_dsc_exact([box], [PatchBox(0, 0, 1, 1)])
