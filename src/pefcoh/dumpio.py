@@ -6,13 +6,14 @@ All three formats are UTF-8 JSON with a ``format`` version field:
 * annotations:   ``pefcoh-ann/1``
 * lexicon:       ``pefcoh-lex/1``
 
-Parsing is strict: every schema or invariant violation raises
-:class:`FormatError` naming the offending field and record index.
-Cross-file checks (shared class list, split agreement, ...) are collected by
-:func:`cross_validate`.
+Parsing is strict: every schema or invariant violation, a repeated key
+included, raises :class:`FormatError` naming the offending field and record
+index. Cross-file checks (shared class list, split agreement, ...) are
+collected by :func:`cross_validate`.
 
-The schema dataclasses (scores, run config, synth spec, ledger) are written
-as :func:`to_json` gives them and read back with :func:`read_dataclass`.
+Every file is written as :func:`to_json` gives its record. The input formats
+are read by hand-written parsers; the schema dataclasses (scores, run config,
+synth spec, ledger) are read back with :func:`read_dataclass`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Any, TypeVar, Union, get_args, get_origin, get_type_hints
@@ -66,9 +67,19 @@ class Diagnostic:
 
 
 def _load_json(path: str | Path) -> Any:
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise FormatError(f"{path}: duplicate key {key!r}")
+                seen.add(key)
+        return obj
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
@@ -108,14 +119,20 @@ def dumps_canonical(obj: Any) -> str:
 T = TypeVar("T")
 
 
-def to_json(obj: Any) -> dict:
-    """The JSON form of a dataclass: :func:`dataclasses.asdict` with tuple
-    fields as lists, so that it equals what :func:`json.load` reads back."""
-    return asdict(obj, dict_factory=_json_object)
+def to_json(obj: Any) -> Any:
+    """The JSON form of a record, equal to what :func:`json.load` reads back.
 
-
-def _json_object(items: list[tuple[str, Any]]) -> dict:
-    return {key: list(value) if isinstance(value, tuple) else value for key, value in items}
+    A dataclass becomes an object of its fields in declared order, each keyed
+    by its ``metadata["json"]`` name or else its own; tuples and lists become
+    arrays, mappings objects, and every other value is kept as it is.
+    """
+    if is_dataclass(obj):
+        return {f.metadata.get("json", f.name): to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [to_json(item) for item in obj]
+    if isinstance(obj, Mapping):
+        return {key: to_json(value) for key, value in obj.items()}
+    return obj
 
 
 def read_dataclass(cls: type[T], raw: Any, where: str, what: str) -> T:
@@ -177,6 +194,41 @@ def _read_value(tp: Any, value: Any, where: str, what: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
+# parts shared by the dump and the annotations
+
+
+def _class_names(raw: dict, where: str) -> tuple[str, ...]:
+    names = tuple(_require(raw, "class_names", list, where))
+    if len(names) < 2 or any(not isinstance(name, str) for name in names):
+        raise FormatError(f"{where}: class_names must list at least 2 strings")
+    return names
+
+
+def _image_header(
+    rec: Any, where: str, seen: set[str], n_classes: int
+) -> tuple[str, str, int, int, int]:
+    """Check one image record's shared fields and return its
+    ``(image_id, split, width, height, class_label)``."""
+    if not isinstance(rec, dict):
+        raise FormatError(f"{where}: must be an object")
+    image_id = _require(rec, "image_id", str, where)
+    if image_id in seen:
+        raise FormatError(f"{where}: duplicate image_id {image_id!r}")
+    seen.add(image_id)
+    split = _require(rec, "split", str, where)
+    if split not in SPLITS:
+        raise FormatError(f"{where}: split must be one of {SPLITS}, got {split!r}")
+    width = _require(rec, "width", int, where)
+    height = _require(rec, "height", int, where)
+    if width <= 0 or height <= 0:
+        raise FormatError(f"{where}: image dimensions must be positive")
+    class_label = _require(rec, "class_label", int, where)
+    if not 0 <= class_label < n_classes:
+        raise FormatError(f"{where}: class_label {class_label} out of range")
+    return image_id, split, width, height, class_label
+
+
+# ---------------------------------------------------------------------------
 # evidence dump
 
 
@@ -185,11 +237,7 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     raw = _check_format(_load_json(path), DUMP_FORMAT, path)
     model_name = _require(raw, "model_name", str, str(path))
     seed = _require(raw, "seed", int, str(path))
-    class_names = tuple(_require(raw, "class_names", list, str(path)))
-    if len(class_names) < 2:
-        raise FormatError(f"{path}: class_names must list at least 2 classes")
-    if any(not isinstance(c, str) for c in class_names):
-        raise FormatError(f"{path}: class_names must be strings")
+    class_names = _class_names(raw, str(path))
 
     prototypes = []
     seen_ids: set[str] = set()
@@ -217,22 +265,9 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     seen_images: set[str] = set()
     for i, rec in enumerate(_require(raw, "images", list, str(path))):
         where = f"{path}: images[{i}]"
-        if not isinstance(rec, dict):
-            raise FormatError(f"{where}: must be an object")
-        image_id = _require(rec, "image_id", str, where)
-        if image_id in seen_images:
-            raise FormatError(f"{where}: duplicate image_id {image_id!r}")
-        seen_images.add(image_id)
-        split = _require(rec, "split", str, where)
-        if split not in SPLITS:
-            raise FormatError(f"{where}: split must be one of {SPLITS}, got {split!r}")
-        width = _require(rec, "width", int, where)
-        height = _require(rec, "height", int, where)
-        if width <= 0 or height <= 0:
-            raise FormatError(f"{where}: image dimensions must be positive")
-        class_label = _require(rec, "class_label", int, where)
-        if not 0 <= class_label < len(class_names):
-            raise FormatError(f"{where}: class_label {class_label} out of range")
+        image_id, split, width, height, class_label = _image_header(
+            rec, where, seen_images, len(class_names)
+        )
         feature_h = _require(rec, "feature_h", int, where)
         feature_w = _require(rec, "feature_w", int, where)
         if feature_h <= 0 or feature_w <= 0:
@@ -270,32 +305,7 @@ def parse_dump(path: str | Path) -> EvidenceDump:
 
 
 def dump_to_json(dump: EvidenceDump) -> dict:
-    return {
-        "format": DUMP_FORMAT,
-        "model_name": dump.model_name,
-        "seed": dump.seed,
-        "class_names": list(dump.class_names),
-        "prototypes": [
-            {"id": p.prototype_id, "class_weights": list(p.class_weights)}
-            for p in dump.prototypes
-        ],
-        "images": [
-            {
-                "image_id": img.image_id,
-                "split": img.split,
-                "width": img.width,
-                "height": img.height,
-                "class_label": img.class_label,
-                "feature_h": img.feature_h,
-                "feature_w": img.feature_w,
-                "entries": [
-                    {"prototype_id": e.prototype_id, "score": e.score, "row": e.row, "col": e.col}
-                    for e in img.entries
-                ],
-            }
-            for img in dump.images
-        ],
-    }
+    return {"format": DUMP_FORMAT, **to_json(dump)}
 
 
 # ---------------------------------------------------------------------------
@@ -335,46 +345,8 @@ def _lexicon_from_raw(types_raw: list, where: str) -> Lexicon:
     return Lexicon(tuple(types))
 
 
-def derive_lexicon(ann_raw: dict) -> Lexicon:
-    """Build a lexicon from the descriptor keys actually used in annotations.
-
-    Types and axes are ordered by first appearance in the file, which makes
-    the derived hierarchy (and hence combined category strings) stable under
-    re-parsing.
-    """
-    order: dict[str, list[str]] = {}
-    images = ann_raw.get("images")
-    if not isinstance(images, list):
-        raise FormatError("annotations: field 'images' must be an array")
-    for img in images:
-        if not isinstance(img, dict) or not isinstance(img.get("rois"), list):
-            continue  # malformed entries are reported by the full parse
-        for roi in img["rois"]:
-            if not isinstance(roi, dict):
-                continue
-            tname = roi.get("type")
-            if not isinstance(tname, str):
-                continue
-            tname = canonical_token(tname)
-            axes = order.setdefault(tname, [])
-            desc = roi.get("descriptors", {})
-            if isinstance(desc, dict):
-                for axis in desc:
-                    if not isinstance(axis, str):
-                        continue
-                    axis = canonical_token(axis)
-                    if axis not in axes:
-                        axes.append(axis)
-    if not order:
-        raise FormatError("cannot derive a lexicon from annotations without ROIs")
-    return Lexicon(tuple(LexiconType(name, tuple(axes)) for name, axes in order.items()))
-
-
 def lexicon_to_json(lexicon: Lexicon) -> dict:
-    return {
-        "format": LEX_FORMAT,
-        "types": [{"name": t.name, "axes": list(t.axes)} for t in lexicon.types],
-    }
+    return {"format": LEX_FORMAT, **to_json(lexicon)}
 
 
 # ---------------------------------------------------------------------------
@@ -384,49 +356,34 @@ def lexicon_to_json(lexicon: Lexicon) -> dict:
 def parse_annotations(path: str | Path, lexicon: Lexicon) -> AnnotationSet:
     """Parse and validate an annotation file against a lexicon."""
     raw = _check_format(_load_json(path), ANN_FORMAT, path)
-    return _annotations_from_raw(raw, lexicon, str(path))
+    return _annotations_from_raw(raw, lexicon, str(path))[0]
 
 
 def load_annotations(
     path: str | Path, lexicon_path: str | Path | None = None
 ) -> tuple[AnnotationSet, Lexicon]:
-    """Parse annotations, deriving the lexicon from descriptor keys when no
-    lexicon file is given."""
+    """Parse annotations against a lexicon file or, when none is given,
+    against the lexicon their ROIs use."""
     raw = _check_format(_load_json(path), ANN_FORMAT, path)
-    if lexicon_path is not None:
-        lexicon = parse_lexicon(lexicon_path)
-    else:
-        lexicon = derive_lexicon(raw)
-    return _annotations_from_raw(raw, lexicon, str(path)), lexicon
+    lexicon = None if lexicon_path is None else parse_lexicon(lexicon_path)
+    return _annotations_from_raw(raw, lexicon, str(path))
 
 
-def _annotations_from_raw(raw: dict, lexicon: Lexicon, where: str) -> AnnotationSet:
-    class_names = tuple(_require(raw, "class_names", list, where))
-    if len(class_names) < 2 or any(not isinstance(c, str) for c in class_names):
-        raise FormatError(f"{where}: class_names must list at least 2 strings")
-    type_names = set(lexicon.type_names())
-
+def _annotations_from_raw(
+    raw: dict, lexicon: Lexicon | None, where: str
+) -> tuple[AnnotationSet, Lexicon]:
+    """Parse the annotations, then check every ROI's type and descriptor
+    axes against ``lexicon``. With no lexicon, derive one from the ROIs:
+    types and each type's axes in order of first appearance, which keeps
+    combined category strings stable under re-parsing."""
+    class_names = _class_names(raw, where)
     images = []
     seen: set[str] = set()
     for i, rec in enumerate(_require(raw, "images", list, where)):
         iwhere = f"{where}: images[{i}]"
-        if not isinstance(rec, dict):
-            raise FormatError(f"{iwhere}: must be an object")
-        image_id = _require(rec, "image_id", str, iwhere)
-        if image_id in seen:
-            raise FormatError(f"{iwhere}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        width = _require(rec, "width", int, iwhere)
-        height = _require(rec, "height", int, iwhere)
-        if width <= 0 or height <= 0:
-            raise FormatError(f"{iwhere}: image dimensions must be positive")
-        split = _require(rec, "split", str, iwhere)
-        if split not in SPLITS:
-            raise FormatError(f"{iwhere}: split must be one of {SPLITS}, got {split!r}")
-        class_label = _require(rec, "class_label", int, iwhere)
-        if not 0 <= class_label < len(class_names):
-            raise FormatError(f"{iwhere}: class_label {class_label} out of range")
-
+        image_id, split, width, height, class_label = _image_header(
+            rec, iwhere, seen, len(class_names)
+        )
         rois = []
         for j, roi_raw in enumerate(_require(rec, "rois", list, iwhere)):
             rwhere = f"{iwhere}.rois[{j}]"
@@ -443,17 +400,11 @@ def _annotations_from_raw(raw: dict, lexicon: Lexicon, where: str) -> Annotation
             if x_min < 0 or y_min < 0 or x_max > width or y_max > height:
                 raise FormatError(f"{rwhere}: bbox {bbox} outside image {width}x{height}")
             tname = canonical_token(_require(roi_raw, "type", str, rwhere))
-            if tname not in type_names:
-                raise FormatError(f"{rwhere}: unknown abnormality type {tname!r}")
-            declared = lexicon.axes_for(tname)
             descriptors = {}
-            desc_raw = _require(roi_raw, "descriptors", dict, rwhere)
-            for axis, value in desc_raw.items():
+            for axis, value in _require(roi_raw, "descriptors", dict, rwhere).items():
                 axis = canonical_token(axis)
-                if axis not in declared:
-                    raise FormatError(
-                        f"{rwhere}: axis {axis!r} not declared for type {tname!r}"
-                    )
+                if axis in descriptors:
+                    raise FormatError(f"{rwhere}: duplicate axis {axis!r}")
                 if not isinstance(value, str):
                     raise FormatError(f"{rwhere}: descriptor {axis!r} must be a string")
                 descriptors[axis] = canonical_token(value)
@@ -462,33 +413,34 @@ def _annotations_from_raw(raw: dict, lexicon: Lexicon, where: str) -> Annotation
                 raise FormatError(f"{rwhere}: roi_class {roi_class} out of range")
             rois.append(ROIAnnotation((x_min, y_min, x_max, y_max), tname, descriptors, roi_class))
         images.append(AnnotatedImage(image_id, width, height, split, class_label, tuple(rois)))
-    return AnnotationSet(class_names, tuple(images))
+
+    if lexicon is None:
+        order: dict[str, dict[str, None]] = {}
+        for img in images:
+            for roi in img.rois:
+                order.setdefault(roi.abnormality_type, {}).update(dict.fromkeys(roi.descriptors))
+        if not order:
+            raise FormatError(f"{where}: cannot derive a lexicon from annotations without ROIs")
+        lexicon = Lexicon(tuple(LexiconType(name, tuple(axes)) for name, axes in order.items()))
+    declared = {t.name: t.axes for t in lexicon.types}
+    for i, img in enumerate(images):
+        for j, roi in enumerate(img.rois):
+            tname = roi.abnormality_type
+            if tname not in declared:
+                raise FormatError(
+                    f"{where}: images[{i}].rois[{j}]: unknown abnormality type {tname!r}"
+                )
+            for axis in roi.descriptors:
+                if axis not in declared[tname]:
+                    raise FormatError(
+                        f"{where}: images[{i}].rois[{j}]: "
+                        f"axis {axis!r} not declared for type {tname!r}"
+                    )
+    return AnnotationSet(class_names, tuple(images)), lexicon
 
 
 def annotations_to_json(annotations: AnnotationSet) -> dict:
-    return {
-        "format": ANN_FORMAT,
-        "class_names": list(annotations.class_names),
-        "images": [
-            {
-                "image_id": img.image_id,
-                "width": img.width,
-                "height": img.height,
-                "split": img.split,
-                "class_label": img.class_label,
-                "rois": [
-                    {
-                        "bbox": list(roi.bbox),
-                        "type": roi.abnormality_type,
-                        "descriptors": dict(roi.descriptors),
-                        "roi_class": roi.roi_class,
-                    }
-                    for roi in img.rois
-                ],
-            }
-            for img in annotations.images
-        ],
-    }
+    return {"format": ANN_FORMAT, **to_json(annotations)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ to a float once, and identical across platforms.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -66,6 +67,10 @@ def roi_center(roi: ROIAnnotation) -> tuple[Fraction, Fraction]:
     return (Fraction(x_min + x_max, 2), Fraction(y_min + y_max, 2))
 
 
+# A pure function of seven ints returning a frozen box: one dump repeats the
+# same few thousand (cell, feature map, image size) keys tens of thousands of
+# times across top-k evidence and localization.
+@functools.lru_cache(maxsize=4096)
 def resolve_patch_box(
     loc_row: int,
     loc_col: int,

@@ -23,7 +23,7 @@ across platforms.
 from __future__ import annotations
 
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -546,7 +546,7 @@ def evaluate(
 
 def flatten_scores(scores: PropertyScores) -> dict[str, float | int | None]:
     """Dotted-key view of the scores used for aggregation and comparison."""
-    return flatten(asdict(scores))
+    return flatten(to_json(scores))
 
 
 def flatten(raw: dict) -> dict:

@@ -2,12 +2,14 @@
 
 Everything here is a plain value object. Parsing, validation, and
 serialization live in :mod:`pefcoh.dumpio`; these records assume their
-invariants already hold.
+invariants already hold. A record stored in a file lists its fields in the
+order the file format writes them, and a field whose JSON key differs from
+its name carries that key as ``metadata["json"]`` (see ``dumpio.to_json``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 TRAIN = "train"
@@ -80,7 +82,7 @@ class ROIAnnotation:
     """One annotated abnormality box. bbox is (x_min, y_min, x_max, y_max) pixels."""
 
     bbox: tuple[int, int, int, int]
-    abnormality_type: str
+    abnormality_type: str = field(metadata={"json": "type"})
     descriptors: Mapping[str, str]
     roi_class: int
 
@@ -106,7 +108,7 @@ class AnnotationSet:
 
 @dataclass(frozen=True)
 class PrototypeRecord:
-    prototype_id: str
+    prototype_id: str = field(metadata={"json": "id"})
     class_weights: tuple[float, ...]
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -99,7 +98,7 @@ def report_to_dict(report: EvaluationReport, fixed_timestamp: bool = False) -> d
             {
                 "image_id": row.image_id,
                 "n_candidates": row.n_candidates,
-                **{variant: asdict(s) for variant, s in row.per_variant.items()},
+                **to_json(row.per_variant),
             }
             for row in report.localization_rows
         ],
@@ -123,10 +122,6 @@ def load_report(path: str | Path) -> dict:
     return raw
 
 
-def _properties_json(properties: Mapping[str, AggregateProperty | None]) -> dict:
-    return {key: None if prop is None else asdict(prop) for key, prop in properties.items()}
-
-
 def aggregate_to_dict(
     reports: Sequence[EvaluationReport],
     properties: Mapping[str, AggregateProperty | None],
@@ -139,7 +134,7 @@ def aggregate_to_dict(
         "seeds": [r.seed for r in reports],
         "n_runs": len(reports),
         "config": to_json(reports[0].config),
-        "properties": _properties_json(properties),
+        "properties": to_json(properties),
     }
 
 
@@ -218,7 +213,7 @@ def build_comparison(
         "models": {
             model: {
                 "n_runs": len(model_reports[model]),
-                "properties": _properties_json(properties),
+                "properties": to_json(properties),
             }
             for model, properties in per_model.items()
         },

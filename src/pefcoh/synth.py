@@ -18,7 +18,7 @@ dimensions, even cell sides of at least ``patch_size``, an even
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,7 +83,7 @@ class SynthSpec:
     structure_seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {"format": SYNTHSPEC_FORMAT, **asdict(self)}
+        return {"format": SYNTHSPEC_FORMAT, **to_json(self)}
 
     def config(self) -> RunConfig:
         return RunConfig(k=self.k, patch_size=self.patch_size)
@@ -93,7 +93,7 @@ def parse_synth_spec(path: str | Path) -> SynthSpec:
     """Read a spec file; fields it leaves out keep their defaults."""
     raw = _check_format(_load_json(path), SYNTHSPEC_FORMAT, path)
     values = {key: value for key, value in raw.items() if key != "format"}
-    return read_dataclass(SynthSpec, {**asdict(SynthSpec()), **values}, str(path), "synth-spec")
+    return read_dataclass(SynthSpec, {**to_json(SynthSpec()), **values}, str(path), "synth-spec")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -349,6 +350,18 @@ class TestCompare:
         assert err.startswith("error:") and err.strip().count("\n") == 0
         assert repr(key) in err
 
+    def test_duplicate_key_exit_2(self, tmp_path, capsys):
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        text = paths[0].read_text(encoding="utf-8")
+        bad = tmp_path / "bad.report.json"
+        bad.write_text(text.replace('"seed": 11,', '"seed": 11,\n  "seed": 12,', 1),
+                       encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+        assert code == 2
+        assert "duplicate key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     def test_absent_property_rendered_as_dash(self, tmp_path):
         # a run with zero relevant prototypes reports uniqueness as absent
         synth = tmp_path / "synth"
@@ -388,6 +401,20 @@ class TestSynthCommand:
             outs.append(out)
         for name in ("dump.json", "annotations.json", "lexicon.json", "ledger.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_bytes_pinned(self, tmp_path):
+        # SHA-256 of what synth wrote before the writers were derived from the
+        # records; any change to a file format's bytes shows here.
+        expected = {
+            "annotations.json": "85d3cfbd5e8e5226fc146349ccd0218e58c4700eedaef2cf5cfef58eb829772e",
+            "dump.json": "b0e744949d2345a916a5816fa67a8722be386a895ed846a373650279dcf2dab7",
+            "ledger.json": "b77bee0490675ac28f2cf5819d363502316e9e573bde51223f2b4d894543c4d7",
+            "lexicon.json": "dd8e9f9262265a271896327b583c112d530b1b8aa85034696375551b7e176575",
+        }
+        out = tmp_path / "s"
+        assert run_cli("synth", "--out", out, "--seed", 7, "--structure-seed", 77) == 0
+        for name, digest in expected.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_infeasible_spec_exit_2(self, tmp_path, capsys):
         spec = SynthSpec(rng_seed=0, purity_target=0.0).to_dict()

@@ -159,6 +159,38 @@ class TestParseAnnotations:
         with pytest.raises(FormatError):
             load_annotations(write_file("a.json", minimal_ann_obj))
 
+    @pytest.mark.parametrize("with_lexicon", [True, False])
+    def test_axes_colliding_after_canonicalization(
+        self, write_file, minimal_ann_obj, lexicon_obj, with_lexicon
+    ):
+        minimal_ann_obj["images"][0]["rois"][0]["descriptors"] = {
+            "SHAPE": "zzz", "shape": "oval", "margin": "circumscribed"
+        }
+        lexicon_path = write_file("lex.json", lexicon_obj) if with_lexicon else None
+        with pytest.raises(FormatError, match=r"images\[0\]\.rois\[0\]: duplicate axis 'shape'"):
+            load_annotations(write_file("a.json", minimal_ann_obj), lexicon_path)
+
+
+class TestDuplicateKeys:
+    @pytest.mark.parametrize(
+        "fixture, parse, old, new",
+        [
+            ("minimal_dump_obj", parse_dump, '"seed": 1,', '"seed": 1, "seed": 9,'),
+            ("minimal_dump_obj", parse_dump, '"row": 0,', '"row": 0, "row": 1,'),
+            ("minimal_ann_obj", load_annotations, '"type": "mass",',
+             '"type": "mass", "type": "calcification",'),
+        ],
+        ids=["dump-top-level", "dump-entry", "annotation-roi"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, request, fixture, parse, old, new):
+        text = dumps_canonical(request.getfixturevalue(fixture))
+        assert text.count(old) == 1
+        path = tmp_path / "f.json"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        key = old.split('"')[1]
+        with pytest.raises(FormatError, match=f"duplicate key '{key}'"):
+            parse(path)
+
 
 @given(st.text(min_size=1, max_size=20))
 def test_canonical_token_idempotent(raw):
