@@ -20,18 +20,19 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, fields, is_dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import Field, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import Any, TypeVar, Union, get_args, get_origin, get_type_hints
+from typing import Any, NoReturn, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from .records import (
     COMBINED_LEVEL,
     SPLITS,
     AnnotatedImage,
     AnnotationSet,
-    ActivationEntry,
+    ActivationTable,
+    ActivationView,
     CategoryId,
     EvidenceDump,
     ImageActivationRecord,
@@ -123,37 +124,44 @@ def to_json(obj: Any) -> Any:
     """The JSON form of a record, equal to what :func:`json.load` reads back.
 
     A dataclass becomes an object of its fields in declared order, each keyed
-    by its ``metadata["json"]`` name or else its own; tuples and lists become
-    arrays, mappings objects, and every other value is kept as it is.
+    by its ``metadata["json"]`` name or else its own; sequences other than
+    strings (tuples, lists, a parsed dump's entries) become arrays, mappings
+    objects, and every other value is kept as it is.
     """
     if is_dataclass(obj):
-        return {f.metadata.get("json", f.name): to_json(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, (tuple, list)):
+        return {_json_key(f): to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Sequence) and not isinstance(obj, str):
         return [to_json(item) for item in obj]
     if isinstance(obj, Mapping):
         return {key: to_json(value) for key, value in obj.items()}
     return obj
 
 
+def _json_key(f: Field) -> str:
+    return f.metadata.get("json", f.name)
+
+
 def read_dataclass(cls: type[T], raw: Any, where: str, what: str) -> T:
     """Build dataclass ``cls`` from its JSON form (see :func:`to_json`).
 
-    Every field must be present and no other key may be. Values are checked
-    against the field annotations: int rejects bools, float accepts integers,
-    and nested dataclasses, arrays and objects are read recursively. A
-    violation raises :class:`FormatError` naming the field, as ``what.name``.
+    Every field must be present, under its JSON key, and no other key may be.
+    Values are checked against the field annotations: int rejects bools,
+    float accepts integers, and nested dataclasses, arrays and objects are
+    read recursively. A violation raises :class:`FormatError` naming the
+    field by its JSON key, as ``what.key``.
     """
     if not isinstance(raw, dict):
         raise FormatError(f"{where}: {what} must be an object")
     types = get_type_hints(cls)
+    keys = {_json_key(f): f.name for f in fields(cls)}
     for key in raw:
-        if key not in types:
+        if key not in keys:
             raise FormatError(f"{where}: unknown {what} field {key!r}")
     values = {}
-    for f in fields(cls):
-        if f.name not in raw:
-            raise FormatError(f"{where}: missing {what} field {f.name!r}")
-        values[f.name] = _read_value(types[f.name], raw[f.name], where, f"{what}.{f.name}")
+    for key, name in keys.items():
+        if key not in raw:
+            raise FormatError(f"{where}: missing {what} field {key!r}")
+        values[name] = _read_value(types[name], raw[key], where, f"{what}.{key}")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -233,22 +241,27 @@ def _image_header(
 
 
 def parse_dump(path: str | Path) -> EvidenceDump:
-    """Parse and fully validate an evidence dump file."""
+    """Parse and fully validate an evidence dump file.
+
+    The entries are read into one :class:`ActivationTable`, checked an image
+    at a time in bulk; only an image that fails a bulk check is walked entry
+    by entry, to name its first bad entry.
+    """
     raw = _check_format(_load_json(path), DUMP_FORMAT, path)
     model_name = _require(raw, "model_name", str, str(path))
     seed = _require(raw, "seed", int, str(path))
     class_names = _class_names(raw, str(path))
 
     prototypes = []
-    seen_ids: set[str] = set()
+    index: dict[str, int] = {}
     for i, rec in enumerate(_require(raw, "prototypes", list, str(path))):
         where = f"{path}: prototypes[{i}]"
         if not isinstance(rec, dict):
             raise FormatError(f"{where}: must be an object")
         pid = _require(rec, "id", str, where)
-        if pid in seen_ids:
+        if pid in index:
             raise FormatError(f"{where}: duplicate prototype id {pid!r}")
-        seen_ids.add(pid)
+        index[pid] = i
         weights = _require(rec, "class_weights", list, where)
         if len(weights) != len(class_names):
             raise FormatError(
@@ -256,52 +269,106 @@ def parse_dump(path: str | Path) -> EvidenceDump:
             )
         ws = []
         for j, w in enumerate(weights):
-            if not isinstance(w, (int, float)) or isinstance(w, bool) or not math.isfinite(w):
+            if not isinstance(w, (int, float)) or isinstance(w, bool) or not _finite(w):
                 raise FormatError(f"{where}: class_weights[{j}] must be a finite number")
             ws.append(float(w))
         prototypes.append(PrototypeRecord(pid, tuple(ws)))
 
-    images = []
+    headers = []
+    counts: list[int] = []
+    columns: tuple[list, ...] = ([], [], [], [])  # prototype index, score, row, col
     seen_images: set[str] = set()
     for i, rec in enumerate(_require(raw, "images", list, str(path))):
         where = f"{path}: images[{i}]"
-        image_id, split, width, height, class_label = _image_header(
-            rec, where, seen_images, len(class_names)
-        )
+        header = _image_header(rec, where, seen_images, len(class_names))
         feature_h = _require(rec, "feature_h", int, where)
         feature_w = _require(rec, "feature_w", int, where)
         if feature_h <= 0 or feature_w <= 0:
             raise FormatError(f"{where}: feature-map dimensions must be positive")
+        if max(feature_h, feature_w) > _INT64_MAX:
+            raise FormatError(f"{where}: feature-map dimensions must be below 2**63")
+        entries = _require(rec, "entries", list, where)
+        image_columns = _entry_columns(entries, index, feature_h, feature_w)
+        if image_columns is None:
+            _raise_entry_fault(entries, where, index, feature_h, feature_w)
+        for column, values in zip(columns, image_columns):
+            column.extend(values)
+        headers.append((*header, feature_h, feature_w))
+        counts.append(len(entries))
 
-        entries = []
-        seen_protos: set[str] = set()
-        for j, ent in enumerate(_require(rec, "entries", list, where)):
-            ewhere = f"{where}.entries[{j}]"
-            if not isinstance(ent, dict):
-                raise FormatError(f"{ewhere}: must be an object")
-            pid = _require(ent, "prototype_id", str, ewhere)
-            if pid not in seen_ids:
-                raise FormatError(f"{ewhere}: unknown prototype {pid!r}")
-            if pid in seen_protos:
-                raise FormatError(f"{ewhere}: duplicate entry for prototype {pid!r}")
-            seen_protos.add(pid)
-            score = _require(ent, "score", (int, float), ewhere)
-            if isinstance(score, bool) or not math.isfinite(score) or score < 0:
-                raise FormatError(f"{ewhere}: score must be a finite number >= 0")
-            row = _require(ent, "row", int, ewhere)
-            col = _require(ent, "col", int, ewhere)
-            if not (0 <= row < feature_h and 0 <= col < feature_w):
-                raise FormatError(
-                    f"{ewhere}: activation location out of feature map "
-                    f"(row={row}, col={col}, feature {feature_h}x{feature_w})"
-                )
-            entries.append(ActivationEntry(pid, float(score), row, col))
-        images.append(
-            ImageActivationRecord(
-                image_id, split, width, height, class_label, feature_h, feature_w, tuple(entries)
-            )
+    table = ActivationTable.from_columns(tuple(index), counts, *columns)
+    images = tuple(
+        ImageActivationRecord(*header, ActivationView(table, i))
+        for i, header in enumerate(headers)
+    )
+    return EvidenceDump(model_name, seed, class_names, tuple(prototypes), images)
+
+
+_NUMBER = {int, float}
+_INT64_MAX = 2**63 - 1
+
+
+def _finite(x: int | float) -> bool:
+    """``math.isfinite``, reading an int too large for a float as infinite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _entry_columns(
+    entries: list, index: dict[str, int], feature_h: int, feature_w: int
+) -> tuple[list, ...] | None:
+    """The (prototype index, score, row, col) columns of one image's entries,
+    or None when any entry is invalid. Accepts exactly what
+    :func:`_raise_entry_fault` does."""
+    if not entries:
+        return [], [], [], []
+    try:
+        protos = [index[e["prototype_id"]] for e in entries]
+        scores = [e["score"] for e in entries]
+        rows = [e["row"] for e in entries]
+        cols = [e["col"] for e in entries]
+        valid = (
+            len(set(protos)) == len(protos)
+            and set(map(type, scores)) <= _NUMBER
+            and all(map(math.isfinite, scores))
+            and min(scores) >= 0
+            and set(map(type, rows)) == set(map(type, cols)) == {int}
+            and 0 <= min(rows) and max(rows) < feature_h
+            and 0 <= min(cols) and max(cols) < feature_w
         )
-    return EvidenceDump(model_name, seed, class_names, tuple(prototypes), tuple(images))
+    except (KeyError, TypeError, OverflowError):
+        return None
+    return (protos, scores, rows, cols) if valid else None
+
+
+def _raise_entry_fault(
+    entries: list, where: str, index: dict[str, int], feature_h: int, feature_w: int
+) -> NoReturn:
+    """Raise :class:`FormatError` naming the first invalid entry of an image."""
+    seen_protos: set[str] = set()
+    for j, ent in enumerate(entries):
+        ewhere = f"{where}.entries[{j}]"
+        if not isinstance(ent, dict):
+            raise FormatError(f"{ewhere}: must be an object")
+        pid = _require(ent, "prototype_id", str, ewhere)
+        if pid not in index:
+            raise FormatError(f"{ewhere}: unknown prototype {pid!r}")
+        if pid in seen_protos:
+            raise FormatError(f"{ewhere}: duplicate entry for prototype {pid!r}")
+        seen_protos.add(pid)
+        score = _require(ent, "score", (int, float), ewhere)
+        if isinstance(score, bool) or not _finite(score) or score < 0:
+            raise FormatError(f"{ewhere}: score must be a finite number >= 0")
+        row = _require(ent, "row", int, ewhere)
+        col = _require(ent, "col", int, ewhere)
+        if not (0 <= row < feature_h and 0 <= col < feature_w):
+            raise FormatError(
+                f"{ewhere}: activation location out of feature map "
+                f"(row={row}, col={col}, feature {feature_h}x{feature_w})"
+            )
+    raise AssertionError(f"{where}: entries failed a bulk check but no entry check")
 
 
 def dump_to_json(dump: EvidenceDump) -> dict:
@@ -336,6 +403,8 @@ def _lexicon_from_raw(types_raw: list, where: str) -> Lexicon:
             if not isinstance(axis, str):
                 raise FormatError(f"{twhere}: axes must be strings")
             axis = canonical_token(axis)
+            if not axis:
+                raise FormatError(f"{twhere}: empty axis name")
             if axis in axes:
                 raise FormatError(f"{twhere}: duplicate axis {axis!r}")
             axes.append(axis)
@@ -400,9 +469,13 @@ def _annotations_from_raw(
             if x_min < 0 or y_min < 0 or x_max > width or y_max > height:
                 raise FormatError(f"{rwhere}: bbox {bbox} outside image {width}x{height}")
             tname = canonical_token(_require(roi_raw, "type", str, rwhere))
+            if not tname:
+                raise FormatError(f"{rwhere}: empty type name")
             descriptors = {}
             for axis, value in _require(roi_raw, "descriptors", dict, rwhere).items():
                 axis = canonical_token(axis)
+                if not axis:
+                    raise FormatError(f"{rwhere}: empty axis name")
                 if axis in descriptors:
                     raise FormatError(f"{rwhere}: duplicate axis {axis!r}")
                 if not isinstance(value, str):

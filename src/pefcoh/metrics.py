@@ -22,10 +22,13 @@ across platforms.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .dumpio import (
     ConsistencyError,
@@ -36,10 +39,8 @@ from .dumpio import (
 )
 from .geometry import (
     PatchBox,
-    contains_point,
     iou_dsc_exact,
     resolve_patch_box,
-    roi_center,
 )
 from .records import (
     COMBINED_LEVEL,
@@ -163,10 +164,12 @@ class EvaluationReport:
 # compactness
 
 
+def _is_global(weights: Sequence[float], eps: float) -> bool:
+    return any(abs(w) > eps for w in weights)
+
+
 def global_prototype_ids(dump: EvidenceDump, eps: float) -> tuple[str, ...]:
-    return tuple(
-        p.prototype_id for p in dump.prototypes if any(abs(w) > eps for w in p.class_weights)
-    )
+    return tuple(p.prototype_id for p in dump.prototypes if _is_global(p.class_weights, eps))
 
 
 def global_prototypes(dump: EvidenceDump, eps: float) -> tuple[int, float]:
@@ -178,10 +181,21 @@ def global_prototypes(dump: EvidenceDump, eps: float) -> tuple[int, float]:
     return count, sparsity
 
 
-def _lp_weight(weights: tuple[float, ...], class_label: int, convention: str) -> float:
-    if convention == GROUND_TRUTH:
-        return weights[class_label]
-    return max(weights)
+def _global_mask(dump: EvidenceDump, eps: float) -> np.ndarray:
+    """Per prototype index: whether the prototype is global."""
+    return np.array([_is_global(p.class_weights, eps) for p in dump.prototypes], dtype=bool)
+
+
+def _weight_matrix(dump: EvidenceDump) -> np.ndarray:
+    """Class weights as a (prototype index, class) float64 matrix."""
+    weights = np.empty((len(dump.prototypes), len(dump.class_names)), dtype=np.float64)
+    for i, p in enumerate(dump.prototypes):
+        weights[i] = p.class_weights
+    return weights
+
+
+def _class_labels(dump: EvidenceDump) -> np.ndarray:
+    return np.array([img.class_label for img in dump.images], dtype=np.intp)
 
 
 def local_prototypes(
@@ -192,21 +206,21 @@ def local_prototypes(
 
     The weight is taken toward the instance's ground-truth class by default.
     """
-    weights = dump.weights_by_id()
-    test_images = dump.split_images(TEST)
-    if not test_images:
+    is_test = np.array([img.split == TEST for img in dump.images], dtype=bool)
+    n = int(np.count_nonzero(is_test))
+    if not n:
         raise ValueError("empty test split")
-    pos_total = 0
-    neg_total = 0
-    for img in test_images:
-        for entry in img.entries:
-            w = _lp_weight(weights[entry.prototype_id], img.class_label, weight_convention)
-            contribution = entry.score * w
-            if contribution > eps:
-                pos_total += 1
-            elif contribution < -eps:
-                neg_total += 1
-    n = len(test_images)
+    t = dump.activations
+    rows = np.flatnonzero(is_test[t.image])
+    weights = _weight_matrix(dump)
+    if weight_convention == GROUND_TRUTH:
+        w = weights[t.proto[rows], _class_labels(dump)[t.image[rows]]]
+    else:
+        w = weights.max(axis=1)[t.proto[rows]]
+    with np.errstate(over="ignore"):  # a product past float64 is inf, as in Python
+        contribution = t.score[rows] * w
+    pos_total = int(np.count_nonzero(contribution > eps))
+    neg_total = int(np.count_nonzero(contribution < -eps))
     return float(Fraction(pos_total, n)), float(Fraction(neg_total, n))
 
 
@@ -216,17 +230,38 @@ def local_prototypes(
 
 def _match_roi(patch: PatchBox, ann: AnnotatedImage) -> int | None:
     """Index of the ROI whose center lies in the patch; with several matches,
-    the center nearest the patch center wins, then the smallest ROI index."""
-    px, py = patch.center()
-    best: tuple[Fraction, int] | None = None
+    the center nearest the patch center wins, then the smallest ROI index.
+
+    Exact, in integers: every coordinate is scaled by twice the common
+    denominator of the patch edges, which makes the patch edges, the patch
+    center and each ROI center (a half-integer) whole numbers.
+    """
+    edges = patch.as_tuple()
+    d = math.lcm(*(v.denominator for v in edges))
+    x0, y0, x1, y1 = (2 * v.numerator * (d // v.denominator) for v in edges)
+    px, py = (x0 + x1) // 2, (y0 + y1) // 2
+    best: tuple[int, int] | None = None
     for idx, roi in enumerate(ann.rois):
-        cx, cy = roi_center(roi)
-        if not contains_point(patch, cx, cy):
-            continue
-        dist2 = (cx - px) ** 2 + (cy - py) ** 2
-        if best is None or (dist2, idx) < best:
-            best = (dist2, idx)
+        cx = (roi.bbox[0] + roi.bbox[2]) * d
+        cy = (roi.bbox[1] + roi.bbox[3]) * d
+        if x0 <= cx < x1 and y0 <= cy < y1:
+            dist2 = (cx - px) ** 2 + (cy - py) ** 2
+            if best is None or (dist2, idx) < best:
+                best = (dist2, idx)
     return best[1] if best is not None else None
+
+
+def _ranks(keys: Sequence[str]) -> np.ndarray:
+    """Each key's position in ascending order (ties keep their order)."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[order] = np.arange(len(keys))
+    return ranks
+
+
+def _group_starts(groups: np.ndarray, n: int) -> np.ndarray:
+    """Where each group 0..n-1 of a sorted group column starts, then its end."""
+    return np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=n))))
 
 
 def top_k_evidence(
@@ -243,39 +278,35 @@ def top_k_evidence(
     shortfall.
     """
     ann_by_id = annotations.by_id()
-    pools: dict[str, list[tuple[float, str, AnnotatedImage, int, int, int, int]]] = {}
-    for img in dump.split_images(TRAIN):
-        ann = ann_by_id.get(img.image_id)
-        if ann is None:
-            continue
-        for entry in img.entries:
-            pools.setdefault(entry.prototype_id, []).append(
-                (
-                    entry.score,
-                    img.image_id,
-                    ann,
-                    entry.row,
-                    entry.col,
-                    img.feature_h,
-                    img.feature_w,
-                )
-            )
+    anns = [ann_by_id.get(img.image_id) if img.split == TRAIN else None for img in dump.images]
+    t = dump.activations
+    is_global = _global_mask(dump, config.eps)
+    pool = np.flatnonzero(np.array([ann is not None for ann in anns], dtype=bool)[t.image]
+                          & is_global[t.proto])
+    image_rank = _ranks([img.image_id for img in dump.images])
+    # grouped by prototype index, then score descending, then image_id ascending
+    pool = pool[np.lexsort((image_rank[t.image[pool]], -t.score[pool], t.proto[pool]))]
+    proto = t.proto[pool]
+    kept = pool[np.arange(len(pool)) - _group_starts(proto, len(is_global))[proto] < config.k]
 
-    out = []
-    for pid in global_prototype_ids(dump, config.eps):
-        pool = sorted(pools.get(pid, []), key=lambda t: (-t[0], t[1]))[: config.k]
-        items = []
-        for score, image_id, ann, row, col, feature_h, feature_w in pool:
-            patch = resolve_patch_box(
-                row, col, feature_h, feature_w, ann.width, ann.height, config.patch_size
-            )
-            roi_index = _match_roi(patch, ann)
-            categories = None
-            if roi_index is not None:
-                categories = categories_for_roi(lexicon, ann.rois[roi_index])
-            items.append(EvidenceItem(image_id, score, patch, roi_index, categories))
-        out.append(TopKEvidence(pid, config.k, tuple(items), config.k - len(items)))
-    return out
+    items: dict[int, list[EvidenceItem]] = {int(p): [] for p in np.flatnonzero(is_global)}
+    for p, i, score, row, col in zip(
+        t.proto[kept].tolist(), t.image[kept].tolist(), t.score[kept].tolist(),
+        t.row[kept].tolist(), t.col[kept].tolist(),
+    ):
+        img, ann = dump.images[i], anns[i]
+        patch = resolve_patch_box(
+            row, col, img.feature_h, img.feature_w, ann.width, ann.height, config.patch_size
+        )
+        roi_index = _match_roi(patch, ann)
+        categories = None
+        if roi_index is not None:
+            categories = categories_for_roi(lexicon, ann.rois[roi_index])
+        items[p].append(EvidenceItem(img.image_id, score, patch, roi_index, categories))
+    return [
+        TopKEvidence(t.prototype_ids[p], config.k, tuple(found), config.k - len(found))
+        for p, found in items.items()
+    ]
 
 
 def _purity_for_level(
@@ -407,35 +438,39 @@ def _localization_detail(
 ) -> tuple[list[ImageLocalizationRow], dict[str, LocalizationScore]]:
     """Per-image localization rows plus the exact per-variant means."""
     ann_by_id = annotations.by_id()
-    weights = dump.weights_by_id()
-    global_ids = set(global_prototype_ids(dump, config.eps))
+    anns = [ann_by_id.get(img.image_id) if img.split == TEST else None for img in dump.images]
+    localized = [i for i, ann in enumerate(anns) if ann is not None and ann.rois]
+    t = dump.activations
+    in_image = np.zeros(len(dump.images), dtype=bool)
+    in_image[localized] = True
+    entries = np.flatnonzero(in_image[t.image])
+    proto, image = t.proto[entries], t.image[entries]
+    weight = _weight_matrix(dump)[proto, _class_labels(dump)[image]]
+    with np.errstate(over="ignore"):  # a product past float64 is inf, as in Python
+        magnitude = np.abs(t.score[entries] * weight)
+    keep = _global_mask(dump, config.eps)[proto] & (magnitude > config.eps)
+    # grouped by image, then |score x weight| descending, then prototype id
+    order = np.lexsort((_ranks(t.prototype_ids)[proto[keep]], -magnitude[keep], image[keep]))
+    candidates = entries[keep][order]
+    image_start = _group_starts(t.image[candidates], len(dump.images))
     rows = []
     sums = {variant: [Fraction(0), Fraction(0)] for variant in VARIANTS}
-    for img in dump.split_images(TEST):
-        ann = ann_by_id.get(img.image_id)
-        if ann is None or not ann.rois:
-            continue
-        candidates = []
-        for entry in img.entries:
-            if entry.prototype_id not in global_ids:
-                continue
-            contribution = entry.score * weights[entry.prototype_id][img.class_label]
-            if abs(contribution) > config.eps:
-                candidates.append((abs(contribution), entry))
-        candidates.sort(key=lambda t: (-t[0], t[1].prototype_id))
-        roi_boxes = [PatchBox(*roi.bbox) for roi in ann.rois]
+    for i in localized:
+        img = dump.images[i]
+        chosen = candidates[image_start[i]: image_start[i + 1]]
+        roi_boxes = [PatchBox(*roi.bbox) for roi in anns[i].rois]
         patches = [
-            resolve_patch_box(e.row, e.col, img.feature_h, img.feature_w,
+            resolve_patch_box(row, col, img.feature_h, img.feature_w,
                               img.width, img.height, config.patch_size)
-            for _, e in candidates
+            for row, col in zip(t.row[chosen].tolist(), t.col[chosen].tolist())
         ]
         per_variant = {}
-        for variant, limit in (("top1", 1), ("top10", 10), ("all", len(candidates))):
-            i, d = iou_dsc_exact(patches[:limit], roi_boxes)
-            sums[variant][0] += i
-            sums[variant][1] += d
-            per_variant[variant] = LocalizationScore(float(i), float(d))
-        rows.append(ImageLocalizationRow(img.image_id, len(candidates), per_variant))
+        for variant, limit in (("top1", 1), ("top10", 10), ("all", len(chosen))):
+            iou, dsc = iou_dsc_exact(patches[:limit], roi_boxes)
+            sums[variant][0] += iou
+            sums[variant][1] += dsc
+            per_variant[variant] = LocalizationScore(float(iou), float(dsc))
+        rows.append(ImageLocalizationRow(img.image_id, len(chosen), per_variant))
     if not rows:
         raise ValueError("no localizable instances")
     n = len(rows)

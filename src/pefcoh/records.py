@@ -5,12 +5,19 @@ serialization live in :mod:`pefcoh.dumpio`; these records assume their
 invariants already hold. A record stored in a file lists its fields in the
 order the file format writes them, and a field whose JSON key differs from
 its name carries that key as ``metadata["json"]`` (see ``dumpio.to_json``).
+
+A dump's activations are also held as one columnar :class:`ActivationTable`,
+which the metrics read; a parsed dump's ``entries`` are views of that table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
+
+import numpy as np
 
 TRAIN = "train"
 TEST = "test"
@@ -122,6 +129,129 @@ class ActivationEntry:
     col: int
 
 
+@dataclass(frozen=True, eq=False)
+class ActivationTable:
+    """Every activation of a dump as numpy columns, one row per entry, in
+    image order and, within an image, in entry order.
+
+    The rows of image ``i`` are ``offsets[i]:offsets[i + 1]``; ``proto``
+    indexes ``prototype_ids`` (the dump's prototypes) and ``image`` the
+    dump's images.
+    """
+
+    prototype_ids: tuple[str, ...]
+    offsets: np.ndarray  # intp, one more than the images
+    proto: np.ndarray  # intp
+    image: np.ndarray  # intp
+    score: np.ndarray  # float64
+    row: np.ndarray  # int64
+    col: np.ndarray  # int64
+
+    @classmethod
+    def from_columns(
+        cls,
+        prototype_ids: tuple[str, ...],
+        counts: Sequence[int],
+        proto: Sequence[int],
+        score: Sequence[float],
+        row: Sequence[int],
+        col: Sequence[int],
+    ) -> ActivationTable:
+        """The table of images holding ``counts[i]`` entries each, from the
+        concatenated entry columns."""
+        offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            prototype_ids,
+            offsets,
+            np.array(proto, dtype=np.intp),
+            np.repeat(np.arange(len(counts), dtype=np.intp), counts),
+            np.array(score, dtype=np.float64),
+            np.array(row, dtype=np.int64),
+            np.array(col, dtype=np.int64),
+        )
+
+    @classmethod
+    def of(
+        cls, prototype_ids: tuple[str, ...], images: Sequence[ImageActivationRecord]
+    ) -> ActivationTable:
+        """The table of ``images``: the one their entries view when they are
+        the views of one table in order, else one built from the records
+        (an entry naming an unknown prototype raises ``KeyError``)."""
+        views = [img.entries for img in images]
+        first = views[0] if views else None
+        if (
+            isinstance(first, ActivationView)
+            and first.table.prototype_ids == prototype_ids
+            and len(first.table.offsets) == len(views) + 1
+            and all(
+                isinstance(v, ActivationView) and v.table is first.table and v.index == i
+                for i, v in enumerate(views)
+            )
+        ):
+            return first.table
+        index = {pid: i for i, pid in enumerate(prototype_ids)}
+        entries = [e for img in images for e in img.entries]
+        return cls.from_columns(
+            prototype_ids,
+            [len(v) for v in views],
+            [index[e.prototype_id] for e in entries],
+            [e.score for e in entries],
+            [e.row for e in entries],
+            [e.col for e in entries],
+        )
+
+
+class ActivationView(Sequence):
+    """The entries of image ``index`` of an :class:`ActivationTable`, read as
+    a tuple of :class:`ActivationEntry` (equal to the tuple of the same
+    entries)."""
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, table: ActivationTable, index: int) -> None:
+        self.table = table
+        self.index = index
+
+    def _rows(self) -> slice:
+        return slice(self.table.offsets[self.index], self.table.offsets[self.index + 1])
+
+    def __len__(self) -> int:
+        rows = self._rows()
+        return int(rows.stop - rows.start)
+
+    def __iter__(self) -> Iterator[ActivationEntry]:
+        t, rows = self.table, self._rows()
+        ids = t.prototype_ids
+        for p, score, row, col in zip(
+            t.proto[rows].tolist(), t.score[rows].tolist(),
+            t.row[rows].tolist(), t.col[rows].tolist(),
+        ):
+            yield ActivationEntry(ids[p], score, row, col)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self)[j]
+        n = len(self)
+        if not -n <= j < n:
+            raise IndexError("entry index out of range")
+        t, r = self.table, self._rows().start + j % n
+        return ActivationEntry(
+            t.prototype_ids[t.proto[r]], float(t.score[r]), int(t.row[r]), int(t.col[r])
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, ActivationView)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class ImageActivationRecord:
     image_id: str
@@ -131,7 +261,7 @@ class ImageActivationRecord:
     class_label: int
     feature_h: int
     feature_w: int
-    entries: tuple[ActivationEntry, ...]
+    entries: Sequence[ActivationEntry]  # a tuple, or a view of the dump's table
 
 
 @dataclass(frozen=True)
@@ -143,6 +273,11 @@ class EvidenceDump:
     class_names: tuple[str, ...]
     prototypes: tuple[PrototypeRecord, ...]
     images: tuple[ImageActivationRecord, ...]
+
+    @cached_property
+    def activations(self) -> ActivationTable:
+        """Every entry as one table, derived once (see :meth:`ActivationTable.of`)."""
+        return ActivationTable.of(tuple(p.prototype_id for p in self.prototypes), self.images)
 
     def weights_by_id(self) -> dict[str, tuple[float, ...]]:
         return {p.prototype_id: p.class_weights for p in self.prototypes}

@@ -2,10 +2,40 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from pathlib import Path
 
-from pefcoh.geometry import PatchBox, RegionSet
+from pefcoh.dumpio import (
+    DUMP_FORMAT,
+    FormatError,
+    _check_format,
+    _class_names,
+    _image_header,
+    _load_json,
+    _require,
+)
+from pefcoh.geometry import (
+    PatchBox,
+    RegionSet,
+    contains_point,
+    iou_dsc_exact,
+    resolve_patch_box,
+    roi_center,
+)
+from pefcoh.metrics import (
+    GROUND_TRUTH,
+    VARIANTS,
+    EvidenceItem,
+    ImageLocalizationRow,
+    LocalizationScore,
+    RunConfig,
+    TopKEvidence,
+    global_prototype_ids,
+)
 from pefcoh.records import (
+    TEST,
+    TRAIN,
     AnnotatedImage,
     AnnotationSet,
     ActivationEntry,
@@ -15,6 +45,7 @@ from pefcoh.records import (
     LexiconType,
     PrototypeRecord,
     ROIAnnotation,
+    categories_for_roi,
 )
 
 CLASSES = ("benign", "malignant")
@@ -184,3 +215,224 @@ def intersection_area(a: RegionSet, b: RegionSet) -> Fraction:
             if clipped is not None:
                 pieces.append(clipped)
     return union_area(pieces)
+
+
+# Reference metrics and dump parser: the per-entry loops over
+# ActivationEntry records that the columnar ActivationTable paths in
+# pefcoh.metrics and pefcoh.dumpio replaced, kept verbatim as the reference
+# of the differential and parse-error parity tests. (This parse_dump still
+# raises OverflowError on an integer too large for a float.)
+
+
+def _lp_weight(weights: tuple[float, ...], class_label: int, convention: str) -> float:
+    if convention == GROUND_TRUTH:
+        return weights[class_label]
+    return max(weights)
+
+
+def local_prototypes(
+    dump: EvidenceDump, eps: float, weight_convention: str = GROUND_TRUTH
+) -> tuple[float, float]:
+    """Mean number of prototypes per test instance whose contribution
+    (presence score x class weight) is positive resp. negative.
+
+    The weight is taken toward the instance's ground-truth class by default.
+    """
+    weights = dump.weights_by_id()
+    test_images = dump.split_images(TEST)
+    if not test_images:
+        raise ValueError("empty test split")
+    pos_total = 0
+    neg_total = 0
+    for img in test_images:
+        for entry in img.entries:
+            w = _lp_weight(weights[entry.prototype_id], img.class_label, weight_convention)
+            contribution = entry.score * w
+            if contribution > eps:
+                pos_total += 1
+            elif contribution < -eps:
+                neg_total += 1
+    n = len(test_images)
+    return float(Fraction(pos_total, n)), float(Fraction(neg_total, n))
+
+
+def _match_roi(patch: PatchBox, ann: AnnotatedImage) -> int | None:
+    """Index of the ROI whose center lies in the patch; with several matches,
+    the center nearest the patch center wins, then the smallest ROI index."""
+    px, py = patch.center()
+    best: tuple[Fraction, int] | None = None
+    for idx, roi in enumerate(ann.rois):
+        cx, cy = roi_center(roi)
+        if not contains_point(patch, cx, cy):
+            continue
+        dist2 = (cx - px) ** 2 + (cy - py) ** 2
+        if best is None or (dist2, idx) < best:
+            best = (dist2, idx)
+    return best[1] if best is not None else None
+
+
+def top_k_evidence(
+    dump: EvidenceDump,
+    annotations: AnnotationSet,
+    lexicon: Lexicon,
+    config: RunConfig,
+) -> list[TopKEvidence]:
+    """Per global prototype, its k highest-scoring training patches.
+
+    Ties in presence score break by image_id ascending. Training images
+    missing from the annotation set are excluded from the pool. A prototype
+    with fewer than k activations keeps all of them and records the
+    shortfall.
+    """
+    ann_by_id = annotations.by_id()
+    pools: dict[str, list[tuple[float, str, AnnotatedImage, int, int, int, int]]] = {}
+    for img in dump.split_images(TRAIN):
+        ann = ann_by_id.get(img.image_id)
+        if ann is None:
+            continue
+        for entry in img.entries:
+            pools.setdefault(entry.prototype_id, []).append(
+                (
+                    entry.score,
+                    img.image_id,
+                    ann,
+                    entry.row,
+                    entry.col,
+                    img.feature_h,
+                    img.feature_w,
+                )
+            )
+
+    out = []
+    for pid in global_prototype_ids(dump, config.eps):
+        pool = sorted(pools.get(pid, []), key=lambda t: (-t[0], t[1]))[: config.k]
+        items = []
+        for score, image_id, ann, row, col, feature_h, feature_w in pool:
+            patch = resolve_patch_box(
+                row, col, feature_h, feature_w, ann.width, ann.height, config.patch_size
+            )
+            roi_index = _match_roi(patch, ann)
+            categories = None
+            if roi_index is not None:
+                categories = categories_for_roi(lexicon, ann.rois[roi_index])
+            items.append(EvidenceItem(image_id, score, patch, roi_index, categories))
+        out.append(TopKEvidence(pid, config.k, tuple(items), config.k - len(items)))
+    return out
+
+
+def _localization_detail(
+    dump: EvidenceDump,
+    annotations: AnnotationSet,
+    config: RunConfig,
+) -> tuple[list[ImageLocalizationRow], dict[str, LocalizationScore]]:
+    """Per-image localization rows plus the exact per-variant means."""
+    ann_by_id = annotations.by_id()
+    weights = dump.weights_by_id()
+    global_ids = set(global_prototype_ids(dump, config.eps))
+    rows = []
+    sums = {variant: [Fraction(0), Fraction(0)] for variant in VARIANTS}
+    for img in dump.split_images(TEST):
+        ann = ann_by_id.get(img.image_id)
+        if ann is None or not ann.rois:
+            continue
+        candidates = []
+        for entry in img.entries:
+            if entry.prototype_id not in global_ids:
+                continue
+            contribution = entry.score * weights[entry.prototype_id][img.class_label]
+            if abs(contribution) > config.eps:
+                candidates.append((abs(contribution), entry))
+        candidates.sort(key=lambda t: (-t[0], t[1].prototype_id))
+        roi_boxes = [PatchBox(*roi.bbox) for roi in ann.rois]
+        patches = [
+            resolve_patch_box(e.row, e.col, img.feature_h, img.feature_w,
+                              img.width, img.height, config.patch_size)
+            for _, e in candidates
+        ]
+        per_variant = {}
+        for variant, limit in (("top1", 1), ("top10", 10), ("all", len(candidates))):
+            i, d = iou_dsc_exact(patches[:limit], roi_boxes)
+            sums[variant][0] += i
+            sums[variant][1] += d
+            per_variant[variant] = LocalizationScore(float(i), float(d))
+        rows.append(ImageLocalizationRow(img.image_id, len(candidates), per_variant))
+    if not rows:
+        raise ValueError("no localizable instances")
+    n = len(rows)
+    means = {
+        variant: LocalizationScore(float(i_sum / n), float(d_sum / n))
+        for variant, (i_sum, d_sum) in sums.items()
+    }
+    return rows, means
+
+
+def parse_dump(path: str | Path) -> EvidenceDump:
+    """Parse and fully validate an evidence dump file."""
+    raw = _check_format(_load_json(path), DUMP_FORMAT, path)
+    model_name = _require(raw, "model_name", str, str(path))
+    seed = _require(raw, "seed", int, str(path))
+    class_names = _class_names(raw, str(path))
+
+    prototypes = []
+    seen_ids: set[str] = set()
+    for i, rec in enumerate(_require(raw, "prototypes", list, str(path))):
+        where = f"{path}: prototypes[{i}]"
+        if not isinstance(rec, dict):
+            raise FormatError(f"{where}: must be an object")
+        pid = _require(rec, "id", str, where)
+        if pid in seen_ids:
+            raise FormatError(f"{where}: duplicate prototype id {pid!r}")
+        seen_ids.add(pid)
+        weights = _require(rec, "class_weights", list, where)
+        if len(weights) != len(class_names):
+            raise FormatError(
+                f"{where}: class_weights length {len(weights)} != {len(class_names)} classes"
+            )
+        ws = []
+        for j, w in enumerate(weights):
+            if not isinstance(w, (int, float)) or isinstance(w, bool) or not math.isfinite(w):
+                raise FormatError(f"{where}: class_weights[{j}] must be a finite number")
+            ws.append(float(w))
+        prototypes.append(PrototypeRecord(pid, tuple(ws)))
+
+    images = []
+    seen_images: set[str] = set()
+    for i, rec in enumerate(_require(raw, "images", list, str(path))):
+        where = f"{path}: images[{i}]"
+        image_id, split, width, height, class_label = _image_header(
+            rec, where, seen_images, len(class_names)
+        )
+        feature_h = _require(rec, "feature_h", int, where)
+        feature_w = _require(rec, "feature_w", int, where)
+        if feature_h <= 0 or feature_w <= 0:
+            raise FormatError(f"{where}: feature-map dimensions must be positive")
+
+        entries = []
+        seen_protos: set[str] = set()
+        for j, ent in enumerate(_require(rec, "entries", list, where)):
+            ewhere = f"{where}.entries[{j}]"
+            if not isinstance(ent, dict):
+                raise FormatError(f"{ewhere}: must be an object")
+            pid = _require(ent, "prototype_id", str, ewhere)
+            if pid not in seen_ids:
+                raise FormatError(f"{ewhere}: unknown prototype {pid!r}")
+            if pid in seen_protos:
+                raise FormatError(f"{ewhere}: duplicate entry for prototype {pid!r}")
+            seen_protos.add(pid)
+            score = _require(ent, "score", (int, float), ewhere)
+            if isinstance(score, bool) or not math.isfinite(score) or score < 0:
+                raise FormatError(f"{ewhere}: score must be a finite number >= 0")
+            row = _require(ent, "row", int, ewhere)
+            col = _require(ent, "col", int, ewhere)
+            if not (0 <= row < feature_h and 0 <= col < feature_w):
+                raise FormatError(
+                    f"{ewhere}: activation location out of feature map "
+                    f"(row={row}, col={col}, feature {feature_h}x{feature_w})"
+                )
+            entries.append(ActivationEntry(pid, float(score), row, col))
+        images.append(
+            ImageActivationRecord(
+                image_id, split, width, height, class_label, feature_h, feature_w, tuple(entries)
+            )
+        )
+    return EvidenceDump(model_name, seed, class_names, tuple(prototypes), tuple(images))

@@ -266,6 +266,44 @@ class TestEvaluate:
         assert err.strip().count("\n") == 0
 
 
+class TestIntegerTooLargeForFloat:
+    """An integer score or class weight past the float range is a format
+    error (exit 2), not an uncaught OverflowError."""
+
+    @pytest.fixture(params=["score", "class_weight"])
+    def bad_dump(self, request, synth_dir, tmp_path):
+        dump = json.loads((synth_dir / "dump.json").read_text())
+        if request.param == "score":
+            dump["images"][-1]["entries"][-1]["score"] = 10**400
+            expected = "entries[{}]: score must be a finite number >= 0".format(
+                len(dump["images"][-1]["entries"]) - 1)
+        else:
+            dump["prototypes"][-1]["class_weights"][0] = 10**400
+            expected = "class_weights[0] must be a finite number"
+        path = tmp_path / "big.json"
+        write_json(path, dump)
+        return path, expected
+
+    def test_validate_exit_2(self, bad_dump, synth_dir, capsys):
+        path, expected = bad_dump
+        code = run_cli("validate", "--dump", path, "--annotations", synth_dir / "annotations.json")
+        assert code == 2
+        out = capsys.readouterr().out
+        assert out.startswith("dump: ERROR") and expected in out
+
+    def test_evaluate_exit_2(self, bad_dump, synth_dir, tmp_path, capsys):
+        path, expected = bad_dump
+        code = run_cli(
+            "evaluate", "--dump", path,
+            "--annotations", synth_dir / "annotations.json",
+            "--out", tmp_path / "eval",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and expected in err
+        assert not (tmp_path / "eval").exists()
+
+
 class TestCompare:
     def _reports(self, tmp_path, models=("m1", "m2"), seeds=(11, 22)):
         paths = []

@@ -1,8 +1,9 @@
 import copy
 import json
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pefcoh.dumpio import (
     FormatError,
@@ -16,16 +17,29 @@ from pefcoh.dumpio import (
     parse_annotations,
     parse_dump,
     parse_lexicon,
+    read_dataclass,
+    to_json,
     total_categories,
 )
-from pefcoh.records import CategoryId, canonical_token, categories_for_roi
+from pefcoh.records import (
+    ActivationEntry,
+    ActivationView,
+    CategoryId,
+    PrototypeRecord,
+    ROIAnnotation,
+    canonical_token,
+    categories_for_roi,
+)
 from pefcoh.synth import SynthSpec, generate
 
+import helpers
 from helpers import (
     MAMMO_LEXICON,
     category_roi,
     make_ann_image,
     make_annotations,
+    make_dump,
+    make_image,
     make_roi,
 )
 
@@ -313,3 +327,254 @@ class TestCrossValidate:
         diags = cross_validate(dump, ann)
         assert [d for d in diags if d.severity == "error"] == []
         assert any("only-in-dump" in d.message for d in diags if d.severity == "warning")
+
+
+def wide_dump_obj(n_images=4, n_prototypes=80, seed=5):
+    """A valid dump with an entry for every prototype on every image of a
+    4x4 feature map, in shuffled prototype order."""
+    rng = random.Random(seed)
+    images = []
+    for i in range(n_images):
+        order = rng.sample(range(n_prototypes), n_prototypes)
+        images.append({
+            "image_id": f"img{i}", "split": "train", "width": 100, "height": 100,
+            "class_label": i % 2, "feature_h": 4, "feature_w": 4,
+            "entries": [
+                {"prototype_id": f"p{j:02d}", "score": rng.choice([0, 2, 0.5, 1.25]),
+                 "row": rng.randrange(4), "col": rng.randrange(4)}
+                for j in order
+            ],
+        })
+    return {
+        "format": "pefcoh-dump/1", "model_name": "m", "seed": 1,
+        "class_names": ["benign", "malignant"],
+        "prototypes": [{"id": f"p{j:02d}", "class_weights": [1.0, -0.5]}
+                       for j in range(n_prototypes)],
+        "images": images,
+    }
+
+
+def _set(field, value):
+    def fault(entry, first_pid):
+        entry[field] = value
+        return entry
+    return fault
+
+
+def _drop(field):
+    def fault(entry, first_pid):
+        del entry[field]
+        return entry
+    return fault
+
+
+# one fault per entry-level check of parse_dump; the fault function gets the
+# entry and the prototype id of the image's first entry, and returns the
+# value to put in the entry's place
+ENTRY_FAULTS = {
+    "not-an-object": lambda entry, first_pid: [entry["prototype_id"], 1.0, 0, 0],
+    "missing-prototype-id": _drop("prototype_id"),
+    "prototype-id-not-string": _set("prototype_id", 7),
+    "unknown-prototype": _set("prototype_id", "zz"),
+    "duplicate-entry": lambda entry, first_pid: {**entry, "prototype_id": first_pid},
+    "missing-score": _drop("score"),
+    "score-string": _set("score", "1.0"),
+    "score-bool": _set("score", True),
+    "score-nan": _set("score", float("nan")),
+    "score-infinite": _set("score", float("inf")),
+    "score-negative": _set("score", -0.5),
+    "missing-row": _drop("row"),
+    "row-float": _set("row", 1.0),
+    "row-bool": _set("row", True),
+    "missing-col": _drop("col"),
+    "col-bool": _set("col", False),
+    "row-out-of-map": _set("row", 4),
+    "col-out-of-map": _set("col", 4),
+    "col-negative": _set("col", -1),
+}
+
+
+def _fault_message(parse, path):
+    with pytest.raises(FormatError) as info:
+        parse(path)
+    return str(info.value)
+
+
+class TestEntryFaults:
+    """Every entry-level message names the first bad entry, exactly as the
+    per-entry loop of the reference parser does."""
+
+    @staticmethod
+    def place(obj, i, j, name):
+        entries = obj["images"][i]["entries"]
+        entries[j] = ENTRY_FAULTS[name](entries[j], entries[0]["prototype_id"])
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_FAULTS))
+    def test_late_fault_message_matches_reference(self, write_file, name):
+        obj = wide_dump_obj()
+        self.place(obj, 2, 57, name)
+        path = write_file("d.json", obj)
+        message = _fault_message(parse_dump, path)
+        assert message == _fault_message(helpers.parse_dump, path)
+        assert "images[2].entries[57]: " in message
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 79),
+                      st.sampled_from(sorted(ENTRY_FAULTS))),
+            min_size=2, max_size=2, unique_by=lambda f: f[:2],
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_of_two_faults_named(self, tmp_path_factory, faults):
+        obj = wide_dump_obj()
+        for i, j, name in faults:
+            self.place(obj, i, j, name)
+        path = tmp_path_factory.mktemp("faults") / "d.json"
+        path.write_text(dumps_canonical(obj), encoding="utf-8")
+        message = _fault_message(parse_dump, path)
+        assert message == _fault_message(helpers.parse_dump, path)
+        i, j, _ = min(faults)
+        assert f"images[{i}].entries[{j}]: " in message
+
+    def test_entry_fault_before_later_image_header(self, write_file):
+        obj = wide_dump_obj()
+        self.place(obj, 1, 40, "score-negative")
+        obj["images"][2]["split"] = "validation"
+        assert "images[1].entries[40]: score" in _fault_message(
+            parse_dump, write_file("d.json", obj))
+
+    def test_image_header_before_later_entry_fault(self, write_file):
+        obj = wide_dump_obj()
+        obj["images"][1]["feature_h"] = 0
+        self.place(obj, 2, 3, "unknown-prototype")
+        assert "images[1]: feature-map dimensions" in _fault_message(
+            parse_dump, write_file("d.json", obj))
+
+    def test_score_too_large_for_a_float(self, write_file):
+        obj = wide_dump_obj()
+        obj["images"][3]["entries"][60]["score"] = 10**400
+        assert _fault_message(parse_dump, write_file("d.json", obj)).endswith(
+            "images[3].entries[60]: score must be a finite number >= 0")
+
+    def test_class_weight_too_large_for_a_float(self, write_file):
+        obj = wide_dump_obj()
+        obj["prototypes"][5]["class_weights"] = [1.0, -(10**400)]
+        assert _fault_message(parse_dump, write_file("d.json", obj)).endswith(
+            "prototypes[5]: class_weights[1] must be a finite number")
+
+    def test_large_finite_integers_read_as_floats(self, write_file):
+        obj = wide_dump_obj(n_images=1)
+        obj["images"][0]["entries"][1]["score"] = 10**300
+        obj["prototypes"][0]["class_weights"] = [2**70, 0]
+        dump = parse_dump(write_file("d.json", obj))
+        assert dump.images[0].entries[1].score == 1e300
+        assert dump.prototypes[0].class_weights == (float(2**70), 0.0)
+
+    def test_feature_map_beyond_int64_rejected(self, write_file, minimal_dump_obj):
+        minimal_dump_obj["images"][0]["feature_h"] = 2**63
+        with pytest.raises(FormatError, match=r"images\[0\]: feature-map dimensions"):
+            parse_dump(write_file("d.json", minimal_dump_obj))
+
+    def test_valid_dump_matches_reference(self, write_file):
+        path = write_file("d.json", wide_dump_obj())
+        assert parse_dump(path) == helpers.parse_dump(path)
+
+
+class TestActivationTable:
+    def test_parsed_entries_are_views_of_one_table(self, write_file):
+        obj = wide_dump_obj(n_images=3)
+        dump = parse_dump(write_file("d.json", obj))
+        table = dump.activations
+        assert list(table.offsets) == [0, 80, 160, 240]
+        for i, img in enumerate(dump.images):
+            assert isinstance(img.entries, ActivationView) and img.entries.table is table
+            expected = tuple(
+                ActivationEntry(e["prototype_id"], float(e["score"]), e["row"], e["col"])
+                for e in obj["images"][i]["entries"]
+            )
+            assert len(img.entries) == 80
+            assert img.entries == expected and expected == img.entries
+            assert tuple(img.entries) == expected
+            assert img.entries[-1] == expected[-1] and img.entries[5:9] == expected[5:9]
+            assert type(img.entries[0].score) is float
+        with pytest.raises(IndexError):
+            dump.images[0].entries[80]
+        assert [table.prototype_ids[p] for p in table.proto[80:83]] == [
+            e["prototype_id"] for e in obj["images"][1]["entries"][:3]
+        ]
+        assert list(table.image[79:81]) == [0, 1]
+
+    def test_built_dump_derives_the_same_table(self, write_file):
+        obj = wide_dump_obj(n_images=3)
+        parsed = parse_dump(write_file("d.json", obj))
+        built = make_dump(
+            [(p.prototype_id, p.class_weights) for p in parsed.prototypes],
+            [make_image(img.image_id,
+                        [(e.prototype_id, e.score, e.row, e.col) for e in img.entries],
+                        class_label=img.class_label, width=100, height=100,
+                        feature_h=4, feature_w=4)
+             for img in parsed.images],
+            model_name="m", seed=1,
+        )
+        assert built == parsed
+        for column in ("offsets", "proto", "image", "score", "row", "col"):
+            built_column = getattr(built.activations, column)
+            assert (built_column == getattr(parsed.activations, column)).all()
+
+    def test_written_parsed_dump_round_trips(self, write_file):
+        dump = parse_dump(write_file("d.json", wide_dump_obj(n_images=2)))
+        text = dumps_canonical(dump_to_json(dump))
+        assert parse_dump(write_file("d2.json", json.loads(text))) == dump
+
+
+class TestEmptyLexiconNames:
+    """An ROI's empty type or axis name is rejected whether the lexicon is
+    given or derived, as parse_lexicon rejects it in a lexicon."""
+
+    @pytest.mark.parametrize("with_lexicon", [True, False])
+    def test_empty_type_name(self, write_file, minimal_ann_obj, lexicon_obj, with_lexicon):
+        minimal_ann_obj["images"][0]["rois"][0]["type"] = "  "
+        lexicon_path = write_file("lex.json", lexicon_obj) if with_lexicon else None
+        with pytest.raises(FormatError, match=r"images\[0\]\.rois\[0\]: empty type name"):
+            load_annotations(write_file("a.json", minimal_ann_obj), lexicon_path)
+
+    @pytest.mark.parametrize("with_lexicon", [True, False])
+    def test_empty_axis_name(self, write_file, minimal_ann_obj, lexicon_obj, with_lexicon):
+        minimal_ann_obj["images"][0]["rois"][0]["descriptors"][" "] = "x"
+        lexicon_path = write_file("lex.json", lexicon_obj) if with_lexicon else None
+        with pytest.raises(FormatError, match=r"images\[0\]\.rois\[0\]: empty axis name"):
+            load_annotations(write_file("a.json", minimal_ann_obj), lexicon_path)
+
+    def test_lexicon_rejects_empty_axis_name(self, write_file, lexicon_obj):
+        lexicon_obj["types"][1]["axes"].append("  ")
+        with pytest.raises(FormatError, match=r"types\[1\]: empty axis name"):
+            parse_lexicon(write_file("lex.json", lexicon_obj))
+
+    def test_derived_lexicon_parses_once_written(self, write_file, minimal_ann_obj):
+        _, lexicon = load_annotations(write_file("a.json", minimal_ann_obj))
+        assert parse_lexicon(write_file("lex.json", lexicon_to_json(lexicon))) == lexicon
+
+
+class TestReadDataclassJsonKeys:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            PrototypeRecord("p0", (1.0,)),
+            ROIAnnotation((1, 2, 3, 4), "mass", {"shape": "oval"}, 1),
+        ],
+        ids=["prototype", "roi"],
+    )
+    def test_round_trip(self, record):
+        raw = json.loads(json.dumps(to_json(record)))
+        assert read_dataclass(type(record), raw, "f.json", "record") == record
+
+    def test_field_named_by_json_key(self):
+        with pytest.raises(FormatError, match="missing prototype field 'id'"):
+            read_dataclass(PrototypeRecord, {"class_weights": [1.0]}, "f.json", "prototype")
+        with pytest.raises(FormatError, match="unknown prototype field 'prototype_id'"):
+            read_dataclass(PrototypeRecord, {"prototype_id": "p0", "class_weights": [1.0]},
+                           "f.json", "prototype")
+        with pytest.raises(FormatError, match=r"prototype\.id must be str"):
+            read_dataclass(PrototypeRecord, {"id": 3, "class_weights": [1.0]},
+                           "f.json", "prototype")

@@ -1,7 +1,19 @@
-import pytest
+import math
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pefcoh.dumpio import dump_to_json, parse_dump, write_json
+from pefcoh.geometry import resolve_patch_box
 from pefcoh.metrics import (
+    GROUND_TRUTH,
+    MAX_WEIGHT,
+    LocalizationScore,
     RunConfig,
+    _localization_detail,
+    _match_roi,
     aggregate,
     aggregate_flat,
     evaluate,
@@ -24,6 +36,7 @@ from pefcoh.records import (
 )
 from pefcoh.synth import SynthSpec, generate
 
+import helpers
 from helpers import (
     MAMMO_LEXICON,
     category_roi,
@@ -522,3 +535,138 @@ class TestAggregate:
         result = aggregate(reports)
         assert result["global_prototypes"].n == 3
         assert result["relevance"].std is not None
+
+
+# ---------------------------------------------------------------------------
+# the columnar paths against the per-entry reference loops in helpers
+
+
+@st.composite
+def evidence_cases(draw):
+    """A small dump with its annotations. Prototype and image ids are random
+    strings, so their sorted order differs from file order; scores mix
+    integers and floats from a short list, so equal scores recur across
+    images; some prototypes weigh zero; some train images are unannotated;
+    pools are often shorter than k. The first image is a test image with an
+    ROI, so localization has an image to score."""
+    pids = draw(st.lists(st.text("abAB0_", min_size=1, max_size=3),
+                         min_size=1, max_size=7, unique=True))
+    weight = st.sampled_from([0, 0.0, 1, -1, 0.5, -0.25, 2.0, 1e-9])
+    prototypes = [(pid, (draw(weight), draw(weight))) for pid in pids]
+    image_ids = draw(st.lists(st.text("xyXY9", min_size=1, max_size=3),
+                              min_size=1, max_size=10, unique=True))
+    score = st.sampled_from([0, 1, 2, 0.5, 2.0, 1e-9])
+    images, ann_images = [], []
+    for i, image_id in enumerate(image_ids):
+        split = "test" if i == 0 else draw(st.sampled_from(["train", "test"]))
+        label = draw(st.integers(0, 1))
+        feature_h, feature_w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        width, height = draw(st.integers(40, 160)), draw(st.integers(40, 160))
+        n_entries = draw(st.integers(0, len(pids)) | st.just(len(pids)))
+        chosen = draw(st.permutations(pids))[:n_entries]
+        entries = [
+            (pid, draw(score), draw(st.integers(0, feature_h - 1)),
+             draw(st.integers(0, feature_w - 1)))
+            for pid in chosen
+        ]
+        images.append(make_image(image_id, entries, split, width, height, label,
+                                 feature_h, feature_w))
+        if i and draw(st.integers(0, 3)) == 0:
+            continue  # unannotated
+        rois = []
+        for _ in range(draw(st.integers(0 if i else 1, 3))):
+            x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+            bbox = (x0, y0, draw(st.integers(x0 + 1, width)), draw(st.integers(y0 + 1, height)))
+            rois.append(category_roi(draw(st.integers(0, 2)),
+                                     draw(st.sampled_from(["mass", "calcification"])),
+                                     roi_class=draw(st.integers(0, 1)), bbox=bbox))
+        ann_images.append(make_ann_image(image_id, rois, split, width, height, label))
+    return make_dump(prototypes, images), make_annotations(ann_images)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _parsed(dump):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.json"
+        write_json(path, dump_to_json(dump))
+        return parse_dump(path)
+
+
+@given(
+    evidence_cases(),
+    st.builds(RunConfig, k=st.integers(1, 4), patch_size=st.sampled_from([1, 30, 64, 200]),
+              eps=st.sampled_from([0.0, 1e-8, 0.6])),
+)
+@settings(max_examples=250, deadline=None)
+def test_table_paths_match_reference_loops(case, config):
+    dump, annotations = case
+    for d in (dump, _parsed(dump)):
+        for convention in (GROUND_TRUTH, MAX_WEIGHT):
+            assert _outcome(local_prototypes, d, config.eps, convention) == _outcome(
+                helpers.local_prototypes, d, config.eps, convention)
+        assert top_k_evidence(d, annotations, MAMMO_LEXICON, config) == helpers.top_k_evidence(
+            d, annotations, MAMMO_LEXICON, config)
+        assert _outcome(_localization_detail, d, annotations, config) == _outcome(
+            helpers._localization_detail, d, annotations, config)
+
+
+def test_localization_ties_break_by_prototype_id_not_file_order():
+    # equal |score x weight|; "pb" comes first in the file, "pa" sorts first
+    # and its patch, cell (1, 1) of a 2x2 map, is exactly the ROI
+    dump = make_dump(
+        [("pb", (1.0, 1.0)), ("pa", (2.0, 2.0))],
+        [make_image("te", [("pb", 2.0, 0, 0), ("pa", 1.0, 1, 1)], split="test",
+                    width=100, height=100, feature_h=2, feature_w=2)],
+    )
+    ann = make_annotations(
+        [make_ann_image("te", [make_roi((50, 50, 100, 100))], split="test",
+                        width=100, height=100)]
+    )
+    config = RunConfig(patch_size=50)
+    for d in (dump, _parsed(dump)):
+        detail = _localization_detail(d, ann, config)
+        assert detail[0][0].per_variant["top1"] == LocalizationScore(1.0, 1.0)
+        assert detail == helpers._localization_detail(d, ann, config)
+
+
+@st.composite
+def patch_and_rois(draw):
+    """A patch with fractional edges (odd image sizes and patch sides) and
+    ROIs placed around it, duplicates and equidistant centers included."""
+    width, height = draw(st.integers(9, 151)), draw(st.integers(9, 151))
+    feature_h, feature_w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    patch = resolve_patch_box(
+        draw(st.integers(0, feature_h - 1)), draw(st.integers(0, feature_w - 1)),
+        feature_h, feature_w, width, height, draw(st.integers(1, 160)),
+    )
+    def span(lo, hi, limit):
+        """An ROI side centered anywhere, or on or next to a patch edge,
+        clipped to the image."""
+        doubled = draw(st.sampled_from([math.floor(2 * lo), math.ceil(2 * lo),
+                                        math.floor(2 * hi), math.ceil(2 * hi)])
+                       | st.integers(1, 2 * limit - 1))  # twice the center
+        size = 2 * draw(st.integers(1, 20)) - doubled % 2  # whole-pixel ends
+        start = min(max(0, (doubled - size) // 2), limit - 1)
+        return start, min(limit, start + size)
+
+    rois = []
+    for _ in range(draw(st.integers(0, 5))):
+        x0, x1 = span(patch.x_min, patch.x_max, width)
+        y0, y1 = span(patch.y_min, patch.y_max, height)
+        rois.append(make_roi((x0, y0, x1, y1)))
+        if draw(st.booleans()):
+            rois.append(make_roi((x0, y0, x1, y1)))
+    return patch, make_ann_image("img", rois, width=width, height=height)
+
+
+@given(patch_and_rois())
+@settings(max_examples=300, deadline=None)
+def test_match_roi_matches_reference(case):
+    patch, ann = case
+    assert _match_roi(patch, ann) == helpers._match_roi(patch, ann)
