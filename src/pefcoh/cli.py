@@ -118,28 +118,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     annotations, lexicon = dumpio.load_annotations(args.annotations, args.lexicon)
 
-    # every dump is checked and evaluated before anything is written
-    reports = []
-    names = []
-    for dump_path in args.dump:
-        dump = dumpio.parse_dump(dump_path)
-        if reports and dump.model_name != reports[0].model_name:
-            raise dumpio.ConsistencyError(
-                f"dumps name different models ({reports[0].model_name!r}, "
-                f"{dump.model_name!r}); use compare to tabulate several models"
-            )
-        name = f"{dump.model_name}-seed{dump.seed}"
-        if name in names:
-            raise dumpio.ConsistencyError(f"duplicate model/seed pair {name!r} across dumps")
-        names.append(name)
-        reports.append(evaluate(dump, annotations, lexicon, config))
+    # every dump is evaluated and the runs pooled before anything is written
+    reports = [evaluate(dumpio.parse_dump(path), annotations, lexicon, config)
+               for path in args.dump]
     properties = aggregate(reports)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, result in zip(names, reports):
-        report.write_report(out_dir / f"{name}.report.json", result, args.fixed_timestamp)
-        print(f"wrote {out_dir / f'{name}.report.json'}")
+    for result in reports:
+        path = out_dir / f"{result.model_name}-seed{result.seed}.report.json"
+        report.write_report(path, result, args.fixed_timestamp)
+        print(f"wrote {path}")
 
     payload = report.aggregate_to_dict(reports, properties, args.fixed_timestamp)
     dumpio.write_json(out_dir / "aggregate.json", payload)
@@ -162,9 +151,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     by_model: dict[str, list[dict]] = {}
-    for path in args.reports:
-        raw = report.load_report(path)
-        by_model.setdefault(raw["model_name"], []).append(raw)
+    for run in (report.load_report(path) for path in args.reports):
+        by_model.setdefault(run["model_name"], []).append(run)
     payload, table = report.build_comparison(by_model, args.fixed_timestamp)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -146,9 +146,9 @@ def read_dataclass(cls: type[T], raw: Any, where: str, what: str) -> T:
 
     Every field must be present, under its JSON key, and no other key may be.
     Values are checked against the field annotations: int rejects bools,
-    float accepts integers, and nested dataclasses, arrays and objects are
-    read recursively. A violation raises :class:`FormatError` naming the
-    field by its JSON key, as ``what.key``.
+    float accepts integers, numbers must be finite, and nested dataclasses,
+    arrays and objects are read recursively. A violation raises
+    :class:`FormatError` naming the field by its JSON key, as ``what.key``.
     """
     if not isinstance(raw, dict):
         raise FormatError(f"{where}: {what} must be an object")
@@ -198,6 +198,8 @@ def _read_value(tp: Any, value: Any, where: str, what: str) -> Any:
         ok = isinstance(value, tp)
     if not ok:
         raise FormatError(f"{where}: {what} must be {tp.__name__}, got {type(value).__name__}")
+    if tp in (int, float) and not _finite(value):
+        raise FormatError(f"{where}: {what} must be a finite number")
     return value
 
 

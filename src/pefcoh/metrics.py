@@ -77,8 +77,8 @@ class RunConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.patch_size < 1:
             raise ValueError(f"patch_size must be >= 1, got {self.patch_size}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be a finite number >= 0, got {self.eps}")
         if self.lp_weight_class not in (GROUND_TRUTH, MAX_WEIGHT):
             raise ValueError(f"unknown lp_weight_class {self.lp_weight_class!r}")
 
@@ -630,18 +630,38 @@ def aggregate_flat(
     return out
 
 
-def require_same_config(configs: Sequence[Mapping]) -> None:
-    """Raise :class:`ConsistencyError` naming the fields on which the JSON
-    forms of the runs' configs differ."""
-    first = configs[0]
-    for other in configs[1:]:
-        if other != first:
-            mismatched = [key for key in first if other.get(key) != first[key]]
+def pool(runs: Sequence[Mapping]) -> dict[str, dict[str, AggregateProperty | None]]:
+    """Per model, in first-seen order, :func:`aggregate_flat` of its runs'
+    flattened scores. A run is a report header: ``model_name``, ``seed`` and
+    the JSON forms of ``config`` and ``scores``. Every config must equal the
+    first run's and each model/seed pair may appear once, else
+    :class:`ConsistencyError`; this is the one rule for pooling runs."""
+    if not runs:
+        raise ValueError("no runs to pool")
+    config = runs[0]["config"]
+    by_model: dict[str, dict[int, dict]] = {}
+    for run in runs:
+        if run["config"] != config:
+            mismatched = [key for key in config if run["config"].get(key) != config[key]]
             raise ConsistencyError(f"mixed configs across runs: {', '.join(mismatched)}")
+        seeds = by_model.setdefault(run["model_name"], {})
+        if run["seed"] in seeds:
+            name = f"{run['model_name']}-seed{run['seed']}"
+            raise ConsistencyError(f"duplicate model/seed pair {name!r} across runs")
+        seeds[run["seed"]] = flatten(run["scores"])
+    return {model: aggregate_flat(list(seeds.values())) for model, seeds in by_model.items()}
 
 
 def aggregate(reports: Sequence[EvaluationReport]) -> dict[str, AggregateProperty | None]:
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    require_same_config([to_json(r.config) for r in reports])
-    return aggregate_flat([flatten_scores(r.scores) for r in reports])
+    """:func:`pool` of the reports of one model."""
+    per_model = pool([
+        {"model_name": r.model_name, "seed": r.seed,
+         "config": to_json(r.config), "scores": to_json(r.scores)}
+        for r in reports
+    ])
+    if len(per_model) > 1:
+        raise ConsistencyError(
+            f"runs name different models ({', '.join(map(repr, per_model))}); "
+            "use compare to tabulate several models"
+        )
+    return next(iter(per_model.values()))

@@ -20,9 +20,7 @@ from .metrics import (
     PropertyScores,
     RunConfig,
     VARIANTS,
-    aggregate_flat,
-    flatten,
-    require_same_config,
+    pool,
 )
 from .records import COMBINED_LEVEL
 
@@ -112,14 +110,15 @@ def write_report(path: str | Path, report: EvaluationReport, fixed_timestamp: bo
 
 
 def load_report(path: str | Path) -> dict:
-    """Load a report file; returns the raw dict after checking its format,
-    model name, config and scores."""
+    """Load a report file's header, the run that :func:`pool` reads:
+    ``model_name``, ``seed`` and the checked JSON forms of config and scores."""
     raw = _check_format(_load_json(path), REPORT_FORMAT, path)
     where = str(path)
-    _require(raw, "model_name", str, where)
-    read_dataclass(RunConfig, _require(raw, "config", dict, where), where, "config")
-    read_dataclass(PropertyScores, _require(raw, "scores", dict, where), where, "scores")
-    return raw
+    header = {key: _require(raw, key, kind, where) for key, kind in
+              (("model_name", str), ("seed", int), ("config", dict), ("scores", dict))}
+    read_dataclass(RunConfig, header["config"], where, "config")
+    read_dataclass(PropertyScores, header["scores"], where, "scores")
+    return header
 
 
 def aggregate_to_dict(
@@ -192,20 +191,11 @@ def _format_cell(prop: AggregateProperty | None, kind: str) -> str:
 def build_comparison(
     model_reports: Mapping[str, Sequence[dict]], fixed_timestamp: bool = False
 ) -> tuple[dict, list[list[str]]]:
-    """From per-model lists of loaded report dicts, build the comparison JSON
-    payload and the display table (header row first).
-
-    All reports must share the same config; the first report's
-    specialization levels fix the row set.
-    """
-    if not model_reports:
-        raise ValueError("no reports to compare")
+    """Pool per-model lists of report headers (see :func:`load_report`) and
+    build the comparison JSON payload and the display table (header row
+    first); the first report's specialization levels fix the row set."""
     runs = [r for reports in model_reports.values() for r in reports]
-    require_same_config([r["config"] for r in runs])
-    per_model = {
-        model: aggregate_flat([flatten(r["scores"]) for r in reports])
-        for model, reports in model_reports.items()
-    }
+    per_model = pool(runs)
     payload = {
         "format": COMPARISON_FORMAT,
         "generated_at": timestamp(fixed_timestamp),

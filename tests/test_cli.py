@@ -400,6 +400,49 @@ class TestCompare:
         assert "duplicate key 'seed'" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    def test_same_report_twice_rejected(self, tmp_path, capsys):
+        # one run counted twice would report n_runs 2 and std 0.0
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        capsys.readouterr()
+        code = run_cli("compare", paths[0], paths[0], "--out", tmp_path / "cmp")
+        assert code == 2
+        assert "duplicate model/seed pair 'm1-seed11'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_non_int_seed_rejected(self, tmp_path, capsys):
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        raw = json.loads(paths[0].read_text())
+        raw["seed"] = "x"
+        bad = tmp_path / "bad.report.json"
+        write_json(bad, raw)
+        capsys.readouterr()
+        code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+        assert code == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("relevance", 10**400),
+        ("relevance", float("nan")),
+        ("relevance", float("inf")),
+        ("relevance", float("-inf")),
+        ("total_prototypes", 10**400),
+    ], ids=["relevance-huge", "relevance-nan", "relevance-inf", "relevance-neg-inf",
+            "total_prototypes-huge"])
+    def test_non_finite_score_rejected(self, tmp_path, capsys, field, value):
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        raw = json.loads(paths[0].read_text())
+        raw["scores"][field] = value
+        bad = tmp_path / "bad.report.json"
+        write_json(bad, raw)  # writes NaN / Infinity / -Infinity as such
+        capsys.readouterr()
+        code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.strip().count("\n") == 0
+        assert f"scores.{field} must be a finite number" in err
+        assert not (tmp_path / "cmp").exists()
+
     def test_absent_property_rendered_as_dash(self, tmp_path):
         # a run with zero relevant prototypes reports uniqueness as absent
         synth = tmp_path / "synth"

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pefcoh.dumpio import dump_to_json, parse_dump, write_json
+from pefcoh.dumpio import ConsistencyError, dump_to_json, parse_dump, write_json
 from pefcoh.geometry import resolve_patch_box
 from pefcoh.metrics import (
     GROUND_TRUTH,
@@ -493,6 +493,13 @@ class TestEvaluate:
         assert a == b
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be a finite number >= 0"):
+            RunConfig(eps=eps)
+
+
 class TestAggregate:
     def test_closed_form(self):
         result = aggregate_flat([{"relevance": 0.2}, {"relevance": 0.3}, {"relevance": 0.4}])
@@ -525,6 +532,15 @@ class TestAggregate:
         r2 = evaluate(dump, ann, lexicon, RunConfig(k=5, patch_size=spec.patch_size))
         with pytest.raises(ValueError, match="mixed configs.*k"):
             aggregate([r1, r2])
+
+    def test_two_models_rejected(self):
+        reports = []
+        for seed, model in ((1, "m1"), (2, "m2")):
+            spec = SynthSpec(rng_seed=seed, model_name=model)
+            dump, ann, lexicon, _ = generate(spec)
+            reports.append(evaluate(dump, ann, lexicon, spec.config()))
+        with pytest.raises(ConsistencyError, match="different models.*'m1'.*'m2'.*compare"):
+            aggregate(reports)
 
     def test_multi_seed_aggregate(self):
         reports = []
