@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import Field, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Any, NoReturn, TypeVar, Union, get_args, get_origin, get_type_hints
 
+from .geometry import fits_exact_grid
 from .records import (
     COMBINED_LEVEL,
     SPLITS,
@@ -67,7 +68,19 @@ class Diagnostic:
 # low-level helpers
 
 
-def _load_json(path: str | Path) -> Any:
+def _read_text(path: str | Path) -> str:
+    """The whole text of a UTF-8 file; bytes that are not UTF-8 raise
+    :class:`FormatError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def _unique_keys(path: str | Path) -> Callable[[list[tuple[str, Any]]], dict]:
+    """The ``object_pairs_hook`` that builds an object and rejects a repeated key."""
+
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
@@ -78,11 +91,104 @@ def _load_json(path: str | Path) -> Any:
                 seen.add(key)
         return obj
 
-    with open(path, encoding="utf-8") as fh:
+    return unique_keys
+
+
+def _loads(text: str, path: str | Path) -> Any:
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _load_json(path: str | Path) -> Any:
+    return _loads(_read_text(path), path)
+
+
+def _members(text: str, path: str | Path, stream: str) -> Iterator[tuple[str, Any]]:
+    """The members of the JSON object ``text`` in order, each value decoded
+    when it is reached, so the whole tree is never built.
+
+    The value of key ``stream``, when it is an array, comes as an iterator that
+    decodes one element at a time; the elements it has not yielded when the
+    next member is asked for are decoded then and dropped. Text that is not
+    one JSON object raises what decoding it whole raises (see :func:`_loads`):
+    json's own message with its line and column, or the first repeated key,
+    and nothing more is yielded.
+    """
+    decoder = json.JSONDecoder(object_pairs_hook=_unique_keys(path))
+
+    def reject() -> NoReturn:
+        if not isinstance(_loads(text, path), dict):
+            raise FormatError(f"{path}: top level must be an object")
+        raise AssertionError(f"{path}: decodes as a whole but not member by member")
+
+    def skip(i: int) -> int:
+        return _WHITESPACE.match(text, i).end()
+
+    def decode(i: int) -> tuple[Any, int]:
         try:
-            return json.load(fh, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+            return decoder.raw_decode(text, i)
+        except json.JSONDecodeError:
+            reject()
+
+    end = None  # where the streamed array ends, once all its elements decoded
+
+    def elements(i: int) -> Iterator[Any]:
+        nonlocal end
+        i = skip(i)
+        if not text.startswith("]", i):
+            while True:
+                value, i = decode(i)
+                yield value
+                i = skip(i)
+                if not text.startswith(",", i):
+                    break
+                i = skip(i + 1)
+            if not text.startswith("]", i):
+                reject()
+        end = i + 1
+
+    i = skip(0)
+    if not text.startswith("{", i):
+        reject()
+    i = skip(i + 1)
+    seen: set[str] = set()
+    if not text.startswith("}", i):
+        while True:
+            if not text.startswith('"', i):
+                reject()
+            try:
+                key, i = json.decoder.scanstring(text, i + 1)
+            except json.JSONDecodeError:
+                reject()
+            if key in seen:
+                reject()
+            seen.add(key)
+            i = skip(i)
+            if not text.startswith(":", i):
+                reject()
+            i = skip(i + 1)
+            if key == stream and text.startswith("[", i):
+                end = None
+                values = elements(i + 1)
+                yield key, values
+                for _ in values:  # the elements the caller left
+                    pass
+                if end is None:  # the elements raised, which ended the walk
+                    return
+                i = end
+            else:
+                value, i = decode(i)
+                yield key, value
+            i = skip(i)
+            if not text.startswith(",", i):
+                break
+            i = skip(i + 1)
+        if not text.startswith("}", i):
+            reject()
+    if skip(i + 1) != len(text):
+        reject()
 
 
 def _require(obj: dict, key: str, kind: type | tuple, where: str) -> Any:
@@ -245,11 +351,43 @@ def _image_header(
 def parse_dump(path: str | Path) -> EvidenceDump:
     """Parse and fully validate an evidence dump file.
 
+    The text is decoded one top-level member at a time. When ``images`` comes
+    after the header members, as :func:`dump_to_json` writes it, each image is
+    decoded, checked and added to the table on its own and then dropped, so
+    memory holds the text and the table but never the whole JSON tree; in any
+    other key order ``images`` is decoded whole and read after the header.
+    Either way a fault in the JSON anywhere in the file (a syntax error, a
+    repeated key) is raised before a fault in a record: the first record
+    fault is kept while the rest of the text is decoded.
+
     The entries are read into one :class:`ActivationTable`, checked an image
     at a time in bulk; only an image that fails a bulk check is walked entry
     by entry, to name its first bad entry.
     """
-    raw = _check_format(_load_json(path), DUMP_FORMAT, path)
+    raw: dict[str, Any] = {}
+    dump = fault = None
+    for key, value in _members(_read_text(path), path, stream="images"):
+        if not isinstance(value, Iterator):
+            raw[key] = value
+        elif _DUMP_HEADER <= raw.keys():
+            try:
+                dump = _dump_from_raw({**raw, key: value}, path)
+            except FormatError as exc:
+                fault = exc  # raised once the rest has decoded: a JSON fault there wins
+        else:
+            raw[key] = list(value)
+    if fault is not None:
+        raise fault
+    return dump if dump is not None else _dump_from_raw(raw, path)
+
+
+_DUMP_HEADER = {"format", "model_name", "seed", "class_names", "prototypes"}
+
+
+def _dump_from_raw(raw: dict[str, Any], path: str | Path) -> EvidenceDump:
+    """The dump of the decoded top-level members ``raw``, whose ``images`` is
+    a list or an iterator over the decoded images."""
+    _check_format(raw, DUMP_FORMAT, path)
     model_name = _require(raw, "model_name", str, str(path))
     seed = _require(raw, "seed", int, str(path))
     class_names = _class_names(raw, str(path))
@@ -280,7 +418,7 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     counts: list[int] = []
     columns: tuple[list, ...] = ([], [], [], [])  # prototype index, score, row, col
     seen_images: set[str] = set()
-    for i, rec in enumerate(_require(raw, "images", list, str(path))):
+    for i, rec in enumerate(_require(raw, "images", (list, Iterator), str(path))):
         where = f"{path}: images[{i}]"
         header = _image_header(rec, where, seen_images, len(class_names))
         feature_h = _require(rec, "feature_h", int, where)
@@ -289,6 +427,12 @@ def parse_dump(path: str | Path) -> EvidenceDump:
             raise FormatError(f"{where}: feature-map dimensions must be positive")
         if max(feature_h, feature_w) > _INT64_MAX:
             raise FormatError(f"{where}: feature-map dimensions must be below 2**63")
+        _, _, width, height, _ = header
+        if not (fits_exact_grid(width, feature_w) and fits_exact_grid(height, feature_h)):
+            raise FormatError(
+                f"{where}: image too large for exact geometry "
+                "(2 * width * feature_w and 2 * height * feature_h must be below 2**63)"
+            )
         entries = _require(rec, "entries", list, where)
         image_columns = _entry_columns(entries, index, feature_h, feature_w)
         if image_columns is None:
@@ -308,6 +452,7 @@ def parse_dump(path: str | Path) -> EvidenceDump:
 
 _NUMBER = {int, float}
 _INT64_MAX = 2**63 - 1
+_WHITESPACE = json.decoder.WHITESPACE
 
 
 def _finite(x: int | float) -> bool:

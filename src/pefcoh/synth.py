@@ -23,6 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dumpio import _check_format, _load_json, read_dataclass, to_json
+from .geometry import fits_exact_grid
 from .metrics import LocalizationScore, PropertyScores, RunConfig, VARIANTS
 from .records import (
     COMBINED_LEVEL,
@@ -144,8 +145,30 @@ def _check(condition: bool, message: str) -> None:
         raise InfeasibleSpecError(message)
 
 
+# Sizes are bounded before any loop: the generator loops over each of these
+# counts and over the feature cells, and the dump can hold one entry per
+# prototype per image.
+_MAX_COUNT = 10**6
+_MAX_ENTRIES = 10**8
+_LOOPED_COUNTS = (
+    "n_prototypes", "n_train_images", "n_test_images", "n_mass_categories",
+    "n_calc_categories",
+)
+
+
 def _validate(spec: SynthSpec) -> tuple[int, int, int, int]:
     """Returns (cell_w, cell_h, roi_w, roi_h)."""
+    for name in _LOOPED_COUNTS:
+        _check(getattr(spec, name) <= _MAX_COUNT, f"{name} must be at most 10**6")
+    _check(spec.feature_w >= 1 and spec.feature_h >= 1, "feature_w and feature_h must be >= 1")
+    _check(
+        spec.feature_w * spec.feature_h <= _MAX_COUNT,
+        "feature_w * feature_h must be at most 10**6",
+    )
+    _check(
+        spec.n_prototypes * (spec.n_train_images + spec.n_test_images) <= _MAX_ENTRIES,
+        "n_prototypes * (n_train_images + n_test_images) must be at most 10**8",
+    )
     _check(spec.n_prototypes >= 1, "n_prototypes must be >= 1")
     _check(spec.n_test_images >= 1, "n_test_images must be >= 1")
     _check(spec.k >= 1, "k must be >= 1")
@@ -172,6 +195,12 @@ def _validate(spec: SynthSpec) -> tuple[int, int, int, int]:
         spec.image_width % spec.feature_w == 0 and spec.image_height % spec.feature_h == 0,
         "image dimensions must be divisible by feature-map dimensions "
         f"({spec.image_width}x{spec.image_height} vs {spec.feature_w}x{spec.feature_h})",
+    )
+    _check(
+        fits_exact_grid(spec.image_width, spec.feature_w)
+        and fits_exact_grid(spec.image_height, spec.feature_h),
+        "image too large for exact geometry (2 * image_width * feature_w and "
+        "2 * image_height * feature_h must be below 2**63)",
     )
     cell_w = spec.image_width // spec.feature_w
     cell_h = spec.image_height // spec.feature_h

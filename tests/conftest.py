@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from pefcoh.dumpio import write_json
+
+# CI runs the same examples on every push and prints how to replay a failure;
+# local runs keep hypothesis's random default.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture

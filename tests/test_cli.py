@@ -304,6 +304,74 @@ class TestIntegerTooLargeForFloat:
         assert not (tmp_path / "eval").exists()
 
 
+class TestInputFaultsExit2:
+    """A file that is not UTF-8, or an image too large for exact geometry, is
+    a format error naming the file (exit 2), not an uncaught error."""
+
+    @pytest.fixture
+    def not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        return path
+
+    def test_validate_not_utf8(self, not_utf8, synth_dir, capsys):
+        code = run_cli("validate", "--dump", not_utf8,
+                       "--annotations", synth_dir / "annotations.json")
+        assert code == 2
+        assert capsys.readouterr().out.startswith(f"dump: ERROR {not_utf8}: not valid UTF-8: ")
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_evaluate_and_compare_not_utf8(self, command, not_utf8, synth_dir, tmp_path, capsys):
+        if command == "evaluate":
+            argv = ["evaluate", "--dump", not_utf8,
+                    "--annotations", synth_dir / "annotations.json"]
+        else:
+            argv = ["compare", not_utf8]
+        assert run_cli(*argv, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {not_utf8}: not valid UTF-8: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("side, cells", [("width", "feature_w"), ("height", "feature_h")])
+    def test_largest_image_for_exact_geometry_evaluates(
+        self, synth_dir, tmp_path, capsys, side, cells
+    ):
+        dump = json.loads((synth_dir / "dump.json").read_text())
+        annotations = json.loads((synth_dir / "annotations.json").read_text())
+        largest = (2**62 - 1) // dump["images"][0][cells]  # 2 * side * cells < 2**63
+        for size, expected in ((largest, 0), (largest + 1, 2)):
+            for image in dump["images"] + annotations["images"]:
+                image[side] = size
+            write_json(tmp_path / "dump.json", dump)
+            write_json(tmp_path / "annotations.json", annotations)
+            code = run_cli("evaluate", "--dump", tmp_path / "dump.json",
+                           "--annotations", tmp_path / "annotations.json",
+                           "--out", tmp_path / f"eval-{size}")
+            assert code == expected
+        assert "images[0]: image too large for exact geometry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sizes, expected",
+        [
+            ({"n_prototypes": 10**300}, "n_prototypes must be at most 10**6"),
+            ({"n_train_images": 10**300}, "n_train_images must be at most 10**6"),
+            ({"n_test_images": 10**300}, "n_test_images must be at most 10**6"),
+            ({"n_mass_categories": 10**300}, "n_mass_categories must be at most 10**6"),
+            ({"n_calc_categories": 10**300}, "n_calc_categories must be at most 10**6"),
+            ({"n_prototypes": 101, "n_train_images": 10**6 - 8},
+             "n_prototypes * (n_train_images + n_test_images) must be at most 10**8"),
+            ({"feature_w": 1001, "feature_h": 1000}, "feature_w * feature_h must be at most"),
+            ({"feature_w": 0}, "feature_w and feature_h must be >= 1"),
+            ({"image_width": 10**300}, "image too large for exact geometry"),
+        ],
+    )
+    def test_synth_size_out_of_bounds(self, tmp_path, capsys, sizes, expected):
+        spec = {**SynthSpec().to_dict(), **sizes}
+        write_json(tmp_path / "spec.json", spec)
+        assert run_cli("synth", "--spec", tmp_path / "spec.json", "--out", tmp_path / "out") == 2
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCompare:
     def _reports(self, tmp_path, models=("m1", "m2"), seeds=(11, 22)):
         paths = []

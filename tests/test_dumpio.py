@@ -1,6 +1,8 @@
 import copy
 import json
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,8 @@ from pefcoh.records import (
     canonical_token,
     categories_for_roi,
 )
-from pefcoh.synth import SynthSpec, generate
+from pefcoh.report import load_report
+from pefcoh.synth import SynthSpec, generate, parse_ledger, parse_synth_spec
 
 import helpers
 from helpers import (
@@ -479,6 +482,101 @@ class TestEntryFaults:
     def test_valid_dump_matches_reference(self, write_file):
         path = write_file("d.json", wide_dump_obj())
         assert parse_dump(path) == helpers.parse_dump(path)
+
+
+def _outcome(parse, path):
+    """What ``parse`` gives for ``path``: its result, or its FormatError's message."""
+    try:
+        return parse(path)
+    except FormatError as exc:
+        return str(exc)
+
+
+# a fault in the JSON text itself, which wins over any record fault before it
+TEXT_FAULTS = {
+    "truncated-end": lambda text: text[:-40],
+    "repeated-key-in-images-4": lambda text: text.replace(
+        '"image_id": "img4",', '"image_id": "img4", "image_id": "img4",'),
+    "trailing-data": lambda text: text + "x",
+    "missing-top-level-comma": lambda text: text.replace('],\n  "notes"', ']\n  "notes"'),
+}
+
+
+class TestStreamedParse:
+    """parse_dump decodes the dump member by member and ``images`` element by
+    element; the reference decodes the whole text first. Both must agree on
+    every input: the same dump, or the same message."""
+
+    @given(
+        order=st.permutations(
+            ["format", "model_name", "seed", "class_names", "prototypes", "images", "notes"]),
+        indent=st.sampled_from([None, 2]),
+        gap=st.sampled_from(["", " ", "\n", " \t\r\n "]),
+        fault=st.none() | st.tuples(st.integers(0, 3), st.integers(1, 79),
+                                    st.sampled_from(sorted(ENTRY_FAULTS))),
+        cut=st.none() | st.integers(1, 300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_key_order_and_layout_match_reference(
+        self, tmp_path_factory, order, indent, gap, fault, cut
+    ):
+        obj = wide_dump_obj()
+        obj["notes"] = {"run": [1, 2]}
+        if fault is not None:
+            TestEntryFaults.place(obj, *fault)
+        text = gap + json.dumps(
+            {key: obj[key] for key in order},
+            indent=indent, separators=(f"{gap},{gap}", f"{gap}:{gap}"),
+        ) + gap
+        path = tmp_path_factory.mktemp("order") / "d.json"
+        path.write_text(text if cut is None else text[:-cut], encoding="utf-8")
+        assert _outcome(parse_dump, path) == _outcome(helpers.parse_dump, path)
+
+    @pytest.mark.parametrize("name", sorted(TEXT_FAULTS))
+    def test_text_fault_after_entry_fault_wins(self, tmp_path, name):
+        obj = wide_dump_obj(n_images=6)
+        obj["notes"] = "x"
+        TestEntryFaults.place(obj, 1, 3, "score-negative")
+        text = dumps_canonical(obj)
+        faulty = TEXT_FAULTS[name](text)
+        assert faulty != text
+        path = tmp_path / "d.json"
+        path.write_text(faulty, encoding="utf-8")
+        message = _fault_message(parse_dump, path)
+        assert message == _fault_message(helpers.parse_dump, path)
+        assert "entries[" not in message
+
+    def test_header_fault_waits_for_the_text(self, tmp_path):
+        obj = wide_dump_obj()
+        obj["prototypes"][2]["class_weights"] = [1.0]
+        path = tmp_path / "d.json"
+        path.write_text(dumps_canonical(obj) + "x", encoding="utf-8")
+        assert "Extra data" in _fault_message(parse_dump, path)
+        path.write_text(dumps_canonical(obj), encoding="utf-8")
+        assert _fault_message(parse_dump, path).endswith(
+            "prototypes[2]: class_weights length 1 != 2 classes")
+
+    def test_peak_memory_bounded_by_the_text(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(wide_dump_obj(n_images=400)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            parse_dump(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * path.stat().st_size
+
+    @pytest.mark.parametrize(
+        "read",
+        [parse_dump, parse_lexicon, load_annotations, load_report, parse_synth_spec,
+         parse_ledger],
+    )
+    def test_invalid_utf8_names_the_file(self, tmp_path, read):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not valid UTF-8: "):
+            read(path)
 
 
 class TestActivationTable:
