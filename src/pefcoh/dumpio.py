@@ -11,6 +11,11 @@ included, raises :class:`FormatError` naming the offending field and record
 index. Cross-file checks (shared class list, split agreement, ...) are
 collected by :func:`cross_validate`.
 
+Every file is decoded by one :func:`json.loads` whose object hook rejects a
+repeated key. For the dump, the same hook packs each image's entries into
+numpy columns as the image's object closes, so the parse never holds the
+whole JSON tree (see :func:`parse_dump`).
+
 Every file is written as :func:`to_json` gives its record. The input formats
 are read by hand-written parsers; the schema dataclasses (scores, run config,
 synth spec, ledger) are read back with :func:`read_dataclass`.
@@ -20,11 +25,15 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import Field, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import Any, NoReturn, TypeVar, Union, get_args, get_origin, get_type_hints
+from typing import (
+    Any, NamedTuple, NoReturn, TypeVar, Union, get_args, get_origin, get_type_hints,
+)
+
+import numpy as np
 
 from .geometry import fits_exact_grid
 from .records import (
@@ -78,8 +87,12 @@ def _read_text(path: str | Path) -> str:
         raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
-def _unique_keys(path: str | Path) -> Callable[[list[tuple[str, Any]]], dict]:
-    """The ``object_pairs_hook`` that builds an object and rejects a repeated key."""
+def _unique_keys(
+    path: str | Path, pack: Callable[[dict], None] | None = None
+) -> Callable[[list[tuple[str, Any]]], dict]:
+    """The ``object_pairs_hook`` that builds an object and rejects a repeated
+    key; with ``pack``, it then passes each object that holds ``entries`` to
+    ``pack``."""
 
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
         obj = dict(pairs)
@@ -89,106 +102,22 @@ def _unique_keys(path: str | Path) -> Callable[[list[tuple[str, Any]]], dict]:
                 if key in seen:
                     raise FormatError(f"{path}: duplicate key {key!r}")
                 seen.add(key)
+        if pack is not None and "entries" in obj:
+            pack(obj)
         return obj
 
     return unique_keys
 
 
-def _loads(text: str, path: str | Path) -> Any:
+def _loads(text: str, path: str | Path, pack: Callable[[dict], None] | None = None) -> Any:
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys(path))
+        return json.loads(text, object_pairs_hook=_unique_keys(path, pack))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _load_json(path: str | Path) -> Any:
     return _loads(_read_text(path), path)
-
-
-def _members(text: str, path: str | Path, stream: str) -> Iterator[tuple[str, Any]]:
-    """The members of the JSON object ``text`` in order, each value decoded
-    when it is reached, so the whole tree is never built.
-
-    The value of key ``stream``, when it is an array, comes as an iterator that
-    decodes one element at a time; the elements it has not yielded when the
-    next member is asked for are decoded then and dropped. Text that is not
-    one JSON object raises what decoding it whole raises (see :func:`_loads`):
-    json's own message with its line and column, or the first repeated key,
-    and nothing more is yielded.
-    """
-    decoder = json.JSONDecoder(object_pairs_hook=_unique_keys(path))
-
-    def reject() -> NoReturn:
-        if not isinstance(_loads(text, path), dict):
-            raise FormatError(f"{path}: top level must be an object")
-        raise AssertionError(f"{path}: decodes as a whole but not member by member")
-
-    def skip(i: int) -> int:
-        return _WHITESPACE.match(text, i).end()
-
-    def decode(i: int) -> tuple[Any, int]:
-        try:
-            return decoder.raw_decode(text, i)
-        except json.JSONDecodeError:
-            reject()
-
-    end = None  # where the streamed array ends, once all its elements decoded
-
-    def elements(i: int) -> Iterator[Any]:
-        nonlocal end
-        i = skip(i)
-        if not text.startswith("]", i):
-            while True:
-                value, i = decode(i)
-                yield value
-                i = skip(i)
-                if not text.startswith(",", i):
-                    break
-                i = skip(i + 1)
-            if not text.startswith("]", i):
-                reject()
-        end = i + 1
-
-    i = skip(0)
-    if not text.startswith("{", i):
-        reject()
-    i = skip(i + 1)
-    seen: set[str] = set()
-    if not text.startswith("}", i):
-        while True:
-            if not text.startswith('"', i):
-                reject()
-            try:
-                key, i = json.decoder.scanstring(text, i + 1)
-            except json.JSONDecodeError:
-                reject()
-            if key in seen:
-                reject()
-            seen.add(key)
-            i = skip(i)
-            if not text.startswith(":", i):
-                reject()
-            i = skip(i + 1)
-            if key == stream and text.startswith("[", i):
-                end = None
-                values = elements(i + 1)
-                yield key, values
-                for _ in values:  # the elements the caller left
-                    pass
-                if end is None:  # the elements raised, which ended the walk
-                    return
-                i = end
-            else:
-                value, i = decode(i)
-                yield key, value
-            i = skip(i)
-            if not text.startswith(",", i):
-                break
-            i = skip(i + 1)
-        if not text.startswith("}", i):
-            reject()
-    if skip(i + 1) != len(text):
-        reject()
 
 
 def _require(obj: dict, key: str, kind: type | tuple, where: str) -> Any:
@@ -351,42 +280,27 @@ def _image_header(
 def parse_dump(path: str | Path) -> EvidenceDump:
     """Parse and fully validate an evidence dump file.
 
-    The text is decoded one top-level member at a time. When ``images`` comes
-    after the header members, as :func:`dump_to_json` writes it, each image is
-    decoded, checked and added to the table on its own and then dropped, so
-    memory holds the text and the table but never the whole JSON tree; in any
-    other key order ``images`` is decoded whole and read after the header.
-    Either way a fault in the JSON anywhere in the file (a syntax error, a
-    repeated key) is raised before a fault in a record: the first record
-    fault is kept while the rest of the text is decoded.
+    The text is decoded once. As each object that holds ``entries`` closes
+    (an image, or any other object), its entries are checked in bulk against
+    that object's own ``feature_h`` and ``feature_w`` and, when they pass,
+    packed into numpy columns, so memory holds the text, the columns and one
+    image's entry objects but never the whole JSON tree, in any key order.
+    No record is checked while the text decodes, so a fault in the JSON
+    anywhere in the file (a syntax error, a repeated key) wins over a fault
+    in a record.
 
-    The entries are read into one :class:`ActivationTable`, checked an image
-    at a time in bulk; only an image that fails a bulk check is walked entry
-    by entry, to name its first bad entry.
+    The image columns are joined into one :class:`ActivationTable`; only an
+    image whose entries were left unpacked is walked entry by entry, to name
+    its first bad entry.
     """
-    raw: dict[str, Any] = {}
-    dump = fault = None
-    for key, value in _members(_read_text(path), path, stream="images"):
-        if not isinstance(value, Iterator):
-            raw[key] = value
-        elif _DUMP_HEADER <= raw.keys():
-            try:
-                dump = _dump_from_raw({**raw, key: value}, path)
-            except FormatError as exc:
-                fault = exc  # raised once the rest has decoded: a JSON fault there wins
-        else:
-            raw[key] = list(value)
-    if fault is not None:
-        raise fault
-    return dump if dump is not None else _dump_from_raw(raw, path)
+    codes: dict[str, int] = {}
+    raw = _loads(_read_text(path), path, pack=lambda obj: _pack_entries(obj, codes))
+    return _dump_from_raw(raw, path, codes)
 
 
-_DUMP_HEADER = {"format", "model_name", "seed", "class_names", "prototypes"}
-
-
-def _dump_from_raw(raw: dict[str, Any], path: str | Path) -> EvidenceDump:
-    """The dump of the decoded top-level members ``raw``, whose ``images`` is
-    a list or an iterator over the decoded images."""
+def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> EvidenceDump:
+    """The dump of the decoded file ``raw``, whose packed entries name their
+    prototypes by ``codes``."""
     _check_format(raw, DUMP_FORMAT, path)
     model_name = _require(raw, "model_name", str, str(path))
     seed = _require(raw, "seed", int, str(path))
@@ -414,11 +328,11 @@ def _dump_from_raw(raw: dict[str, Any], path: str | Path) -> EvidenceDump:
             ws.append(float(w))
         prototypes.append(PrototypeRecord(pid, tuple(ws)))
 
+    proto_of_code = np.array([index.get(pid, -1) for pid in codes], dtype=np.intp)
     headers = []
-    counts: list[int] = []
-    columns: tuple[list, ...] = ([], [], [], [])  # prototype index, score, row, col
+    columns: list[_Entries] = []
     seen_images: set[str] = set()
-    for i, rec in enumerate(_require(raw, "images", (list, Iterator), str(path))):
+    for i, rec in enumerate(_require(raw, "images", list, str(path))):
         where = f"{path}: images[{i}]"
         header = _image_header(rec, where, seen_images, len(class_names))
         feature_h = _require(rec, "feature_h", int, where)
@@ -433,16 +347,23 @@ def _dump_from_raw(raw: dict[str, Any], path: str | Path) -> EvidenceDump:
                 f"{where}: image too large for exact geometry "
                 "(2 * width * feature_w and 2 * height * feature_h must be below 2**63)"
             )
-        entries = _require(rec, "entries", list, where)
-        image_columns = _entry_columns(entries, index, feature_h, feature_w)
-        if image_columns is None:
+        entries = _require(rec, "entries", (list, _Entries), where)
+        if isinstance(entries, list):
             _raise_entry_fault(entries, where, index, feature_h, feature_w)
-        for column, values in zip(columns, image_columns):
-            column.extend(values)
+        proto = proto_of_code[entries.proto]
+        unknown = np.flatnonzero(proto < 0)
+        if unknown.size:
+            j = int(unknown[0])
+            pid = list(codes)[entries.proto[j]]
+            raise FormatError(f"{where}.entries[{j}]: unknown prototype {pid!r}")
+        columns.append(entries._replace(proto=proto))
         headers.append((*header, feature_h, feature_w))
-        counts.append(len(entries))
 
-    table = ActivationTable.from_columns(tuple(index), counts, *columns)
+    table = ActivationTable.from_columns(
+        tuple(index),
+        [len(c.proto) for c in columns],
+        *map(np.concatenate, zip(_NO_ENTRIES, *columns)),
+    )
     images = tuple(
         ImageActivationRecord(*header, ActivationView(table, i))
         for i, header in enumerate(headers)
@@ -452,7 +373,6 @@ def _dump_from_raw(raw: dict[str, Any], path: str | Path) -> EvidenceDump:
 
 _NUMBER = {int, float}
 _INT64_MAX = 2**63 - 1
-_WHITESPACE = json.decoder.WHITESPACE
 
 
 def _finite(x: int | float) -> bool:
@@ -463,31 +383,50 @@ def _finite(x: int | float) -> bool:
         return False
 
 
-def _entry_columns(
-    entries: list, index: dict[str, int], feature_h: int, feature_w: int
-) -> tuple[list, ...] | None:
-    """The (prototype index, score, row, col) columns of one image's entries,
-    or None when any entry is invalid. Accepts exactly what
-    :func:`_raise_entry_fault` does."""
-    if not entries:
-        return [], [], [], []
+class _Entries(NamedTuple):
+    """One image's entries as columns. ``proto`` holds prototype codes while
+    the file decodes and the dump's prototype indices once it is read."""
+
+    proto: np.ndarray  # intp
+    score: np.ndarray  # float64
+    row: np.ndarray  # int64
+    col: np.ndarray  # int64
+
+
+_ENTRY_DTYPES = (np.intp, np.float64, np.int64, np.int64)
+_NO_ENTRIES = _Entries(*(np.empty(0, dtype) for dtype in _ENTRY_DTYPES))
+
+
+def _pack_entries(obj: dict, codes: dict[str, int]) -> None:
+    """Replace ``obj["entries"]`` by its :class:`_Entries` when it is a list
+    that passes, in bulk, every check of :func:`_raise_entry_fault` against
+    ``obj``'s own ``feature_h`` and ``feature_w`` except that the prototypes
+    are known; prototype ids are coded by ``codes``, in first-seen order.
+    Any other value is left as decoded."""
+    entries = obj["entries"]
+    feature_h, feature_w = obj.get("feature_h"), obj.get("feature_w")
+    if type(entries) is not list or type(feature_h) is not int or type(feature_w) is not int:
+        return
     try:
-        protos = [index[e["prototype_id"]] for e in entries]
+        pids = [e["prototype_id"] for e in entries]
         scores = [e["score"] for e in entries]
         rows = [e["row"] for e in entries]
         cols = [e["col"] for e in entries]
-        valid = (
-            len(set(protos)) == len(protos)
+        if not (
+            set(map(type, pids)) <= {str}
+            and len(set(pids)) == len(pids)
             and set(map(type, scores)) <= _NUMBER
             and all(map(math.isfinite, scores))
-            and min(scores) >= 0
-            and set(map(type, rows)) == set(map(type, cols)) == {int}
-            and 0 <= min(rows) and max(rows) < feature_h
-            and 0 <= min(cols) and max(cols) < feature_w
-        )
+            and min(scores, default=0) >= 0
+            and set(map(type, rows)) <= {int} and set(map(type, cols)) <= {int}
+            and 0 <= min(rows, default=0) and max(rows, default=-1) < feature_h
+            and 0 <= min(cols, default=0) and max(cols, default=-1) < feature_w
+        ):
+            return
+        columns = [codes.setdefault(pid, len(codes)) for pid in pids], scores, rows, cols
+        obj["entries"] = _Entries(*map(np.array, columns, _ENTRY_DTYPES))
     except (KeyError, TypeError, OverflowError):
-        return None
-    return (protos, scores, rows, cols) if valid else None
+        return
 
 
 def _raise_entry_fault(

@@ -117,10 +117,21 @@ class PrototypeVerdict:
     evidence: TopKEvidence | None
 
 
+def _check_range(name: str, value: float | None, top: float = math.inf) -> None:
+    """Raise ValueError unless ``value`` is absent (None) or in [0, top]."""
+    if value is not None and not 0 <= value <= top:
+        bound = "must be >= 0" if top == math.inf else f"must be in [0, {top}]"
+        raise ValueError(f"{name} {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class LocalizationScore:
     iou: float
     dsc: float
+
+    def __post_init__(self) -> None:
+        _check_range("iou", self.iou, 1)
+        _check_range("dsc", self.dsc, 1)
 
 
 @dataclass(frozen=True)
@@ -147,6 +158,20 @@ class PropertyScores:
     class_specific: float | None
     class_specific_eligible: int
     localization: Mapping[str, LocalizationScore]
+
+    def __post_init__(self) -> None:
+        # coverage is only >= 0: a --tc below the unique-category count gives
+        # more than 1
+        for name in ("sparsity_ratio", "relevance", "uniqueness", "class_specific"):
+            _check_range(name, getattr(self, name), 1)
+        for level, value in self.specialization.items():
+            _check_range(f"specialization.{level}", value, 1)
+        for name in (
+            "total_prototypes", "global_prototypes", "local_positive", "local_negative",
+            "relevant_prototypes", "unique_categories", "coverage", "total_categories",
+            "class_specific_eligible",
+        ):
+            _check_range(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -158,17 +158,18 @@ class ActivationTable:
         col: Sequence[int],
     ) -> ActivationTable:
         """The table of images holding ``counts[i]`` entries each, from the
-        concatenated entry columns."""
+        concatenated entry columns; a column already an array of its dtype
+        is kept, not copied."""
         offsets = np.zeros(len(counts) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         return cls(
             prototype_ids,
             offsets,
-            np.array(proto, dtype=np.intp),
+            np.asarray(proto, dtype=np.intp),
             np.repeat(np.arange(len(counts), dtype=np.intp), counts),
-            np.array(score, dtype=np.float64),
-            np.array(row, dtype=np.int64),
-            np.array(col, dtype=np.int64),
+            np.asarray(score, dtype=np.float64),
+            np.asarray(row, dtype=np.int64),
+            np.asarray(col, dtype=np.int64),
         )
 
     @classmethod

@@ -377,21 +377,18 @@ def generate(
         test_plans.append(TestPlan(image_id, label, rois, actors))
 
     # --- top up ROI class counts -------------------------------------------
-    def class_counts() -> dict[Category, list[int]]:
-        counts: dict[Category, list[int]] = {cat: [0, 0] for cat in categories}
-        for rois in train_rois.values():
-            for cat, cls in rois.values():
-                counts[cat][cls] += 1
-        for plan in test_plans:
-            for cat, cls in plan.rois.values():
-                counts[cat][cls] += 1
-        return counts
+    # ROIs per category and class, counted once and kept by add_train_roi
+    roi_counts: dict[Category, list[int]] = {cat: [0, 0] for cat in categories}
+    for rois in [*train_rois.values(), *(plan.rois for plan in test_plans)]:
+        for cat, cls in rois.values():
+            roi_counts[cat][cls] += 1
 
     def add_train_roi(category: Category, cls: int) -> None:
         for image_id in srng.sample(train_ids, len(train_ids)):
             free = [cell for cell in roi_cells if cell not in train_rois[image_id]]
             if free:
                 train_rois[image_id][srng.choice(free)] = (category, cls)
+                roi_counts[category][cls] += 1
                 return
         raise InfeasibleSpecError(
             "not enough free ROI cells to balance category classes "
@@ -400,19 +397,15 @@ def generate(
 
     rp_cats = set(majority_cat.values())
     for cat in categories:
-        counts = class_counts()[cat]
-        if sum(counts) == 0:
+        if sum(roi_counts[cat]) == 0:
             add_train_roi(cat, srng.randrange(2))  # every category must exist: TC is exact
     for cat in sorted(rp_cats):
-        counts = class_counts()[cat]
+        counts = roi_counts[cat]
         for cls in (0, 1):  # eligibility needs both classes present
             if counts[cls] == 0:
                 add_train_roi(cat, cls)
-                counts = class_counts()[cat]
         if counts[0] == counts[1]:  # strict majority keeps alignment well-defined
             add_train_roi(cat, srng.randrange(2))
-
-    final_counts = class_counts()
 
     # --- weights -------------------------------------------------------------
     n_align = round(spec.class_specific_target * n_rel) if n_rel else 0
@@ -428,7 +421,7 @@ def generate(
             weights[pid] = (0.0, 0.0)
             aligns[pid] = None
         elif pid in relevant_set:
-            counts = final_counts[majority_cat[pid]]
+            counts = roi_counts[majority_cat[pid]]
             majority_class = 0 if counts[0] > counts[1] else 1
             top_class = majority_class if pid in aligned_set else 1 - majority_class
             w_top = rng.uniform(0.6, 1.0)

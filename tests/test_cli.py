@@ -372,6 +372,26 @@ class TestInputFaultsExit2:
         assert not (tmp_path / "out").exists()
 
 
+# a score out of its range: the keys of the score under "scores", the value
+# put there, and the message that names it
+SCORE_RANGE_FAULTS = [
+    (("relevance",), -5.0, "scores: relevance must be in [0, 1], got -5.0"),
+    (("sparsity_ratio",), 1.5, "scores: sparsity_ratio must be in [0, 1], got 1.5"),
+    (("specialization", "combined"), 2.0,
+     "scores: specialization.combined must be in [0, 1], got 2.0"),
+    (("uniqueness",), -0.25, "scores: uniqueness must be in [0, 1], got -0.25"),
+    (("class_specific",), 1.01, "scores: class_specific must be in [0, 1], got 1.01"),
+    (("localization", "top1", "iou"), 1.5,
+     "scores.localization.top1: iou must be in [0, 1], got 1.5"),
+    (("localization", "all", "dsc"), -0.5,
+     "scores.localization.all: dsc must be in [0, 1], got -0.5"),
+    (("total_prototypes",), -1, "scores: total_prototypes must be >= 0, got -1"),
+    (("class_specific_eligible",), -3, "scores: class_specific_eligible must be >= 0, got -3"),
+    (("local_negative",), -0.5, "scores: local_negative must be >= 0, got -0.5"),
+    (("coverage",), -1.0, "scores: coverage must be >= 0, got -1.0"),
+]
+
+
 class TestCompare:
     def _reports(self, tmp_path, models=("m1", "m2"), seeds=(11, 22)):
         paths = []
@@ -510,6 +530,41 @@ class TestCompare:
         assert err.startswith("error:") and err.strip().count("\n") == 0
         assert f"scores.{field} must be a finite number" in err
         assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize(
+        "keys, value, message", SCORE_RANGE_FAULTS,
+        ids=[".".join(keys) for keys, _, _ in SCORE_RANGE_FAULTS],
+    )
+    def test_score_out_of_range_rejected(self, tmp_path, capsys, keys, value, message):
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        raw = json.loads(paths[0].read_text())
+        *parents, last = keys
+        scores = raw["scores"]
+        for key in parents:
+            scores = scores[key]
+        assert scores[last] is not None
+        scores[last] = value
+        bad = tmp_path / "bad.report.json"
+        write_json(bad, raw)
+        capsys.readouterr()
+        code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: bad {message}\n"
+        assert not (tmp_path / "cmp").exists()
+
+    def test_coverage_above_one_accepted(self, tmp_path):
+        # a --tc below the unique-category count gives a coverage above 1
+        synth = tmp_path / "synth"
+        run_cli("synth", "--out", synth, "--seed", 1)
+        out = tmp_path / "eval"
+        assert run_cli(
+            "evaluate", "--dump", synth / "dump.json",
+            "--annotations", synth / "annotations.json",
+            "--tc", 1, "--out", out, "--fixed-timestamp",
+        ) == 0
+        report = out / "synthetic-seed1.report.json"
+        assert json.loads(report.read_text())["scores"]["coverage"] > 1
+        assert run_cli("compare", report, "--out", tmp_path / "cmp") == 0
 
     def test_absent_property_rendered_as_dash(self, tmp_path):
         # a run with zero relevant prototypes reports uniqueness as absent

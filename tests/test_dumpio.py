@@ -503,9 +503,9 @@ TEXT_FAULTS = {
 
 
 class TestStreamedParse:
-    """parse_dump decodes the dump member by member and ``images`` element by
-    element; the reference decodes the whole text first. Both must agree on
-    every input: the same dump, or the same message."""
+    """parse_dump packs each image's entries as the image's object closes;
+    the reference decodes the whole tree first and checks it after. Both
+    must agree on every input: the same dump, or the same message."""
 
     @given(
         order=st.permutations(
@@ -577,6 +577,69 @@ class TestStreamedParse:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not valid UTF-8: "):
             read(path)
+
+
+def _written(tmp_path, obj, order=None):
+    path = tmp_path / "d.json"
+    keys = order or list(obj)
+    path.write_text(json.dumps({key: obj[key] for key in keys}), encoding="utf-8")
+    return path
+
+
+class TestEntryPacking:
+    """Entries are packed wherever an object holding them closes, before the
+    prototypes may be known; the result must not depend on where they are."""
+
+    def test_peak_memory_bounded_with_images_first(self, tmp_path):
+        obj = wide_dump_obj(n_images=400)
+        path = _written(tmp_path, obj, ["images", *(key for key in obj if key != "images")])
+        tracemalloc.start()
+        try:
+            parse_dump(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("where", ["notes", "prototypes"])
+    @pytest.mark.parametrize("dims", [True, False], ids=["with-dims", "no-dims"])
+    @pytest.mark.parametrize("fault", [None, "unknown-prototype", "score-negative"])
+    @pytest.mark.parametrize("image_fault", [False, True], ids=["", "image-fault"])
+    def test_entries_outside_images_are_ignored(
+        self, tmp_path, where, dims, fault, image_fault
+    ):
+        obj = wide_dump_obj()
+        carrier = {"entries": copy.deepcopy(obj["images"][1]["entries"])}
+        if dims:
+            carrier.update(feature_h=4, feature_w=4)
+        if fault is not None:
+            entries = carrier["entries"]
+            entries[5] = ENTRY_FAULTS[fault](entries[5], entries[0]["prototype_id"])
+        if where == "notes":
+            obj["notes"] = carrier
+        else:  # extra keys of one prototype
+            obj["prototypes"][3].update(carrier)
+        if image_fault:
+            TestEntryFaults.place(obj, 2, 9, "unknown-prototype")
+        for order in (list(obj), sorted(obj, key=lambda key: key != where)):
+            path = _written(tmp_path, obj, order)
+            outcome = _outcome(parse_dump, path)
+            assert outcome == _outcome(helpers.parse_dump, path)
+            assert isinstance(outcome, str) == image_fault
+
+    @pytest.mark.parametrize("seen_first", [False, True], ids=["after", "before"])
+    def test_unknown_prototype_in_packed_image(self, tmp_path, seen_first):
+        obj = wide_dump_obj()
+        obj["notes"] = {"feature_h": 4, "feature_w": 4,
+                        "entries": [{"prototype_id": "zz", "score": 1, "row": 0, "col": 0}]}
+        TestEntryFaults.place(obj, 2, 57, "unknown-prototype")
+        TestEntryFaults.place(obj, 3, 4, "unknown-prototype")
+        order = ["notes", "images", "format", "model_name", "seed", "class_names",
+                 "prototypes"] if seen_first else list(obj)
+        path = _written(tmp_path, obj, order)
+        message = _fault_message(parse_dump, path)
+        assert message == _fault_message(helpers.parse_dump, path)
+        assert message.endswith("images[2].entries[57]: unknown prototype 'zz'")
 
 
 class TestActivationTable:

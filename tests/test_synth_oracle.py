@@ -150,6 +150,49 @@ class TestGenerate:
         assert loaded.prototypes == ledger.prototypes
 
 
+    def test_ledger_score_out_of_range_rejected(self, tmp_path):
+        _, _, _, ledger = generate(SynthSpec(rng_seed=3))
+        raw = ledger_to_json(ledger)
+        raw["scores"]["relevance"] = -5.0
+        path = tmp_path / "ledger.json"
+        write_json(path, raw)
+        from pefcoh.dumpio import FormatError
+
+        with pytest.raises(FormatError) as info:
+            parse_ledger(path)
+        assert str(info.value) == (
+            f"{path}: bad ledger.scores: relevance must be in [0, 1], got -5.0")
+
+    def test_category_top_up_linear_in_categories(self):
+        # Lines of synth.py run by generate, a deterministic cost: each
+        # doubling of the category count may at most double the extra work
+        # (the top-up once recounted every ROI for each category).
+        import sys
+        from pefcoh import synth
+
+        def lines(n):
+            spec = SynthSpec(n_mass_categories=n, n_calc_categories=n, n_train_images=120)
+            count = 0
+
+            def count_lines(frame, event, arg):
+                nonlocal count
+                count += event == "line"
+                return count_lines
+
+            def trace(frame, event, arg):
+                return count_lines if frame.f_code.co_filename == synth.__file__ else None
+
+            sys.settrace(trace)
+            try:
+                generate(spec)
+            finally:
+                sys.settrace(None)
+            return count
+
+        small, medium, large = lines(50), lines(100), lines(200)
+        assert large - medium <= 2.5 * (medium - small)
+
+
 class TestEquivalence:
     def test_three_way_small_sweep(self):
         for seed in range(12):
