@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import dumpio, report, synth
-from .metrics import RunConfig, aggregate, evaluate
-from .records import COMBINED_LEVEL
+from .metrics import LP_WEIGHT_CLASSES, RunConfig, aggregate, evaluate
+from .records import SPLITS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,16 +37,22 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="evidence dump path; repeat for multiple seed runs")
     p_eval.add_argument("--annotations", required=True)
     p_eval.add_argument("--lexicon")
-    p_eval.add_argument("--k", type=int, default=10)
-    p_eval.add_argument("--patch-size", type=int, default=130)
-    p_eval.add_argument("--eps", type=float, default=1e-8)
-    p_eval.add_argument("--levels", help="comma-separated category levels to report")
-    p_eval.add_argument("--class-specific-level", default=COMBINED_LEVEL)
-    p_eval.add_argument("--tc", type=int, help="override the total-category count")
-    p_eval.add_argument("--tc-split", choices=["all", "train", "test"], default="all",
-                        help="which split the category universe is counted over")
-    p_eval.add_argument("--lp-class", choices=["ground_truth", "max_weight"],
-                        default="ground_truth",
+    # each run-setting flag sets the RunConfig field named by its dest; a flag
+    # not given keeps that field's default
+    config_flag = dict(default=argparse.SUPPRESS)
+    p_eval.add_argument("--k", type=int, **config_flag)
+    p_eval.add_argument("--patch-size", type=int, **config_flag)
+    p_eval.add_argument("--eps", type=float, **config_flag)
+    p_eval.add_argument("--levels", **config_flag,
+                        help="comma-separated category levels to report")
+    p_eval.add_argument("--class-specific-level", **config_flag)
+    p_eval.add_argument("--tc", dest="tc_override", metavar="TC", type=int, **config_flag,
+                        help="override the total-category count")
+    p_eval.add_argument("--tc-split", choices=["all", *SPLITS], **config_flag,
+                        help="which split the category universe is counted over "
+                        "(default: all)")
+    p_eval.add_argument("--lp-class", dest="lp_weight_class", choices=LP_WEIGHT_CLASSES,
+                        **config_flag,
                         help="class whose weight signs local-prototype contributions")
     p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.add_argument("--format", choices=["json", "csv", "markdown"], default="json",
@@ -72,19 +78,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    levels = None
-    if args.levels:
-        levels = tuple(part.strip() for part in args.levels.split(",") if part.strip())
-    return RunConfig(
-        k=args.k,
-        patch_size=args.patch_size,
-        eps=args.eps,
-        levels=levels,
-        class_specific_level=args.class_specific_level,
-        tc_override=args.tc,
-        tc_split=None if args.tc_split == "all" else args.tc_split,
-        lp_weight_class=args.lp_class,
-    )
+    """The run config of the flags given; the others keep RunConfig's defaults."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+             if hasattr(args, f.name)}
+    levels = given.get("levels")
+    if levels is not None:  # "" means all levels
+        parts = (part.strip() for part in levels.split(","))
+        given["levels"] = tuple(part for part in parts if part) if levels else None
+    if given.get("tc_split") == "all":
+        given["tc_split"] = None
+    return RunConfig(**given)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

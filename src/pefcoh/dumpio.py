@@ -112,7 +112,9 @@ def _unique_keys(
 def _loads(text: str, path: str | Path, pack: Callable[[dict], None] | None = None) -> Any:
     try:
         return json.loads(text, object_pairs_hook=_unique_keys(path, pack))
-    except json.JSONDecodeError as exc:
+    except FormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -289,9 +291,9 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     anywhere in the file (a syntax error, a repeated key) wins over a fault
     in a record.
 
-    The image columns are joined into one :class:`ActivationTable`; only an
-    image whose entries were left unpacked is walked entry by entry, to name
-    its first bad entry.
+    The image columns are joined into the dump's one ``activations`` table,
+    which its images' ``entries`` view; only an image whose entries were
+    left unpacked is walked entry by entry, to name its first bad entry.
     """
     codes: dict[str, int] = {}
     raw = _loads(_read_text(path), path, pack=lambda obj: _pack_entries(obj, codes))
@@ -368,7 +370,9 @@ def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> Evidenc
         ImageActivationRecord(*header, ActivationView(table, i))
         for i, header in enumerate(headers)
     )
-    return EvidenceDump(model_name, seed, class_names, tuple(prototypes), images)
+    dump = EvidenceDump(model_name, seed, class_names, tuple(prototypes), images)
+    dump.__dict__["activations"] = table  # where cached_property keeps its value
+    return dump
 
 
 _NUMBER = {int, float}
@@ -477,9 +481,7 @@ def _lexicon_from_raw(types_raw: list, where: str) -> Lexicon:
         twhere = f"{where}: types[{i}]"
         if not isinstance(rec, dict):
             raise FormatError(f"{twhere}: must be an object")
-        name = canonical_token(_require(rec, "name", str, twhere))
-        if not name:
-            raise FormatError(f"{twhere}: empty type name")
+        name = _name(_require(rec, "name", str, twhere), twhere, "type")
         if name in seen:
             raise FormatError(f"{twhere}: duplicate type {name!r}")
         seen.add(name)
@@ -488,9 +490,7 @@ def _lexicon_from_raw(types_raw: list, where: str) -> Lexicon:
         for axis in axes_raw:
             if not isinstance(axis, str):
                 raise FormatError(f"{twhere}: axes must be strings")
-            axis = canonical_token(axis)
-            if not axis:
-                raise FormatError(f"{twhere}: empty axis name")
+            axis = _name(axis, twhere, "axis")
             if axis in axes:
                 raise FormatError(f"{twhere}: duplicate axis {axis!r}")
             axes.append(axis)
@@ -498,6 +498,14 @@ def _lexicon_from_raw(types_raw: list, where: str) -> Lexicon:
     if not types:
         raise FormatError(f"{where}: lexicon declares no types")
     return Lexicon(tuple(types))
+
+
+def _name(raw: str, where: str, what: str) -> str:
+    """The canonical form of a type or axis name, which must not be empty."""
+    name = canonical_token(raw)
+    if not name:
+        raise FormatError(f"{where}: empty {what} name")
+    return name
 
 
 def lexicon_to_json(lexicon: Lexicon) -> dict:
@@ -527,11 +535,14 @@ def load_annotations(
 def _annotations_from_raw(
     raw: dict, lexicon: Lexicon | None, where: str
 ) -> tuple[AnnotationSet, Lexicon]:
-    """Parse the annotations, then check every ROI's type and descriptor
-    axes against ``lexicon``. With no lexicon, derive one from the ROIs:
-    types and each type's axes in order of first appearance, which keeps
-    combined category strings stable under re-parsing."""
+    """Parse the annotations in one walk, checking each ROI's type and
+    descriptor axes against ``lexicon`` as it is read, so the first fault in
+    file order is named. With no lexicon, derive one from the ROIs in the
+    same walk: types and each type's axes in order of first appearance,
+    which keeps combined category strings stable under re-parsing."""
     class_names = _class_names(raw, where)
+    # type -> its axes (dict keys, in order): the lexicon's, or the ROIs' so far
+    axes_of = {} if lexicon is None else {t.name: dict.fromkeys(t.axes) for t in lexicon.types}
     images = []
     seen: set[str] = set()
     for i, rec in enumerate(_require(raw, "images", list, where)):
@@ -554,18 +565,20 @@ def _annotations_from_raw(
                 raise FormatError(f"{rwhere}: degenerate bbox {bbox}")
             if x_min < 0 or y_min < 0 or x_max > width or y_max > height:
                 raise FormatError(f"{rwhere}: bbox {bbox} outside image {width}x{height}")
-            tname = canonical_token(_require(roi_raw, "type", str, rwhere))
-            if not tname:
-                raise FormatError(f"{rwhere}: empty type name")
+            tname = _name(_require(roi_raw, "type", str, rwhere), rwhere, "type")
+            if tname not in axes_of and lexicon is not None:
+                raise FormatError(f"{rwhere}: unknown abnormality type {tname!r}")
+            axes = axes_of.setdefault(tname, {})
             descriptors = {}
             for axis, value in _require(roi_raw, "descriptors", dict, rwhere).items():
-                axis = canonical_token(axis)
-                if not axis:
-                    raise FormatError(f"{rwhere}: empty axis name")
+                axis = _name(axis, rwhere, "axis")
                 if axis in descriptors:
                     raise FormatError(f"{rwhere}: duplicate axis {axis!r}")
                 if not isinstance(value, str):
                     raise FormatError(f"{rwhere}: descriptor {axis!r} must be a string")
+                if axis not in axes and lexicon is not None:
+                    raise FormatError(f"{rwhere}: axis {axis!r} not declared for type {tname!r}")
+                axes[axis] = None
                 descriptors[axis] = canonical_token(value)
             roi_class = _require(roi_raw, "roi_class", int, rwhere)
             if not 0 <= roi_class < len(class_names):
@@ -574,27 +587,9 @@ def _annotations_from_raw(
         images.append(AnnotatedImage(image_id, width, height, split, class_label, tuple(rois)))
 
     if lexicon is None:
-        order: dict[str, dict[str, None]] = {}
-        for img in images:
-            for roi in img.rois:
-                order.setdefault(roi.abnormality_type, {}).update(dict.fromkeys(roi.descriptors))
-        if not order:
+        if not axes_of:
             raise FormatError(f"{where}: cannot derive a lexicon from annotations without ROIs")
-        lexicon = Lexicon(tuple(LexiconType(name, tuple(axes)) for name, axes in order.items()))
-    declared = {t.name: t.axes for t in lexicon.types}
-    for i, img in enumerate(images):
-        for j, roi in enumerate(img.rois):
-            tname = roi.abnormality_type
-            if tname not in declared:
-                raise FormatError(
-                    f"{where}: images[{i}].rois[{j}]: unknown abnormality type {tname!r}"
-                )
-            for axis in roi.descriptors:
-                if axis not in declared[tname]:
-                    raise FormatError(
-                        f"{where}: images[{i}].rois[{j}]: "
-                        f"axis {axis!r} not declared for type {tname!r}"
-                    )
+        lexicon = Lexicon(tuple(LexiconType(name, tuple(axes)) for name, axes in axes_of.items()))
     return AnnotationSet(class_names, tuple(images)), lexicon
 
 

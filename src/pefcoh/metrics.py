@@ -44,6 +44,7 @@ from .geometry import (
 )
 from .records import (
     COMBINED_LEVEL,
+    SPLITS,
     TEST,
     TRAIN,
     AnnotatedImage,
@@ -57,6 +58,7 @@ from .records import (
 VARIANTS = ("top1", "top10", "all")
 GROUND_TRUTH = "ground_truth"
 MAX_WEIGHT = "max_weight"
+LP_WEIGHT_CLASSES = (GROUND_TRUTH, MAX_WEIGHT)
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,12 @@ class RunConfig:
             raise ValueError(f"patch_size must be >= 1, got {self.patch_size}")
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise ValueError(f"eps must be a finite number >= 0, got {self.eps}")
-        if self.lp_weight_class not in (GROUND_TRUTH, MAX_WEIGHT):
+        if self.lp_weight_class not in LP_WEIGHT_CLASSES:
             raise ValueError(f"unknown lp_weight_class {self.lp_weight_class!r}")
+        if self.tc_override is not None and self.tc_override < 1:
+            raise ValueError(f"tc_override must be None or >= 1, got {self.tc_override}")
+        if self.tc_split is not None and self.tc_split not in SPLITS:
+            raise ValueError(f"tc_split must be None or one of {SPLITS}, got {self.tc_split!r}")
 
     def levels_for(self, lexicon: Lexicon) -> tuple[str, ...]:
         return self.levels if self.levels is not None else lexicon.levels()
@@ -172,6 +178,11 @@ class PropertyScores:
             "class_specific_eligible",
         ):
             _check_range(name, getattr(self, name))
+        if set(self.localization) != set(VARIANTS):
+            raise ValueError(
+                f"localization must hold exactly the variants {VARIANTS}, "
+                f"got {tuple(self.localization)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -541,7 +552,7 @@ def evaluate(
     config = config or RunConfig()
     warnings = list(require_consistent(dump, annotations))
     levels = config.levels_for(lexicon)
-    for level in levels:
+    for level in (*levels, config.class_specific_level):
         if level not in lexicon.levels():
             raise ValueError(f"configured level {level!r} not declared by lexicon")
 

@@ -7,7 +7,9 @@ order the file format writes them, and a field whose JSON key differs from
 its name carries that key as ``metadata["json"]`` (see ``dumpio.to_json``).
 
 A dump's activations are also held as one columnar :class:`ActivationTable`,
-which the metrics read; a parsed dump's ``entries`` are views of that table.
+which the metrics read. The dump parser builds that table once and hands it
+to the dump, whose ``entries`` are views of it; a dump built in code derives
+it from its records on first use.
 """
 
 from __future__ import annotations
@@ -172,36 +174,6 @@ class ActivationTable:
             np.asarray(col, dtype=np.int64),
         )
 
-    @classmethod
-    def of(
-        cls, prototype_ids: tuple[str, ...], images: Sequence[ImageActivationRecord]
-    ) -> ActivationTable:
-        """The table of ``images``: the one their entries view when they are
-        the views of one table in order, else one built from the records
-        (an entry naming an unknown prototype raises ``KeyError``)."""
-        views = [img.entries for img in images]
-        first = views[0] if views else None
-        if (
-            isinstance(first, ActivationView)
-            and first.table.prototype_ids == prototype_ids
-            and len(first.table.offsets) == len(views) + 1
-            and all(
-                isinstance(v, ActivationView) and v.table is first.table and v.index == i
-                for i, v in enumerate(views)
-            )
-        ):
-            return first.table
-        index = {pid: i for i, pid in enumerate(prototype_ids)}
-        entries = [e for img in images for e in img.entries]
-        return cls.from_columns(
-            prototype_ids,
-            [len(v) for v in views],
-            [index[e.prototype_id] for e in entries],
-            [e.score for e in entries],
-            [e.row for e in entries],
-            [e.col for e in entries],
-        )
-
 
 class ActivationView(Sequence):
     """The entries of image ``index`` of an :class:`ActivationTable`, read as
@@ -277,8 +249,20 @@ class EvidenceDump:
 
     @cached_property
     def activations(self) -> ActivationTable:
-        """Every entry as one table, derived once (see :meth:`ActivationTable.of`)."""
-        return ActivationTable.of(tuple(p.prototype_id for p in self.prototypes), self.images)
+        """Every entry as one table. A parsed dump comes with the table its
+        entries view; a dump built in code derives it once from its records
+        (an entry naming an unknown prototype raises ``KeyError``)."""
+        prototype_ids = tuple(p.prototype_id for p in self.prototypes)
+        index = {pid: i for i, pid in enumerate(prototype_ids)}
+        entries = [e for img in self.images for e in img.entries]
+        return ActivationTable.from_columns(
+            prototype_ids,
+            [len(img.entries) for img in self.images],
+            [index[e.prototype_id] for e in entries],
+            [e.score for e in entries],
+            [e.row for e in entries],
+            [e.col for e in entries],
+        )
 
     def weights_by_id(self) -> dict[str, tuple[float, ...]]:
         return {p.prototype_id: p.class_weights for p in self.prototypes}

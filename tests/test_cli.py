@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from pefcoh.cli import main
-from pefcoh.dumpio import write_json
+from pefcoh.cli import _build_parser, _config_from_args, main
+from pefcoh.dumpio import dumps_canonical, write_json
+from pefcoh.metrics import RunConfig
 from pefcoh.report import build_comparison, render_csv, render_markdown
 from pefcoh.synth import SynthSpec
 
@@ -266,6 +267,31 @@ class TestEvaluate:
         assert err.strip().count("\n") == 0
 
 
+class TestConfigFlags:
+    @pytest.mark.parametrize("flags, expected", [
+        ([], RunConfig()),
+        (["--levels", "", "--tc-split", "all"], RunConfig()),
+        (["--levels", " type, combined ,", "--class-specific-level", "type"],
+         RunConfig(levels=("type", "combined"), class_specific_level="type")),
+        (["--k", "5", "--patch-size", "64", "--eps", "0.5", "--tc", "3",
+          "--tc-split", "train", "--lp-class", "max_weight"],
+         RunConfig(k=5, patch_size=64, eps=0.5, tc_override=3, tc_split="train",
+                   lp_weight_class="max_weight")),
+    ], ids=["none", "all-levels-all-splits", "levels", "numbers-and-choices"])
+    def test_flags_given_set_their_fields(self, flags, expected):
+        args = _build_parser().parse_args(
+            ["evaluate", "--dump", "d.json", "--annotations", "a.json", "--out", "o", *flags])
+        assert _config_from_args(args) == expected
+
+    def test_bad_tc_fails_before_any_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = run_cli("evaluate", "--dump", missing, "--annotations", missing,
+                       "--tc", 0, "--out", tmp_path / "out")
+        assert code == 1
+        assert capsys.readouterr().err == "error: tc_override must be None or >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestIntegerTooLargeForFloat:
     """An integer score or class weight past the float range is a format
     error (exit 2), not an uncaught OverflowError."""
@@ -319,6 +345,48 @@ class TestInputFaultsExit2:
                        "--annotations", synth_dir / "annotations.json")
         assert code == 2
         assert capsys.readouterr().out.startswith(f"dump: ERROR {not_utf8}: not valid UTF-8: ")
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_integer_too_long_to_convert(self, command, synth_dir, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer of more digits
+        # than int() converts (4300 by default); without that limit the
+        # number is read and rejected as not finite
+        if command == "compare":
+            out = tmp_path / "eval"
+            run_cli("evaluate", "--dump", synth_dir / "dump.json",
+                    "--annotations", synth_dir / "annotations.json", "--out", out)
+            raw = json.loads((out / "m1-seed11.report.json").read_text())
+            raw["scores"]["relevance"] = 10**400
+        else:
+            raw = json.loads((synth_dir / "dump.json").read_text())
+            raw["prototypes"][0]["class_weights"][0] = 10**400
+        bad = tmp_path / "bad.json"
+        text = dumps_canonical(raw).replace("1" + "0" * 400, "1" + "0" * 5000)
+        bad.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        if command == "compare":
+            code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+            assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        else:
+            code = run_cli("validate", "--dump", bad,
+                           "--annotations", synth_dir / "annotations.json")
+            assert capsys.readouterr().out.startswith(f"dump: ERROR {bad}: ")
+        assert code == 2
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_nesting_too_deep_to_decode(self, command, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        if command == "compare":
+            code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+            message = capsys.readouterr().err
+            assert message.startswith(f"error: {bad}: not valid JSON: ")
+        else:
+            code = run_cli("validate", "--dump", bad,
+                           "--annotations", synth_dir / "annotations.json")
+            message = capsys.readouterr().out
+            assert message.startswith(f"dump: ERROR {bad}: not valid JSON: ")
+        assert code == 2 and "recursion" in message
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_evaluate_and_compare_not_utf8(self, command, not_utf8, synth_dir, tmp_path, capsys):
@@ -389,6 +457,25 @@ SCORE_RANGE_FAULTS = [
     (("class_specific_eligible",), -3, "scores: class_specific_eligible must be >= 0, got -3"),
     (("local_negative",), -0.5, "scores: local_negative must be >= 0, got -0.5"),
     (("coverage",), -1.0, "scores: coverage must be >= 0, got -1.0"),
+]
+
+
+# a report header that breaks a config or localization rule: the keys of the
+# value under the report, the value put there (DELETE removes the key), and
+# the message that names it
+DELETE = object()
+VARIANTS_MESSAGE = "localization must hold exactly the variants ('top1', 'top10', 'all'), got"
+HEADER_RULE_FAULTS = [
+    (("config", "tc_split"), "nonsense",
+     "config: tc_split must be None or one of ('train', 'test'), got 'nonsense'"),
+    (("config", "tc_override"), -4, "config: tc_override must be None or >= 1, got -4"),
+    (("config", "tc_override"), 0, "config: tc_override must be None or >= 1, got 0"),
+    (("scores", "localization"), {"bogus": {"iou": 0.5, "dsc": 0.5}},
+     f"scores: {VARIANTS_MESSAGE} ('bogus',)"),
+    (("scores", "localization", "top10"), DELETE,
+     f"scores: {VARIANTS_MESSAGE} ('top1', 'all')"),
+    (("scores", "localization", "top5"), {"iou": 0.5, "dsc": 0.5},
+     f"scores: {VARIANTS_MESSAGE} ('top1', 'top10', 'all', 'top5')"),
 ]
 
 
@@ -544,6 +631,30 @@ class TestCompare:
             scores = scores[key]
         assert scores[last] is not None
         scores[last] = value
+        bad = tmp_path / "bad.report.json"
+        write_json(bad, raw)
+        capsys.readouterr()
+        code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: bad {message}\n"
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize(
+        "keys, value, message", HEADER_RULE_FAULTS,
+        ids=["tc_split-nonsense", "tc_override-negative", "tc_override-zero",
+             "localization-bogus-only", "localization-missing-top10", "localization-extra-top5"],
+    )
+    def test_header_rule_fault_rejected(self, tmp_path, capsys, keys, value, message):
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        raw = json.loads(paths[0].read_text())
+        *parents, last = keys
+        target = raw
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
         bad = tmp_path / "bad.report.json"
         write_json(bad, raw)
         capsys.readouterr()

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 import re
@@ -27,6 +28,7 @@ from pefcoh.records import (
     ActivationEntry,
     ActivationView,
     CategoryId,
+    EvidenceDump,
     PrototypeRecord,
     ROIAnnotation,
     canonical_token,
@@ -154,6 +156,26 @@ class TestParseAnnotations:
         lexicon = parse_lexicon(write_file("lex.json", lexicon_obj))
         ann = parse_annotations(write_file("a.json", minimal_ann_obj), lexicon)
         assert ann.images[0].rois[0].descriptors["shape"] == "oval"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("type", "asymmetry", "unknown abnormality type 'asymmetry'"),
+        ("descriptors", {"shape": "oval", "density": "high"},
+         "axis 'density' not declared for type 'mass'"),
+    ], ids=["type", "axis"])
+    def test_first_fault_in_file_order_named(
+        self, write_file, minimal_ann_obj, lexicon_obj, field, value, message
+    ):
+        # a lexicon fault in images[0] wins over a structural fault in images[1]
+        first = minimal_ann_obj["images"][0]
+        second = copy.deepcopy(first)
+        second["image_id"] = "img1"
+        second["rois"][0]["bbox"] = [10, 10, 10, 30]
+        first["rois"][0][field] = value
+        minimal_ann_obj["images"].append(second)
+        lexicon = parse_lexicon(write_file("lex.json", lexicon_obj))
+        with pytest.raises(FormatError) as info:
+            parse_annotations(write_file("a.json", minimal_ann_obj), lexicon)
+        assert str(info.value).endswith(f"a.json: images[0].rois[0]: {message}")
 
     def test_derived_lexicon_first_seen_order(self, write_file, minimal_ann_obj):
         ann, lexicon = load_annotations(write_file("a.json", minimal_ann_obj))
@@ -682,6 +704,20 @@ class TestActivationTable:
         for column in ("offsets", "proto", "image", "score", "row", "col"):
             built_column = getattr(built.activations, column)
             assert (built_column == getattr(parsed.activations, column)).all()
+
+    def test_reordered_images_derive_their_table_from_records(self, write_file):
+        parsed = parse_dump(write_file("d.json", wide_dump_obj(n_images=3)))
+        reordered = dataclasses.replace(parsed, images=parsed.images[::-1])
+        records = EvidenceDump(
+            parsed.model_name, parsed.seed, parsed.class_names, parsed.prototypes,
+            tuple(dataclasses.replace(img, entries=tuple(img.entries))
+                  for img in parsed.images[::-1]),
+        )
+        assert reordered.activations.prototype_ids == records.activations.prototype_ids
+        for column in ("offsets", "proto", "image", "score", "row", "col"):
+            assert (getattr(reordered.activations, column)
+                    == getattr(records.activations, column)).all()
+        assert list(reordered.activations.offsets) == [0, 80, 160, 240]
 
     def test_written_parsed_dump_round_trips(self, write_file):
         dump = parse_dump(write_file("d.json", wide_dump_obj(n_images=2)))

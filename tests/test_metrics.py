@@ -499,6 +499,32 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="eps must be a finite number >= 0"):
             RunConfig(eps=eps)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tc_override", 0, "tc_override must be None or >= 1, got 0"),
+        ("tc_override", -4, "tc_override must be None or >= 1, got -4"),
+        ("tc_split", "nonsense",
+         "tc_split must be None or one of ('train', 'test'), got 'nonsense'"),
+        ("tc_split", "all", "tc_split must be None or one of ('train', 'test'), got 'all'"),
+    ], ids=["tc_override-0", "tc_override-negative", "tc_split-nonsense", "tc_split-all"])
+    def test_bad_category_universe_setting_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            RunConfig(**{field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, value", [
+        ("tc_override", None), ("tc_override", 1), ("tc_split", None),
+        ("tc_split", "train"), ("tc_split", "test"),
+    ])
+    def test_category_universe_settings_accepted(self, field, value):
+        assert getattr(RunConfig(**{field: value}), field) == value
+
+    def test_unknown_class_specific_level_named_first(self):
+        # checked with the reported levels, before any property is computed
+        dump, ann = make_dump([], []), make_annotations([])
+        with pytest.raises(ValueError) as info:
+            evaluate(dump, ann, MAMMO_LEXICON, RunConfig(class_specific_level="nope"))
+        assert str(info.value) == "configured level 'nope' not declared by lexicon"
+
 
 class TestAggregate:
     def test_closed_form(self):

@@ -163,6 +163,26 @@ class TestGenerate:
         assert str(info.value) == (
             f"{path}: bad ledger.scores: relevance must be in [0, 1], got -5.0")
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("config", "tc_split", "nonsense",
+         "config: tc_split must be None or one of ('train', 'test'), got 'nonsense'"),
+        ("config", "tc_override", 0, "config: tc_override must be None or >= 1, got 0"),
+        ("scores", "localization", {"bogus": {"iou": 0.5, "dsc": 0.5}},
+         "scores: localization must hold exactly the variants ('top1', 'top10', 'all'), "
+         "got ('bogus',)"),
+    ], ids=["tc_split", "tc_override", "localization"])
+    def test_ledger_header_rule_rejected(self, tmp_path, section, key, value, message):
+        _, _, _, ledger = generate(SynthSpec(rng_seed=3))
+        raw = ledger_to_json(ledger)
+        raw[section][key] = value
+        path = tmp_path / "ledger.json"
+        write_json(path, raw)
+        from pefcoh.dumpio import FormatError
+
+        with pytest.raises(FormatError) as info:
+            parse_ledger(path)
+        assert str(info.value) == f"{path}: bad ledger.{message}"
+
     def test_category_top_up_linear_in_categories(self):
         # Lines of synth.py run by generate, a deterministic cost: each
         # doubling of the category count may at most double the extra work
