@@ -16,6 +16,11 @@ repeated key. For the dump, the same hook packs each image's entries into
 numpy columns as the image's object closes, so the parse never holds the
 whole JSON tree (see :func:`parse_dump`).
 
+This module imports no numpy. The dump's column packing is array code in
+:mod:`pefcoh.columns`, which :func:`parse_dump` imports on its first call;
+every other reader and writer here, the report reader of ``compare``
+included, runs without it.
+
 Every file is written as :func:`to_json` gives its record. The input formats
 are read by hand-written parsers; the schema dataclasses (scores, run config,
 synth spec, ledger) are read back with :func:`read_dataclass`.
@@ -29,19 +34,13 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import Field, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import (
-    Any, NamedTuple, NoReturn, TypeVar, Union, get_args, get_origin, get_type_hints,
-)
+from typing import Any, NoReturn, TypeVar, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from .geometry import fits_exact_grid
 from .records import (
     COMBINED_LEVEL,
     SPLITS,
     AnnotatedImage,
     AnnotationSet,
-    ActivationTable,
     ActivationView,
     CategoryId,
     EvidenceDump,
@@ -52,6 +51,7 @@ from .records import (
     ROIAnnotation,
     canonical_token,
     categories_for_roi,
+    fits_exact_grid,
 )
 
 DUMP_FORMAT = "pefcoh-dump/1"
@@ -295,17 +295,25 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     which its images' ``entries`` view; only an image whose entries were
     left unpacked is walked entry by entry, to name its first bad entry.
     """
+    from . import columns  # the array code, loaded by the first dump parsed
+
     codes: dict[str, int] = {}
-    raw = _loads(_read_text(path), path, pack=lambda obj: _pack_entries(obj, codes))
+    raw = _loads(_read_text(path), path, pack=lambda obj: columns.pack_entries(obj, codes))
     return _dump_from_raw(raw, path, codes)
 
 
 def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> EvidenceDump:
     """The dump of the decoded file ``raw``, whose packed entries name their
     prototypes by ``codes``."""
+    from . import columns
+
     _check_format(raw, DUMP_FORMAT, path)
     model_name = _require(raw, "model_name", str, str(path))
     seed = _require(raw, "seed", int, str(path))
+    try:
+        check_run_id(model_name, seed)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     class_names = _class_names(raw, str(path))
 
     prototypes = []
@@ -330,9 +338,9 @@ def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> Evidenc
             ws.append(float(w))
         prototypes.append(PrototypeRecord(pid, tuple(ws)))
 
-    proto_of_code = np.array([index.get(pid, -1) for pid in codes], dtype=np.intp)
+    proto_of_code = columns.prototype_of_code(codes, index)
     headers = []
-    columns: list[_Entries] = []
+    packed = []
     seen_images: set[str] = set()
     for i, rec in enumerate(_require(raw, "images", list, str(path))):
         where = f"{path}: images[{i}]"
@@ -349,23 +357,17 @@ def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> Evidenc
                 f"{where}: image too large for exact geometry "
                 "(2 * width * feature_w and 2 * height * feature_h must be below 2**63)"
             )
-        entries = _require(rec, "entries", (list, _Entries), where)
+        entries = _require(rec, "entries", (list, columns.Entries), where)
         if isinstance(entries, list):
             _raise_entry_fault(entries, where, index, feature_h, feature_w)
-        proto = proto_of_code[entries.proto]
-        unknown = np.flatnonzero(proto < 0)
-        if unknown.size:
-            j = int(unknown[0])
-            pid = list(codes)[entries.proto[j]]
-            raise FormatError(f"{where}.entries[{j}]: unknown prototype {pid!r}")
-        columns.append(entries._replace(proto=proto))
+        resolved = columns.resolve(entries, proto_of_code)
+        if isinstance(resolved, int):
+            pid = list(codes)[entries.proto[resolved]]
+            raise FormatError(f"{where}.entries[{resolved}]: unknown prototype {pid!r}")
+        packed.append(resolved)
         headers.append((*header, feature_h, feature_w))
 
-    table = ActivationTable.from_columns(
-        tuple(index),
-        [len(c.proto) for c in columns],
-        *map(np.concatenate, zip(_NO_ENTRIES, *columns)),
-    )
+    table = columns.join(tuple(index), packed)
     images = tuple(
         ImageActivationRecord(*header, ActivationView(table, i))
         for i, header in enumerate(headers)
@@ -375,8 +377,37 @@ def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> Evidenc
     return dump
 
 
-_NUMBER = {int, float}
 _INT64_MAX = 2**63 - 1
+_NAME_MAX = 255  # bytes in one file name, on common file systems
+
+
+def report_file_name(model_name: str, seed: int) -> str:
+    """The name of the report file that ``evaluate`` writes for one run."""
+    return f"{model_name}-seed{seed}.report.json"
+
+
+def check_run_id(model_name: str, seed: int) -> None:
+    """The rule for a run's ``model_name`` and ``seed``, which name its report
+    file (:func:`report_file_name`): the seed fits in int64, the model name is
+    one file-name component (not empty, no ``/``, ``\\`` or NUL, not ``.``
+    or ``..``) and the report file name fits in 255 bytes of UTF-8. A
+    violation raises ValueError naming the field."""
+    if not -_INT64_MAX - 1 <= seed <= _INT64_MAX:
+        raise ValueError("seed must fit in int64 (-2**63 to 2**63 - 1)")
+    if model_name in ("", ".", "..") or any(c in model_name for c in "/\\\0"):
+        raise ValueError(
+            "model_name must be one file-name component (not empty, '.' or '..', "
+            f"and without '/', '\\' or NUL), got {model_name!r}"
+        )
+    try:
+        size = len(report_file_name(model_name, seed).encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate
+        raise ValueError(f"model_name must be valid Unicode text, got {model_name!r}") from None
+    if size > _NAME_MAX:
+        raise ValueError(
+            f"model_name too long: its report file name takes {size} bytes, "
+            f"at most {_NAME_MAX}"
+        )
 
 
 def _finite(x: int | float) -> bool:
@@ -385,52 +416,6 @@ def _finite(x: int | float) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
-
-
-class _Entries(NamedTuple):
-    """One image's entries as columns. ``proto`` holds prototype codes while
-    the file decodes and the dump's prototype indices once it is read."""
-
-    proto: np.ndarray  # intp
-    score: np.ndarray  # float64
-    row: np.ndarray  # int64
-    col: np.ndarray  # int64
-
-
-_ENTRY_DTYPES = (np.intp, np.float64, np.int64, np.int64)
-_NO_ENTRIES = _Entries(*(np.empty(0, dtype) for dtype in _ENTRY_DTYPES))
-
-
-def _pack_entries(obj: dict, codes: dict[str, int]) -> None:
-    """Replace ``obj["entries"]`` by its :class:`_Entries` when it is a list
-    that passes, in bulk, every check of :func:`_raise_entry_fault` against
-    ``obj``'s own ``feature_h`` and ``feature_w`` except that the prototypes
-    are known; prototype ids are coded by ``codes``, in first-seen order.
-    Any other value is left as decoded."""
-    entries = obj["entries"]
-    feature_h, feature_w = obj.get("feature_h"), obj.get("feature_w")
-    if type(entries) is not list or type(feature_h) is not int or type(feature_w) is not int:
-        return
-    try:
-        pids = [e["prototype_id"] for e in entries]
-        scores = [e["score"] for e in entries]
-        rows = [e["row"] for e in entries]
-        cols = [e["col"] for e in entries]
-        if not (
-            set(map(type, pids)) <= {str}
-            and len(set(pids)) == len(pids)
-            and set(map(type, scores)) <= _NUMBER
-            and all(map(math.isfinite, scores))
-            and min(scores, default=0) >= 0
-            and set(map(type, rows)) <= {int} and set(map(type, cols)) <= {int}
-            and 0 <= min(rows, default=0) and max(rows, default=-1) < feature_h
-            and 0 <= min(cols, default=0) and max(cols, default=-1) < feature_w
-        ):
-            return
-        columns = [codes.setdefault(pid, len(codes)) for pid in pids], scores, rows, cols
-        obj["entries"] = _Entries(*map(np.array, columns, _ENTRY_DTYPES))
-    except (KeyError, TypeError, OverflowError):
-        return
 
 
 def _raise_entry_fault(

@@ -114,23 +114,11 @@ def _fit_span(center: Fraction, size: int, limit: int) -> tuple[Fraction, Fracti
     return lo, hi
 
 
-def fits_exact_grid(side: int, cells: int) -> bool:
-    """Whether every edge on an image axis of ``side`` pixels cut into
-    ``cells`` feature cells stays within int64 once :func:`_compress` scales it.
-
-    Every patch edge is a multiple of ``1 / (2 * cells)``: a cell center is
-    ``(2 * c + 1) * side / (2 * cells)`` and half a patch adds a denominator
-    of 2, while a shifted or clipped edge and an ROI edge are integers. So the
-    scale divides ``2 * cells``, and no scaled edge in ``[0, side]`` exceeds
-    ``2 * side * cells``.
-    """
-    return 2 * side * cells < 2**63
-
-
 def _compress(values: list[Fraction]) -> tuple[list[int], np.ndarray, int]:
     """Cell index of each edge on one axis, the cell sides as integers, and the
     scale (common denominator) that makes them integers. Positions count from
-    the smallest edge; one past int64 raises ``OverflowError``."""
+    the smallest edge; one past int64 raises ``OverflowError``, which
+    :func:`pefcoh.records.fits_exact_grid` rules out for a parsed dump."""
     scale = math.lcm(*{v.denominator for v in values})
     scaled = [v.numerator * (scale // v.denominator) for v in values]
     base = min(scaled)

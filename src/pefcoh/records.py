@@ -10,6 +10,10 @@ A dump's activations are also held as one columnar :class:`ActivationTable`,
 which the metrics read. The dump parser builds that table once and hands it
 to the dump, whose ``entries`` are views of it; a dump built in code derives
 it from its records on first use.
+
+This module imports no numpy: the table's columns are numpy arrays, but only
+:meth:`ActivationTable.from_columns` builds them, so a reader of report files
+(``compare``) never loads the array code.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TRAIN = "train"
 TEST = "test"
@@ -39,6 +44,20 @@ def canonical_token(raw: str) -> str:
 
 def axis_level_name(type_name: str, axis: str) -> str:
     return f"{type_name}-{axis}"
+
+
+def fits_exact_grid(side: int, cells: int) -> bool:
+    """Whether every edge on an image axis of ``side`` pixels cut into
+    ``cells`` feature cells stays within int64 once the exact area grid
+    (``geometry._compress``) scales it.
+
+    Every patch edge is a multiple of ``1 / (2 * cells)``: a cell center is
+    ``(2 * c + 1) * side / (2 * cells)`` and half a patch adds a denominator
+    of 2, while a shifted or clipped edge and an ROI edge are integers. So the
+    scale divides ``2 * cells``, and no scaled edge in ``[0, side]`` exceeds
+    ``2 * side * cells``.
+    """
+    return 2 * side * cells < 2**63
 
 
 @dataclass(frozen=True)
@@ -162,6 +181,8 @@ class ActivationTable:
         """The table of images holding ``counts[i]`` entries each, from the
         concatenated entry columns; a column already an array of its dtype
         is kept, not copied."""
+        import numpy as np  # the one array code here, off the import path
+
         offsets = np.zeros(len(counts) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         return cls(

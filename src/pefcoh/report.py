@@ -11,18 +11,14 @@ import csv
 import datetime
 import io
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dumpio import _check_format, _load_json, _require, dumps_canonical, read_dataclass, to_json
-from .metrics import (
-    AggregateProperty,
-    EvaluationReport,
-    PropertyScores,
-    RunConfig,
-    VARIANTS,
-    pool,
-)
 from .records import COMBINED_LEVEL
+from .scores import VARIANTS, AggregateProperty, PropertyScores, RunConfig, pool
+
+if TYPE_CHECKING:
+    from .metrics import EvaluationReport
 
 REPORT_FORMAT = "pefcoh-report/1"
 AGGREGATE_FORMAT = "pefcoh-aggregate/1"

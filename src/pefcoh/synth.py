@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .dumpio import _check_format, _load_json, read_dataclass, to_json
-from .geometry import fits_exact_grid
-from .metrics import LocalizationScore, PropertyScores, RunConfig, VARIANTS
+from .dumpio import _check_format, _load_json, check_run_id, read_dataclass, to_json
 from .records import (
     COMBINED_LEVEL,
     TEST,
@@ -40,7 +38,9 @@ from .records import (
     PrototypeRecord,
     ROIAnnotation,
     axis_level_name,
+    fits_exact_grid,
 )
+from .scores import VARIANTS, LocalizationScore, PropertyScores, RunConfig
 
 SYNTHSPEC_FORMAT = "pefcoh-synthspec/1"
 LEDGER_FORMAT = "pefcoh-ledger/1"
@@ -82,6 +82,9 @@ class SynthSpec:
     # come from this seed instead of rng_seed, so specs differing only in
     # rng_seed share byte-identical annotations: a multi-seed model family.
     structure_seed: int | None = None
+
+    def __post_init__(self) -> None:
+        check_run_id(self.model_name, self.rng_seed)  # they name the dump's run
 
     def to_dict(self) -> dict:
         return {"format": SYNTHSPEC_FORMAT, **to_json(self)}

@@ -440,6 +440,96 @@ class TestInputFaultsExit2:
         assert not (tmp_path / "out").exists()
 
 
+class TestRunNameRule:
+    """A run's model name and seed name its report file, so the model name
+    must be one file-name component and the seed must fit in int64; any
+    other dump, synth spec or synth flag is rejected (exit 2) before any
+    work is done."""
+
+    # (field, value, message); the longest accepted model name below is 236
+    # bytes, which makes "-seed11.report.json" 255 bytes in all
+    FAULTS = [
+        ("model_name", "../escape", "model_name must be one file-name component"),
+        ("model_name", "a/b", "model_name must be one file-name component"),
+        ("model_name", "a\\b", "model_name must be one file-name component"),
+        ("model_name", "a\0b", "model_name must be one file-name component"),
+        ("model_name", "", "model_name must be one file-name component"),
+        ("model_name", ".", "model_name must be one file-name component"),
+        ("model_name", "..", "model_name must be one file-name component"),
+        ("model_name", "m" * 237, "model_name too long: its report file name takes 256 bytes"),
+        ("model_name", "é" * 119, "model_name too long: its report file name takes 257 bytes"),
+        ("seed", 10**400, "seed must fit in int64"),
+        ("seed", 2**63, "seed must fit in int64"),
+        ("seed", -2**63 - 1, "seed must fit in int64"),
+    ]
+    IDS = ["escape", "slash", "backslash", "nul", "empty", "dot", "dotdot", "long",
+           "long-utf8", "seed-huge", "seed-2**63", "seed-below-int64"]
+
+    def _dump(self, synth_dir, tmp_path, field, value):
+        dump = json.loads((synth_dir / "dump.json").read_text())
+        dump[field] = value
+        path = tmp_path / "named.json"
+        write_json(path, dump)
+        return path
+
+    @pytest.mark.parametrize("field, value, message", FAULTS, ids=IDS)
+    def test_validate_rejects(self, synth_dir, tmp_path, capsys, field, value, message):
+        path = self._dump(synth_dir, tmp_path, field, value)
+        assert run_cli("validate", "--dump", path,
+                       "--annotations", synth_dir / "annotations.json") == 2
+        assert capsys.readouterr().out.startswith(f"dump: ERROR {path}: {message}")
+
+    @pytest.mark.parametrize("field, value, message", FAULTS, ids=IDS)
+    def test_evaluate_rejects_before_writing(
+        self, synth_dir, tmp_path, capsys, field, value, message
+    ):
+        path = self._dump(synth_dir, tmp_path, field, value)
+        out = tmp_path / "deep" / "out"
+        code = run_cli("evaluate", "--dump", path,
+                       "--annotations", synth_dir / "annotations.json", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "deep").exists()
+        assert not list(tmp_path.rglob("*.report.json"))
+
+    @pytest.mark.parametrize("name, seed", [("m" * 236, 11), ("é" * 118, 11),
+                                            ("m1", 2**63 - 1), ("m1", -2**63)],
+                             ids=["longest", "longest-utf8", "seed-max", "seed-min"])
+    def test_evaluate_accepts_the_limits(self, synth_dir, tmp_path, name, seed):
+        path = self._dump(synth_dir, tmp_path, "model_name", name)
+        dump = json.loads(path.read_text())
+        dump["seed"] = seed
+        write_json(path, dump)
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--dump", path,
+                       "--annotations", synth_dir / "annotations.json", "--out", out) == 0
+        assert (out / f"{name}-seed{seed}.report.json").is_file()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--model-name", "../escape", "model_name must be one file-name component"),
+        ("--model-name", "a/b", "model_name must be one file-name component"),
+        ("--seed", 2**63, "seed must fit in int64"),
+    ], ids=["escape", "slash", "seed"])
+    def test_synth_flag_rejected(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "deep" / "out"
+        assert run_cli("synth", flag, value, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad synth-spec override: {message}")
+        assert not (tmp_path / "deep").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("model_name", "a/b", "model_name must be one file-name component"),
+        ("model_name", "..", "model_name must be one file-name component"),
+        ("rng_seed", 2**63, "seed must fit in int64"),
+    ], ids=["slash", "dotdot", "seed"])
+    def test_synth_spec_rejected(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "spec.json"
+        write_json(path, {**SynthSpec().to_dict(), field: value})
+        assert run_cli("synth", "--spec", path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: bad synth-spec: {message}")
+        assert not (tmp_path / "out").exists()
+
+
 # a score out of its range: the keys of the score under "scores", the value
 # put there, and the message that names it
 SCORE_RANGE_FAULTS = [

@@ -1,11 +1,14 @@
 """Structure-aware fuzzing of the input readers through the CLI.
 
-Each example mutates a valid synth file at the level of its JSON tree: a
-field dropped, renamed, repeated or retyped; a number replaced by a bool, a
-string, ``NaN``, ``Infinity``, ``10**400`` or ``2**63``; a name made empty,
-whitespace-only or non-ASCII; keys or list items reordered. The CLI must
-answer every mutant with exit 0 or 2 (1 only where ``evaluate`` reports a
-property it cannot compute), never with a traceback.
+Each example mutates a valid synth file (dump, annotations, lexicon, report,
+synth spec or ledger) at the level of its JSON tree: a field dropped,
+renamed, repeated or retyped; a number replaced by a bool, a string, ``NaN``,
+``Infinity``, ``10**400`` or ``2**63``; a name made empty, whitespace-only or
+non-ASCII; keys or list items reordered. The CLI must answer every mutant
+with exit 0 or 2 (1 only where ``evaluate`` reports a property it cannot
+compute), never with a traceback, and the ledger reader may raise only
+:class:`FormatError`. A key written twice in the raw text of any file kind
+must be rejected, naming the key.
 
 Each example runs the CLI on files, so tier-1 runs a fifth of the active
 hypothesis profile's examples (20 under the default and ``ci`` profiles);
@@ -25,8 +28,15 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from pefcoh.cli import main
-from pefcoh.dumpio import annotations_to_json, dump_to_json, lexicon_to_json, write_json
-from pefcoh.synth import SynthSpec, generate
+from pefcoh.dumpio import (
+    FormatError,
+    annotations_to_json,
+    dump_to_json,
+    dumps_canonical,
+    lexicon_to_json,
+    write_json,
+)
+from pefcoh.synth import SynthSpec, generate, ledger_to_json, parse_ledger
 
 FUZZ = settings(
     max_examples=settings.default.max_examples // 5,
@@ -145,6 +155,12 @@ def base(tmp_path_factory):
     return trees, outputs
 
 
+@pytest.fixture(scope="module")
+def ledger():
+    """The JSON tree of the ledger of synth seed 3."""
+    return ledger_to_json(generate(SynthSpec(rng_seed=3))[3])
+
+
 def _assert_one_line_error(code, err):
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -194,3 +210,99 @@ def test_reordered_keys_give_identical_outputs(base, rnd):
         code, err, files = _evaluate(Path(tmp), trees)
     assert code == 0, err
     assert files == outputs
+
+
+@FUZZ
+@given(data=st.data())
+def test_synth_on_a_mutated_spec(data):
+    spec = _mutant(data, SynthSpec(rng_seed=3).to_dict())
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_json(root / "spec.json", spec)
+        code, err = run_cli("synth", "--spec", root / "spec.json", "--out", root / "s")
+        if code == 0:  # what synth writes, validate accepts
+            validated, _ = run_cli("validate", "--dump", root / "s" / "dump.json",
+                                   "--annotations", root / "s" / "annotations.json",
+                                   "--lexicon", root / "s" / "lexicon.json")
+            assert validated == 0
+    event(f"synth {code}")
+    assert code in (0, 2), err
+    _assert_one_line_error(code, err)
+
+
+@FUZZ
+@given(data=st.data())
+def test_parse_ledger_on_a_mutant(ledger, data):
+    tree = _mutant(data, ledger)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.json"
+        write_json(path, tree)
+        try:
+            parse_ledger(path)
+            event("parsed")
+        except FormatError:
+            event("FormatError")
+
+
+# a key no synth file holds; it marks where the repeated key goes in the text
+_MARK = "\0repeated"
+
+
+def _objects(node):
+    """Every non-empty object in ``node``, ``node`` itself included."""
+    if isinstance(node, dict):
+        if node:
+            yield node
+        children = node.values()
+    elif isinstance(node, list):
+        children = node
+    else:
+        children = ()
+    for child in children:
+        yield from _objects(child)
+
+
+def _text_with_repeated_key(data, tree):
+    """The JSON text of ``tree`` with one key of a drawn object written a
+    second time, before or after the first, and that key."""
+    tree = copy.deepcopy(tree)
+    obj = data.draw(st.sampled_from(list(_objects(tree))), label="object")
+    items = list(obj.items())
+    key, value = data.draw(st.sampled_from(items), label="key")
+    value = data.draw(st.sampled_from([value, *RETYPED]), label="value")
+    items.insert(data.draw(st.integers(0, len(items)), label="at"), (_MARK, value))
+    obj.clear()
+    obj.update(items)
+    return dumps_canonical(tree).replace(json.dumps(_MARK), json.dumps(key)), key
+
+
+FILE_KINDS = (*INPUTS, "report", "synth-spec", "ledger")
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+@FUZZ
+@given(data=st.data())
+def test_repeated_key_in_the_text_is_named(base, ledger, kind, data):
+    trees, outputs = base
+    (report,) = [json.loads(text) for name, text in outputs.items()
+                 if name.endswith(".report.json")]
+    tree = {**trees, "report": report, "synth-spec": SynthSpec().to_dict(),
+            "ledger": ledger}[kind]
+    text, key = _text_with_repeated_key(data, tree)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        argv = _write_inputs(root, trees)
+        path = root / f"{kind}.json"
+        path.write_text(text, encoding="utf-8")
+        if kind in INPUTS:
+            code, err = run_cli("evaluate", *argv, "--out", root / "out")
+        elif kind == "report":
+            code, err = run_cli("compare", path, "--out", root / "out")
+        elif kind == "synth-spec":
+            code, err = run_cli("synth", "--spec", path, "--out", root / "out")
+        else:  # no command reads a ledger
+            with pytest.raises(FormatError) as raised:
+                parse_ledger(path)
+            code, err = 2, f"error: {raised.value}\n"
+    assert code == 2, err
+    assert err == f"error: {path}: duplicate key {key!r}\n"
