@@ -1,5 +1,12 @@
 """Report files and the cross-model comparison table.
 
+A per-run report (``pefcoh-report/1``) is one JSON document written in one
+pass: ``{`` on the first line, then the header keys ``format`` through
+``scores`` one per line, then ``"prototypes": [`` with one verdict per line
+and ``"localization_rows": [`` with one row per line. Each value is encoded
+by the C JSON encoder as soon as it is built. Every other file keeps the
+2-space indent of :func:`pefcoh.dumpio.dumps_canonical`.
+
 Machine-readable outputs keep full float precision; the Markdown/CSV tables
 round for display only (two decimals, sparsity as a percentage), mark each
 property with its improvement direction, and bold the best value per row.
@@ -10,15 +17,16 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .dumpio import _check_format, _load_json, _require, dumps_canonical, read_dataclass, to_json
+from .dumpio import _check_format, _load_json, _require, read_dataclass, to_json
 from .records import COMBINED_LEVEL
 from .scores import VARIANTS, AggregateProperty, PropertyScores, RunConfig, pool
 
 if TYPE_CHECKING:
-    from .metrics import EvaluationReport
+    from .metrics import EvaluationReport, ImageLocalizationRow, PrototypeVerdict
 
 REPORT_FORMAT = "pefcoh-report/1"
 AGGREGATE_FORMAT = "pefcoh-aggregate/1"
@@ -40,45 +48,12 @@ def timestamp(fixed: bool) -> str:
 # ---------------------------------------------------------------------------
 # JSON shapes
 
+# indent=None keeps encode() on the C encoder; an indent would switch it to
+# the pure-Python one, which holds every token of the report in a list
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
-def report_to_dict(report: EvaluationReport, fixed_timestamp: bool = False) -> dict:
-    verdicts = []
-    for v in report.verdicts:
-        entry: dict = {
-            "prototype_id": v.prototype_id,
-            "is_global": v.is_global,
-            "is_relevant": v.is_relevant,
-            "purity_per_level": {
-                level: {
-                    "category": cat.value if cat is not None else None,
-                    "purity": float(purity),
-                }
-                for level, (cat, purity) in v.purity_per_level.items()
-            },
-            "combined_category": (
-                v.combined_category.value if v.combined_category is not None else None
-            ),
-            "align": v.align,
-        }
-        if v.evidence is not None:
-            entry["evidence"] = {
-                "shortfall": v.evidence.shortfall,
-                "items": [
-                    {
-                        "image_id": item.image_id,
-                        "score": item.score,
-                        "patch": list(item.patch.as_floats()),
-                        "roi_index": item.roi_index,
-                        "combined_category": (
-                            item.categories[COMBINED_LEVEL].value
-                            if item.categories is not None
-                            else None
-                        ),
-                    }
-                    for item in v.evidence.items
-                ],
-            }
-        verdicts.append(entry)
+
+def _header(report: EvaluationReport, fixed_timestamp: bool) -> dict:
     return {
         "format": REPORT_FORMAT,
         "generated_at": timestamp(fixed_timestamp),
@@ -87,22 +62,79 @@ def report_to_dict(report: EvaluationReport, fixed_timestamp: bool = False) -> d
         "config": to_json(report.config),
         "warnings": list(report.warnings),
         "scores": to_json(report.scores),
-        "prototypes": verdicts,
-        "localization_rows": [
-            {
-                "image_id": row.image_id,
-                "n_candidates": row.n_candidates,
-                **to_json(row.per_variant),
-            }
-            for row in report.localization_rows
-        ],
     }
 
 
+def _verdict(v: PrototypeVerdict) -> dict:
+    entry: dict = {
+        "prototype_id": v.prototype_id,
+        "is_global": v.is_global,
+        "is_relevant": v.is_relevant,
+        "purity_per_level": {
+            level: {
+                "category": cat.value if cat is not None else None,
+                "purity": float(purity),
+            }
+            for level, (cat, purity) in v.purity_per_level.items()
+        },
+        "combined_category": (
+            v.combined_category.value if v.combined_category is not None else None
+        ),
+        "align": v.align,
+    }
+    if v.evidence is not None:
+        entry["evidence"] = {
+            "shortfall": v.evidence.shortfall,
+            "items": [
+                {
+                    "image_id": item.image_id,
+                    "score": item.score,
+                    "patch": list(item.patch.as_floats()),
+                    "roi_index": item.roi_index,
+                    "combined_category": (
+                        item.categories[COMBINED_LEVEL].value
+                        if item.categories is not None
+                        else None
+                    ),
+                }
+                for item in v.evidence.items
+            ],
+        }
+    return entry
+
+
+def _localization_row(row: ImageLocalizationRow) -> dict:
+    return {"image_id": row.image_id, "n_candidates": row.n_candidates,
+            **to_json(row.per_variant)}
+
+
+def _array(key: str, rows: Iterable[dict]) -> Iterator[str]:
+    """``"key": [`` then one encoded row per line, without a trailing newline."""
+    yield f'  "{key}": ['
+    separator = "\n    "
+    for row in rows:
+        yield separator + _encode(row)
+        separator = ",\n    "
+    yield "\n  ]"
+
+
+def _report_text(report: EvaluationReport, fixed_timestamp: bool) -> Iterator[str]:
+    """The report's JSON text in pieces, each row encoded as soon as it is built."""
+    yield "{\n"
+    for key, value in _header(report, fixed_timestamp).items():
+        yield f'  "{key}": {_encode(value)},\n'
+    yield from _array("prototypes", map(_verdict, report.verdicts))
+    yield ",\n"
+    yield from _array("localization_rows", map(_localization_row, report.localization_rows))
+    yield "\n}\n"
+
+
 def write_report(path: str | Path, report: EvaluationReport, fixed_timestamp: bool = False) -> None:
-    Path(path).write_text(
-        dumps_canonical(report_to_dict(report, fixed_timestamp)), encoding="utf-8"
-    )
+    # the whole text is encoded before the file is opened, so a string UTF-8
+    # cannot hold (a lone surrogate) fails the write without leaving a file
+    chunks = [piece.encode("utf-8") for piece in _report_text(report, fixed_timestamp)]
+    with open(path, "wb") as f:
+        f.writelines(chunks)
 
 
 def load_report(path: str | Path) -> dict:

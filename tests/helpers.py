@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from pefcoh.dumpio import (
     _image_header,
     _load_json,
     _require,
+    to_json,
 )
 from pefcoh.geometry import (
     PatchBox,
@@ -44,9 +46,11 @@ from pefcoh.records import (
     Lexicon,
     LexiconType,
     PrototypeRecord,
+    COMBINED_LEVEL,
     ROIAnnotation,
     categories_for_roi,
 )
+from pefcoh.report import REPORT_FORMAT, timestamp
 
 CLASSES = ("benign", "malignant")
 
@@ -436,3 +440,71 @@ def parse_dump(path: str | Path) -> EvidenceDump:
             )
         )
     return EvidenceDump(model_name, seed, class_names, tuple(prototypes), tuple(images))
+
+
+# ---------------------------------------------------------------------------
+# reference report writer: the whole-tree dict and indent=2 encoding that
+# report.write_report replaced, kept verbatim to check the one-pass writer
+
+
+def report_to_dict(report, fixed_timestamp: bool = False) -> dict:
+    verdicts = []
+    for v in report.verdicts:
+        entry: dict = {
+            "prototype_id": v.prototype_id,
+            "is_global": v.is_global,
+            "is_relevant": v.is_relevant,
+            "purity_per_level": {
+                level: {
+                    "category": cat.value if cat is not None else None,
+                    "purity": float(purity),
+                }
+                for level, (cat, purity) in v.purity_per_level.items()
+            },
+            "combined_category": (
+                v.combined_category.value if v.combined_category is not None else None
+            ),
+            "align": v.align,
+        }
+        if v.evidence is not None:
+            entry["evidence"] = {
+                "shortfall": v.evidence.shortfall,
+                "items": [
+                    {
+                        "image_id": item.image_id,
+                        "score": item.score,
+                        "patch": list(item.patch.as_floats()),
+                        "roi_index": item.roi_index,
+                        "combined_category": (
+                            item.categories[COMBINED_LEVEL].value
+                            if item.categories is not None
+                            else None
+                        ),
+                    }
+                    for item in v.evidence.items
+                ],
+            }
+        verdicts.append(entry)
+    return {
+        "format": REPORT_FORMAT,
+        "generated_at": timestamp(fixed_timestamp),
+        "model_name": report.model_name,
+        "seed": report.seed,
+        "config": to_json(report.config),
+        "warnings": list(report.warnings),
+        "scores": to_json(report.scores),
+        "prototypes": verdicts,
+        "localization_rows": [
+            {
+                "image_id": row.image_id,
+                "n_candidates": row.n_candidates,
+                **to_json(row.per_variant),
+            }
+            for row in report.localization_rows
+        ],
+    }
+
+
+def dumps_canonical(obj) -> str:
+    """Stable JSON text: fixed key order (insertion), 2-space indent, newline."""
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"

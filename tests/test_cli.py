@@ -821,6 +821,20 @@ class TestSynthCommand:
         for name, digest in expected.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    def test_report_bytes_pinned(self, tmp_path):
+        # SHA-256 of the report written in its one-pass layout (header keys,
+        # then one verdict or localization row per line); the content is the
+        # pefcoh-report/1 content of the indented writer before it
+        out = tmp_path / "s"
+        assert run_cli("synth", "--out", out, "--seed", 7, "--structure-seed", 77) == 0
+        assert run_cli("evaluate", "--dump", out / "dump.json",
+                       "--annotations", out / "annotations.json",
+                       "--lexicon", out / "lexicon.json",
+                       "--out", tmp_path / "e", "--fixed-timestamp") == 0
+        written = (tmp_path / "e" / "synthetic-seed7.report.json").read_bytes()
+        assert (hashlib.sha256(written).hexdigest()
+                == "189b87bd67c4812a18cd09b8917f3d3345d536e0974e0473bbc7b3ccacd54949")
+
     def test_infeasible_spec_exit_2(self, tmp_path, capsys):
         spec = SynthSpec(rng_seed=0, purity_target=0.0).to_dict()
         path = tmp_path / "spec.json"
@@ -828,6 +842,25 @@ class TestSynthCommand:
         code = run_cli("synth", "--spec", path, "--out", tmp_path / "out")
         assert code == 2
         assert "purity_target" in capsys.readouterr().err
+
+
+class TestFailedWrite:
+    def test_unencodable_id_leaves_no_report(self, tmp_path, capsys):
+        # a JSON escape for a lone surrogate decodes, so the dump passes
+        # validate, but UTF-8 cannot hold it when the report is written
+        synth_out = tmp_path / "s"
+        assert run_cli("synth", "--out", synth_out, "--seed", 3) == 0
+        dump = synth_out / "dump.json"
+        text = dump.read_text(encoding="utf-8")
+        assert '"p000"' in text
+        dump.write_text(text.replace('"p000"', '"p\\ud800"'), encoding="utf-8")
+        assert run_cli("validate", "--dump", dump,
+                       "--annotations", synth_out / "annotations.json") == 0
+        out = tmp_path / "e"
+        assert run_cli("evaluate", "--dump", dump, "--annotations", synth_out / "annotations.json",
+                       "--out", out, "--fixed-timestamp") == 1
+        assert "surrogates not allowed" in capsys.readouterr().err
+        assert list(out.glob("*.report.json")) == []
 
 
 class TestCliDeterminism:
