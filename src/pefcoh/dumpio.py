@@ -111,11 +111,46 @@ def _unique_keys(
 
 def _loads(text: str, path: str | Path, pack: Callable[[dict], None] | None = None) -> Any:
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys(path, pack))
+        obj = json.loads(text, object_pairs_hook=_unique_keys(path, pack))
     except FormatError:
         raise
     except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    # text read as UTF-8 holds no surrogate; only a \u escape can decode to one
+    if "\\" in text:
+        _reject_lone_surrogates(obj, path)
+    return obj
+
+
+def _reject_lone_surrogates(obj: Any, path: str | Path) -> None:
+    """Raise :class:`FormatError` naming the first string, key or value, in
+    document order that holds a lone surrogate, which UTF-8 cannot encode.
+    Packed entries are not walked: an entry's prototype id either names a
+    prototype, whose own id is walked, or is rejected as unknown."""
+    stack: list[tuple[Any, str]] = [(obj, "")]
+    while stack:
+        node, field = stack.pop()
+        if type(node) is dict:
+            children = []
+            for key, value in node.items():
+                if not _encodes(key):
+                    raise FormatError(f"{path}: {field or 'top level'}: key {key!r} "
+                                      "is not valid Unicode (a lone surrogate)")
+                children.append((value, f"{field}.{key}" if field else key))
+            stack.extend(reversed(children))
+        elif type(node) is list:
+            stack.extend((node[i], f"{field}[{i}]") for i in reversed(range(len(node))))
+        elif type(node) is str and not _encodes(node):
+            raise FormatError(f"{path}: {field}: {node!r} is not valid Unicode "
+                              "(a lone surrogate)")
+
+
+def _encodes(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _load_json(path: str | Path) -> Any:

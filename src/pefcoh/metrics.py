@@ -22,7 +22,6 @@ across platforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -33,6 +32,8 @@ from .dumpio import derive_category_universe, require_consistent, total_categori
 from .geometry import (
     PatchBox,
     iou_dsc_exact,
+    lattice_sizes,
+    patch_lattice,
     resolve_patch_box,
 )
 from .records import (
@@ -181,27 +182,57 @@ def local_prototypes(
 # top-k evidence and verdicts
 
 
-def _match_roi(patch: PatchBox, ann: AnnotatedImage) -> int | None:
-    """Index of the ROI whose center lies in the patch; with several matches,
+def _match_rois(
+    images: Sequence[tuple[int, int, AnnotatedImage]],
+    image: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    patch_size: int,
+) -> list[int | None]:
+    """Per patch, the index of the ROI whose center lies in it; with several,
     the center nearest the patch center wins, then the smallest ROI index.
 
-    Exact, in integers: every coordinate is scaled by twice the common
-    denominator of the patch edges, which makes the patch edges, the patch
-    center and each ROI center (a half-integer) whole numbers.
+    Patch ``j`` is cell ``(rows[j], cols[j])`` of ``images[image[j]]``, given
+    as its ``(feature_h, feature_w, annotations)``. Patches and ROI centers
+    are resolved on each image's lattice, and every (patch, ROI) pair is
+    compared at once, per axis; only a patch holding two or more centers
+    measures distances, in Python ints on one scale for both axes.
     """
-    edges = patch.as_tuple()
-    d = math.lcm(*(v.denominator for v in edges))
-    x0, y0, x1, y1 = (2 * v.numerator * (d // v.denominator) for v in edges)
-    px, py = (x0 + x1) // 2, (y0 + y1) // 2
-    best: tuple[int, int] | None = None
-    for idx, roi in enumerate(ann.rois):
-        cx = (roi.bbox[0] + roi.bbox[2]) * d
-        cy = (roi.bbox[1] + roi.bbox[3]) * d
-        if x0 <= cx < x1 and y0 <= cy < y1:
-            dist2 = (cx - px) ** 2 + (cy - py) ** 2
-            if best is None or (dist2, idx) < best:
-                best = (dist2, idx)
-    return best[1] if best is not None else None
+    sizes = lattice_sizes([(h, w, ann.width, ann.height) for h, w, ann in images])
+    centers = np.array(
+        [((x0 + x1) * w, (y0 + y1) * h) for h, w, ann in images
+         for x0, y0, x1, y1 in (roi.bbox for roi in ann.rois)],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    n_rois = np.array([len(ann.rois) for _, _, ann in images], dtype=np.intp)
+    grid = sizes[image]
+    patches = patch_lattice(rows, cols, *grid.T, patch_size)
+
+    count = n_rois[image]
+    pair = np.repeat(np.arange(len(image)), count)  # patch of each (patch, ROI) pair
+    local = np.arange(len(pair)) - (np.cumsum(count) - count)[pair]  # the pair's ROI index
+    cx, cy = centers[(np.cumsum(n_rois) - n_rois)[image[pair]] + local].T
+    box = patches[pair]
+    hit = (box[:, 0] <= cx) & (cx < box[:, 2]) & (box[:, 1] <= cy) & (cy < box[:, 3])
+    hits = np.bincount(pair[hit], minlength=len(image))[pair]
+    roi_index: list[int | None] = [None] * len(image)
+    once = hit & (hits == 1)
+    for j, r in zip(pair[once].tolist(), local[once].tolist()):
+        roi_index[j] = r
+    best: dict[int, tuple[int, int]] = {}
+    tied = hit & (hits > 1)
+    for j, r, x, y in zip(pair[tied].tolist(), local[tied].tolist(),
+                          cx[tied].tolist(), cy[tied].tolist()):
+        x0, y0, x1, y1 = patches[j].tolist()
+        h, w = grid[j, :2].tolist()
+        # offsets from the patch center in 1/(4 * feature_w) and 1/(4 * feature_h)
+        # pixel, both scaled to 1/(4 * feature_w * feature_h)
+        dist2 = ((2 * x - x0 - x1) * h) ** 2 + ((2 * y - y0 - y1) * w) ** 2
+        if j not in best or (dist2, r) < best[j]:
+            best[j] = (dist2, r)
+    for j, (_, r) in best.items():
+        roi_index[j] = r
+    return roi_index
 
 
 def _ranks(keys: Sequence[str]) -> np.ndarray:
@@ -242,41 +273,51 @@ def top_k_evidence(
     proto = t.proto[pool]
     kept = pool[np.arange(len(pool)) - _group_starts(proto, len(is_global))[proto] < config.k]
 
+    image = t.image[kept]
+    train = np.unique(image).tolist()  # the annotated train images holding kept items
+    roi_index = _match_rois(
+        [(dump.images[i].feature_h, dump.images[i].feature_w, anns[i]) for i in train],
+        np.searchsorted(train, image), t.row[kept], t.col[kept], config.patch_size,
+    )
+
     items: dict[int, list[EvidenceItem]] = {int(p): [] for p in np.flatnonzero(is_global)}
-    for p, i, score, row, col in zip(
-        t.proto[kept].tolist(), t.image[kept].tolist(), t.score[kept].tolist(),
-        t.row[kept].tolist(), t.col[kept].tolist(),
+    categories: dict[tuple[int, int], dict[str, CategoryId]] = {}  # per (image, ROI)
+    for p, i, score, row, col, roi in zip(
+        t.proto[kept].tolist(), image.tolist(), t.score[kept].tolist(),
+        t.row[kept].tolist(), t.col[kept].tolist(), roi_index,
     ):
         img, ann = dump.images[i], anns[i]
         patch = resolve_patch_box(
             row, col, img.feature_h, img.feature_w, ann.width, ann.height, config.patch_size
         )
-        roi_index = _match_roi(patch, ann)
-        categories = None
-        if roi_index is not None:
-            categories = categories_for_roi(lexicon, ann.rois[roi_index])
-        items[p].append(EvidenceItem(img.image_id, score, patch, roi_index, categories))
+        cats = None
+        if roi is not None:
+            cats = categories.get((i, roi))
+            if cats is None:
+                cats = categories[i, roi] = categories_for_roi(lexicon, ann.rois[roi])
+        items[p].append(EvidenceItem(img.image_id, score, patch, roi, cats))
     return [
         TopKEvidence(t.prototype_ids[p], config.k, tuple(found), config.k - len(found))
         for p, found in items.items()
     ]
 
 
-def _purity_for_level(
-    evidence: TopKEvidence, level: str
-) -> tuple[CategoryId | None, Fraction]:
-    counts: dict[CategoryId, int] = {}
+def _majorities(evidence: TopKEvidence) -> dict[str, tuple[CategoryId, Fraction]]:
+    """Per level that a matched item names, in one pass over the items: the
+    majority category (ties to the lexicographically smallest value) and its
+    purity, an exact multiple of 1/k."""
+    counts: dict[str, dict[CategoryId, int]] = {}
     for item in evidence.items:
         if item.categories is None:
             continue
-        cat = item.categories.get(level)
-        if cat is not None:
-            counts[cat] = counts.get(cat, 0) + 1
-    if not counts:
-        return None, Fraction(0)
-    # argmax with deterministic tie-break: lexicographically smallest value
-    best = min(counts, key=lambda c: (-counts[c], c.value))
-    return best, Fraction(counts[best], evidence.k)
+        for level, cat in item.categories.items():
+            at_level = counts.setdefault(level, {})
+            at_level[cat] = at_level.get(cat, 0) + 1
+    out = {}
+    for level, at_level in counts.items():
+        best = min(at_level, key=lambda c: (-at_level[c], c.value))
+        out[level] = (best, Fraction(at_level[best], evidence.k))
+    return out
 
 
 def _alignment(
@@ -298,6 +339,9 @@ def _alignment(
     return 1 if strongest == majority else 0
 
 
+_NO_MAJORITY: tuple[CategoryId | None, Fraction] = (None, Fraction(0))
+
+
 def build_verdicts(
     dump: EvidenceDump,
     evidence: Sequence[TopKEvidence],
@@ -317,12 +361,13 @@ def build_verdicts(
             )
             continue
         relevant = any(item.roi_index is not None for item in ev.items)
-        purity = {level: _purity_for_level(ev, level) for level in levels}
+        majority = _majorities(ev)
+        purity = {level: majority.get(level, _NO_MAJORITY) for level in levels}
         combined = None
         align = None
         if relevant:
-            combined = _purity_for_level(ev, COMBINED_LEVEL)[0]
-            assigned = _purity_for_level(ev, class_specific_level)[0]
+            combined = majority.get(COMBINED_LEVEL, _NO_MAJORITY)[0]
+            assigned = majority.get(class_specific_level, _NO_MAJORITY)[0]
             if assigned is not None:
                 align = _alignment(weights[proto.prototype_id], assigned, class_counts)
         out.append(
@@ -405,21 +450,25 @@ def _localization_detail(
     # grouped by image, then |score x weight| descending, then prototype id
     order = np.lexsort((_ranks(t.prototype_ids)[proto[keep]], -magnitude[keep], image[keep]))
     candidates = entries[keep][order]
-    image_start = _group_starts(t.image[candidates], len(dump.images))
+    image_start = _group_starts(t.image[candidates], len(dump.images)).tolist()
+    grid = np.zeros((len(dump.images), 4), dtype=np.int64)
+    grid[localized] = lattice_sizes([(dump.images[i].feature_h, dump.images[i].feature_w,
+                                      dump.images[i].width, dump.images[i].height)
+                                     for i in localized])
+    patches = patch_lattice(t.row[candidates], t.col[candidates],
+                            *grid[t.image[candidates]].T, config.patch_size)
     rows = []
     sums = {variant: [Fraction(0), Fraction(0)] for variant in VARIANTS}
     for i in localized:
         img = dump.images[i]
-        chosen = candidates[image_start[i]: image_start[i + 1]]
-        roi_boxes = [PatchBox(*roi.bbox) for roi in anns[i].rois]
-        patches = [
-            resolve_patch_box(row, col, img.feature_h, img.feature_w,
-                              img.width, img.height, config.patch_size)
-            for row, col in zip(t.row[chosen].tolist(), t.col[chosen].tolist())
-        ]
+        chosen = patches[image_start[i]: image_start[i + 1]]
+        sx, sy = 2 * img.feature_w, 2 * img.feature_h
+        roi_boxes = np.array([(x0 * sx, y0 * sy, x1 * sx, y1 * sy)
+                              for x0, y0, x1, y1 in (roi.bbox for roi in anns[i].rois)],
+                             dtype=np.int64)
         per_variant = {}
         for variant, limit in (("top1", 1), ("top10", 10), ("all", len(chosen))):
-            iou, dsc = iou_dsc_exact(patches[:limit], roi_boxes)
+            iou, dsc = iou_dsc_exact(chosen[:limit], roi_boxes)
             sums[variant][0] += iou
             sums[variant][1] += dsc
             per_variant[variant] = LocalizationScore(float(iou), float(dsc))

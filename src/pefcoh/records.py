@@ -48,14 +48,14 @@ def axis_level_name(type_name: str, axis: str) -> str:
 
 def fits_exact_grid(side: int, cells: int) -> bool:
     """Whether every edge on an image axis of ``side`` pixels cut into
-    ``cells`` feature cells stays within int64 once the exact area grid
-    (``geometry._compress``) scales it.
+    ``cells`` feature cells stays within int64 on the image's patch lattice
+    (see :mod:`pefcoh.geometry`).
 
     Every patch edge is a multiple of ``1 / (2 * cells)``: a cell center is
     ``(2 * c + 1) * side / (2 * cells)`` and half a patch adds a denominator
-    of 2, while a shifted or clipped edge and an ROI edge are integers. So the
-    scale divides ``2 * cells``, and no scaled edge in ``[0, side]`` exceeds
-    ``2 * side * cells``.
+    of 2, while a shifted or clipped edge and an ROI edge are integers. So
+    the lattice has scale ``2 * cells``, and no edge or ROI center in
+    ``[0, side]`` exceeds ``2 * side * cells`` on it.
     """
     return 2 * side * cells < 2**63
 

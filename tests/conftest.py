@@ -6,7 +6,8 @@ from pefcoh.dumpio import write_json
 # CI runs the same examples on every push and prints how to replay a failure;
 # local runs keep hypothesis's random default.
 settings.register_profile("ci", derandomize=True, print_blob=True)
-# the larger run of tests/test_fuzz.py, on demand: 500 examples per property
+# the larger run, on demand: 500 examples per property of tests/test_fuzz.py,
+# and 2500 per differential test against a reference in helpers.py
 settings.register_profile("fuzz", max_examples=2500, print_blob=True)
 
 

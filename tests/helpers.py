@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping, Sequence
+
+from hypothesis import settings
 
 from pefcoh.dumpio import (
     DUMP_FORMAT,
@@ -22,7 +26,6 @@ from pefcoh.geometry import (
     RegionSet,
     contains_point,
     iou_dsc_exact,
-    resolve_patch_box,
     roi_center,
 )
 from pefcoh.metrics import (
@@ -32,7 +35,9 @@ from pefcoh.metrics import (
     ImageLocalizationRow,
     LocalizationScore,
     RunConfig,
+    PrototypeVerdict,
     TopKEvidence,
+    _alignment,
     global_prototype_ids,
 )
 from pefcoh.records import (
@@ -47,12 +52,21 @@ from pefcoh.records import (
     LexiconType,
     PrototypeRecord,
     COMBINED_LEVEL,
+    CategoryId,
     ROIAnnotation,
     categories_for_roi,
 )
 from pefcoh.report import REPORT_FORMAT, timestamp
 
 CLASSES = ("benign", "malignant")
+
+
+def examples(n: int) -> int:
+    """``n`` examples for a differential test against a reference here, or
+    the active hypothesis profile's count when that is larger (the ``fuzz``
+    profile of conftest.py)."""
+    return max(n, settings.default.max_examples)
+
 
 MAMMO_LEXICON = Lexicon(
     (
@@ -221,6 +235,58 @@ def intersection_area(a: RegionSet, b: RegionSet) -> Fraction:
     return union_area(pieces)
 
 
+# Reference patch mapping: the Fraction arithmetic that the integer patch
+# lattice of pefcoh.geometry replaced, kept verbatim as the reference of
+# resolve_patch_box, patch_lattice and the metrics built on them.
+
+
+# A pure function of seven ints returning a frozen box: one dump repeats the
+# same few thousand (cell, feature map, image size) keys tens of thousands of
+# times across top-k evidence and localization.
+@functools.lru_cache(maxsize=4096)
+def resolve_patch_box(
+    loc_row: int,
+    loc_col: int,
+    feature_h: int,
+    feature_w: int,
+    image_width: int,
+    image_height: int,
+    patch_size: int,
+) -> PatchBox:
+    """Map a feature-map cell to a fixed-size patch box in pixel space.
+
+    The box has side ``patch_size`` and is centered on the cell center
+    mapped into pixel coordinates. A box that overhangs the image is
+    translated (not shrunk) back inside; only when an image dimension is
+    smaller than ``patch_size`` does the box span that full dimension.
+    """
+    if not (0 <= loc_row < feature_h and 0 <= loc_col < feature_w):
+        raise ValueError(
+            f"activation location ({loc_row}, {loc_col}) out of feature map "
+            f"{feature_h}x{feature_w}"
+        )
+    if patch_size < 1:
+        raise ValueError(f"patch_size must be >= 1, got {patch_size}")
+
+    center_x = Fraction((2 * loc_col + 1) * image_width, 2 * feature_w)
+    center_y = Fraction((2 * loc_row + 1) * image_height, 2 * feature_h)
+    x_min, x_max = _fit_span(center_x, patch_size, image_width)
+    y_min, y_max = _fit_span(center_y, patch_size, image_height)
+    return PatchBox(x_min, y_min, x_max, y_max)
+
+
+def _fit_span(center: Fraction, size: int, limit: int) -> tuple[Fraction, Fraction]:
+    if limit <= size:
+        return Fraction(0), Fraction(limit)
+    half = Fraction(size, 2)
+    lo, hi = center - half, center + half
+    if lo < 0:
+        return Fraction(0), Fraction(size)
+    if hi > limit:
+        return Fraction(limit - size), Fraction(limit)
+    return lo, hi
+
+
 # Reference metrics and dump parser: the per-entry loops over
 # ActivationEntry records that the columnar ActivationTable paths in
 # pefcoh.metrics and pefcoh.dumpio replaced, kept verbatim as the reference
@@ -368,6 +434,62 @@ def _localization_detail(
         for variant, (i_sum, d_sum) in sums.items()
     }
     return rows, means
+
+
+# Reference verdicts: one _purity_for_level pass per level, which the
+# one-pass count of pefcoh.metrics.build_verdicts replaced, kept verbatim.
+
+
+def _purity_for_level(
+    evidence: TopKEvidence, level: str
+) -> tuple[CategoryId | None, Fraction]:
+    counts: dict[CategoryId, int] = {}
+    for item in evidence.items:
+        if item.categories is None:
+            continue
+        cat = item.categories.get(level)
+        if cat is not None:
+            counts[cat] = counts.get(cat, 0) + 1
+    if not counts:
+        return None, Fraction(0)
+    # argmax with deterministic tie-break: lexicographically smallest value
+    best = min(counts, key=lambda c: (-counts[c], c.value))
+    return best, Fraction(counts[best], evidence.k)
+
+
+def build_verdicts(
+    dump: EvidenceDump,
+    evidence: Sequence[TopKEvidence],
+    levels: Sequence[str],
+    class_specific_level: str,
+    class_counts: Mapping[CategoryId, tuple[int, ...]],
+) -> tuple[PrototypeVerdict, ...]:
+    """Assemble one verdict per prototype (dump order), global or not."""
+    evidence_by_id = {ev.prototype_id: ev for ev in evidence}
+    weights = dump.weights_by_id()
+    out = []
+    for proto in dump.prototypes:
+        ev = evidence_by_id.get(proto.prototype_id)
+        if ev is None:
+            out.append(
+                PrototypeVerdict(proto.prototype_id, False, False, {}, None, None, None)
+            )
+            continue
+        relevant = any(item.roi_index is not None for item in ev.items)
+        purity = {level: _purity_for_level(ev, level) for level in levels}
+        combined = None
+        align = None
+        if relevant:
+            combined = _purity_for_level(ev, COMBINED_LEVEL)[0]
+            assigned = _purity_for_level(ev, class_specific_level)[0]
+            if assigned is not None:
+                align = _alignment(weights[proto.prototype_id], assigned, class_counts)
+        out.append(
+            PrototypeVerdict(
+                proto.prototype_id, True, relevant, purity, combined, align, ev
+            )
+        )
+    return tuple(out)
 
 
 def parse_dump(path: str | Path) -> EvidenceDump:

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from pefcoh.cli import _build_parser, _config_from_args, main
-from pefcoh.dumpio import dumps_canonical, write_json
+from pefcoh.dumpio import FormatError, dumps_canonical, write_json
 from pefcoh.metrics import RunConfig
 from pefcoh.report import build_comparison, render_csv, render_markdown
-from pefcoh.synth import SynthSpec
+from pefcoh.synth import SynthSpec, parse_ledger
 
 DATA = Path(__file__).parent / "data"
 
@@ -844,23 +844,71 @@ class TestSynthCommand:
         assert "purity_target" in capsys.readouterr().err
 
 
-class TestFailedWrite:
-    def test_unencodable_id_leaves_no_report(self, tmp_path, capsys):
-        # a JSON escape for a lone surrogate decodes, so the dump passes
-        # validate, but UTF-8 cannot hold it when the report is written
+class TestLoneSurrogate:
+    """A JSON escape for a lone surrogate decodes to a string UTF-8 cannot
+    hold, so no output could carry it: every reader rejects it as a format
+    error naming the field (exit 2), before any work, and ``--out`` is left
+    as it was."""
+
+    @staticmethod
+    def _plant(path, old, field_text):
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, field_text, 1), encoding="utf-8")
+
+    @pytest.mark.parametrize("kind, old, field", [
+        ("dump", '"p000"', "prototypes[0].id"),
+        ("annotations", '"image_id": "train_000"', "images[0].image_id"),
+        ("lexicon", '"mass"', "types[0].name"),
+    ])
+    def test_inputs(self, tmp_path, capsys, kind, old, field):
         synth_out = tmp_path / "s"
         assert run_cli("synth", "--out", synth_out, "--seed", 3) == 0
-        dump = synth_out / "dump.json"
-        text = dump.read_text(encoding="utf-8")
-        assert '"p000"' in text
-        dump.write_text(text.replace('"p000"', '"p\\ud800"'), encoding="utf-8")
-        assert run_cli("validate", "--dump", dump,
-                       "--annotations", synth_out / "annotations.json") == 0
+        new = old[:-1] + '\\ud800"'
+        self._plant(synth_out / f"{kind}.json", old, new)
+        inputs = ["--dump", synth_out / "dump.json",
+                  "--annotations", synth_out / "annotations.json",
+                  "--lexicon", synth_out / "lexicon.json"]
+        capsys.readouterr()
+        assert run_cli("validate", *inputs) == 2
+        assert f"{synth_out / kind}.json: {field}: " in capsys.readouterr().out
         out = tmp_path / "e"
-        assert run_cli("evaluate", "--dump", dump, "--annotations", synth_out / "annotations.json",
-                       "--out", out, "--fixed-timestamp") == 1
-        assert "surrogates not allowed" in capsys.readouterr().err
-        assert list(out.glob("*.report.json")) == []
+        out.mkdir()
+        (out / "kept.txt").write_text("as it was", encoding="utf-8")
+        assert run_cli("evaluate", *inputs, "--out", out, "--fixed-timestamp") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {synth_out / kind}.json: {field}: ")
+        assert "lone surrogate" in err and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text(encoding="utf-8") == "as it was"
+
+    def test_report(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "e"
+        assert run_cli("evaluate", "--dump", synth_dir / "dump.json",
+                       "--annotations", synth_dir / "annotations.json", "--out", out) == 0
+        path = out / "m1-seed11.report.json"
+        self._plant(path, '"model_name": "m1"', '"model_name": "m1\\udc00"')
+        capsys.readouterr()
+        assert run_cli("compare", path, "--out", tmp_path / "cmp") == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: model_name: ")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_key(self, synth_dir, tmp_path, capsys):
+        path = synth_dir / "lexicon.json"
+        self._plant(path, '"types"', '"\\udfff": 1, "types"')
+        capsys.readouterr()
+        assert run_cli("validate", "--dump", synth_dir / "dump.json",
+                       "--annotations", synth_dir / "annotations.json",
+                       "--lexicon", path) == 2
+        assert "key '\\udfff' is not valid Unicode" in capsys.readouterr().out
+
+    def test_ledger(self, tmp_path):
+        assert run_cli("synth", "--out", tmp_path, "--seed", 3) == 0
+        path = tmp_path / "ledger.json"
+        self._plant(path, '"format": "pefcoh-ledger/1",',
+                    '"format": "pefcoh-ledger/1", "x": "\\ud800",')
+        with pytest.raises(FormatError, match="x: '\\\\ud800' is not valid Unicode"):
+            parse_ledger(path)
 
 
 class TestCliDeterminism:

@@ -3,12 +3,12 @@
 Each example mutates a valid synth file (dump, annotations, lexicon, report,
 synth spec or ledger) at the level of its JSON tree: a field dropped,
 renamed, repeated or retyped; a number replaced by a bool, a string, ``NaN``,
-``Infinity``, ``10**400`` or ``2**63``; a name made empty, whitespace-only or
-non-ASCII; keys or list items reordered. The CLI must answer every mutant
-with exit 0 or 2 (1 only where ``evaluate`` reports a property it cannot
-compute), never with a traceback, and the ledger reader may raise only
-:class:`FormatError`. A key written twice in the raw text of any file kind
-must be rejected, naming the key.
+``Infinity``, ``10**400`` or ``2**63``; a name made empty, whitespace-only,
+non-ASCII or a lone surrogate; keys or list items reordered. The CLI must
+answer every mutant with exit 0 or 2 (1 only where ``evaluate`` reports a
+property it cannot compute), never with a traceback, and the ledger reader
+may raise only :class:`FormatError`. A key written twice in the raw text of
+any file kind must be rejected, naming the key.
 
 Each example runs the CLI on files, so tier-1 runs a fifth of the active
 hypothesis profile's examples (20 under the default and ``ci`` profiles);
@@ -34,7 +34,6 @@ from pefcoh.dumpio import (
     dump_to_json,
     dumps_canonical,
     lexicon_to_json,
-    write_json,
 )
 from pefcoh.synth import SynthSpec, generate, ledger_to_json, parse_ledger
 
@@ -45,7 +44,7 @@ FUZZ = settings(
 )
 
 NUMBERS = [True, False, "1", math.nan, math.inf, -math.inf, 10**400, 2**63, -1, 0, 0.5]
-NAMES = ["", " ", "\t\n", "\u00a0", "é", "İ", "ß", "日本語", " MASS "]
+NAMES = ["", " ", "\t\n", "\u00a0", "é", "İ", "ß", "日本語", " MASS ", "p\ud800"]
 RETYPED = [None, True, "x", 0, 1.5, [], {}]
 
 INPUTS = ("dump", "annotations", "lexicon")
@@ -116,6 +115,12 @@ def _reorder_keys(rnd, node):
     if isinstance(node, list):
         return [_reorder_keys(rnd, item) for item in node]
     return node
+
+
+def write_json(path, obj):
+    """``dumpio.write_json``, but a lone surrogate, which UTF-8 cannot hold,
+    is written as its JSON escape."""
+    path.write_bytes(dumps_canonical(obj).encode("utf-8", "backslashreplace"))
 
 
 def run_cli(*argv):

@@ -12,6 +12,8 @@ from pefcoh.geometry import (
     iou,
     iou_dsc,
     iou_dsc_exact,
+    lattice_sizes,
+    patch_lattice,
     resolve_patch_box,
     roi_center,
     union_area,
@@ -93,6 +95,61 @@ class TestResolvePatchBox:
             assert box.y_max - box.y_min == patch
         assert box.x_min >= 0 and box.y_min >= 0
         assert box.x_max <= width and box.y_max <= height
+
+
+@st.composite
+def lattice_cells(draw):
+    """A cell of an image: odd sides and feature maps up to 7x7 give
+    fractional patch edges."""
+    feature_h, feature_w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return (draw(st.integers(0, feature_h - 1)), draw(st.integers(0, feature_w - 1)),
+            feature_h, feature_w, draw(st.integers(1, 160)), draw(st.integers(1, 160)))
+
+
+# odd sides, sides at or past every image side drawn, and one past int64
+PATCH_SIZES = [1, 7, 63, 64, 130, 160, 161, 2**70]
+
+
+class TestPatchLattice:
+    @given(st.lists(lattice_cells(), min_size=1, max_size=6),
+           st.sampled_from(PATCH_SIZES) | st.integers(1, 170))
+    @settings(max_examples=helpers.examples(300))
+    def test_patch_lattice_matches_reference(self, cells, patch_size):
+        """One call over cells of different images, against the Fraction
+        mapping it replaced; resolve_patch_box gives the same boxes."""
+        columns = [np.array(c, dtype=np.int64) for c in zip(*cells)]
+        edges = patch_lattice(*columns, patch_size)
+        assert edges.dtype == np.int64 and edges.shape == (len(cells), 4)
+        for (row, col, fh, fw, width, height), (x0, y0, x1, y1) in zip(cells, edges.tolist()):
+            expected = helpers.resolve_patch_box(row, col, fh, fw, width, height, patch_size)
+            sx, sy = 2 * fw, 2 * fh
+            assert PatchBox(Fraction(x0, sx), Fraction(y0, sy),
+                            Fraction(x1, sx), Fraction(y1, sy)) == expected
+            assert resolve_patch_box(row, col, fh, fw, width, height, patch_size) == expected
+
+    def test_no_cells(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert patch_lattice(*[empty] * 6, 2**70).shape == (0, 4)
+
+    def test_location_out_of_map_rejected(self):
+        rows, cols = np.array([0, 2]), np.array([0, 0])
+        ones = np.ones(2, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"\(2, 0\) out of feature map 2x1"):
+            patch_lattice(rows, cols, 2 * ones, ones, 100 * ones, 100 * ones, 10)
+
+    def test_largest_image_fits_int64(self):
+        # 2 * side * cells is 2**63 - 2: every edge, and the cell center of
+        # a whole-image patch, stays within int64
+        side = 2**62 - 1
+        sizes = lattice_sizes([(1, 1, side, 3)])
+        edges = patch_lattice(np.array([0]), np.array([0]), *sizes.T, 2**70)
+        assert edges.tolist() == [[0, 0, 2 * side, 6]]
+        assert resolve_patch_box(0, 0, 1, 1, side, 3, 2**70).as_tuple() == (0, 0, side, 3)
+
+    @pytest.mark.parametrize("size", [(1, 1, 2**62, 3), (2, 1, 3, 2**62), (1, 2**61, 2, 1)])
+    def test_image_past_int64_raises(self, size):
+        with pytest.raises(OverflowError, match="too large for exact geometry"):
+            lattice_sizes([(1, 1, 10, 10), size])
 
 
 class TestContainment:
@@ -181,7 +238,7 @@ class TestIouDsc:
         assert iou(a, b) == float(Fraction(2, 4))
 
     @given(st.lists(fractional_boxes(), max_size=7), st.lists(fractional_boxes(), max_size=7))
-    @settings(max_examples=300)
+    @settings(max_examples=helpers.examples(300))
     def test_grid_matches_reference_sweep(self, a, b):
         area_a, area_b = helpers.union_area(a), helpers.union_area(b)
         inter = helpers.intersection_area(a, b)

@@ -2,20 +2,30 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pefcoh.dumpio import ConsistencyError, dump_to_json, parse_dump, write_json
-from pefcoh.geometry import resolve_patch_box
+from pefcoh.dumpio import (
+    ConsistencyError,
+    derive_category_universe,
+    dump_to_json,
+    parse_dump,
+    write_json,
+)
+from pefcoh.geometry import PatchBox
 from pefcoh.metrics import (
     GROUND_TRUTH,
     MAX_WEIGHT,
+    EvidenceItem,
     LocalizationScore,
     RunConfig,
+    TopKEvidence,
     _localization_detail,
-    _match_roi,
+    _match_rois,
     aggregate,
     aggregate_flat,
+    build_verdicts,
     evaluate,
     flatten_scores,
     global_prototypes,
@@ -27,7 +37,9 @@ from pefcoh.metrics import (
     uniqueness,
 )
 from pefcoh.records import (
+    COMBINED_LEVEL,
     AnnotationSet,
+    CategoryId,
     EvidenceDump,
     ImageActivationRecord,
     PrototypeRecord,
@@ -584,14 +596,57 @@ class TestAggregate:
 # the columnar paths against the per-entry reference loops in helpers
 
 
+def _roi_side(draw, lo, hi, limit):
+    """One ROI side with whole-pixel ends in [0, limit]: centered anywhere,
+    or on or next to the patch edge ``lo`` or ``hi``."""
+    doubled = draw(st.sampled_from([math.floor(2 * lo), math.ceil(2 * lo),
+                                    math.floor(2 * hi), math.ceil(2 * hi)])
+                   | st.integers(1, 2 * limit - 1))  # twice the center
+    size = 2 * draw(st.integers(1, 20)) - doubled % 2  # whole-pixel ends
+    start = min(max(0, (doubled - size) // 2), limit - 1)
+    return start, min(limit, start + size)
+
+
+def _rois_around(draw, patch, width, height):
+    """An ROI box placed around ``patch``, then nothing, a duplicate, or
+    its mirror image about the patch center (equidistant from it) when that
+    has whole-pixel ends inside the image."""
+    x0, x1 = _roi_side(draw, patch.x_min, patch.x_max, width)
+    y0, y1 = _roi_side(draw, patch.y_min, patch.y_max, height)
+    boxes = [(x0, y0, x1, y1)]
+    copy = draw(st.sampled_from(["none", "duplicate", "mirror x", "mirror y"]))
+    if copy == "duplicate":
+        boxes.append((x0, y0, x1, y1))
+    elif copy == "mirror x" and (x := _mirrored(x0, x1, patch.x_min + patch.x_max, width)):
+        boxes.append((x[0], y0, x[1], y1))
+    elif copy == "mirror y" and (y := _mirrored(y0, y1, patch.y_min + patch.y_max, height)):
+        boxes.append((x0, y[0], x1, y[1]))
+    return boxes
+
+
+def _mirrored(lo, hi, twice_center, limit):
+    """The side ``[lo, hi)`` mirrored about ``twice_center / 2``, or None when
+    its ends are not whole pixels in ``[0, limit]``."""
+    if twice_center.denominator == 1 and 0 <= twice_center - hi and twice_center - lo <= limit:
+        return int(twice_center) - hi, int(twice_center) - lo
+    return None
+
+
+# odd sides, sides at or past every image side drawn below, and one past int64
+PATCH_SIZES = [1, 7, 30, 63, 64, 161, 200, 2**70]
+
+
 @st.composite
 def evidence_cases(draw):
-    """A small dump with its annotations. Prototype and image ids are random
-    strings, so their sorted order differs from file order; scores mix
-    integers and floats from a short list, so equal scores recur across
-    images; some prototypes weigh zero; some train images are unannotated;
-    pools are often shorter than k. The first image is a test image with an
-    ROI, so localization has an image to score."""
+    """A small dump with its annotations and a patch size. Prototype and
+    image ids are random strings, so their sorted order differs from file
+    order; scores mix integers and floats from a short list, so equal scores
+    recur across images; some prototypes weigh zero; some train images are
+    unannotated; pools are often shorter than k. Image sides are often odd
+    and feature maps up to 7x7, so patch edges are fractional; some ROIs are
+    centered on or next to an entry's patch edge, duplicated or mirrored
+    about its patch center. The first image is a test image with an ROI, so
+    localization has an image to score."""
     pids = draw(st.lists(st.text("abAB0_", min_size=1, max_size=3),
                          min_size=1, max_size=7, unique=True))
     weight = st.sampled_from([0, 0.0, 1, -1, 0.5, -0.25, 2.0, 1e-9])
@@ -599,12 +654,13 @@ def evidence_cases(draw):
     image_ids = draw(st.lists(st.text("xyXY9", min_size=1, max_size=3),
                               min_size=1, max_size=10, unique=True))
     score = st.sampled_from([0, 1, 2, 0.5, 2.0, 1e-9])
+    patch_size = draw(st.sampled_from(PATCH_SIZES))
     images, ann_images = [], []
     for i, image_id in enumerate(image_ids):
         split = "test" if i == 0 else draw(st.sampled_from(["train", "test"]))
         label = draw(st.integers(0, 1))
-        feature_h, feature_w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        width, height = draw(st.integers(40, 160)), draw(st.integers(40, 160))
+        feature_h, feature_w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        width, height = draw(st.integers(9, 160)), draw(st.integers(9, 160))
         n_entries = draw(st.integers(0, len(pids)) | st.just(len(pids)))
         chosen = draw(st.permutations(pids))[:n_entries]
         entries = [
@@ -616,15 +672,23 @@ def evidence_cases(draw):
                                  feature_h, feature_w))
         if i and draw(st.integers(0, 3)) == 0:
             continue  # unannotated
-        rois = []
+        boxes = []
         for _ in range(draw(st.integers(0 if i else 1, 3))):
+            if entries and draw(st.booleans()):
+                _, _, row, col = draw(st.sampled_from(entries))
+                patch = helpers.resolve_patch_box(row, col, feature_h, feature_w,
+                                                  width, height, patch_size)
+                boxes.extend(_rois_around(draw, patch, width, height))
+                continue
             x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
-            bbox = (x0, y0, draw(st.integers(x0 + 1, width)), draw(st.integers(y0 + 1, height)))
-            rois.append(category_roi(draw(st.integers(0, 2)),
-                                     draw(st.sampled_from(["mass", "calcification"])),
-                                     roi_class=draw(st.integers(0, 1)), bbox=bbox))
+            boxes.append((x0, y0, draw(st.integers(x0 + 1, width)),
+                          draw(st.integers(y0 + 1, height))))
+        rois = [category_roi(draw(st.integers(0, 2)),
+                             draw(st.sampled_from(["mass", "calcification"])),
+                             roi_class=draw(st.integers(0, 1)), bbox=bbox)
+                for bbox in boxes]
         ann_images.append(make_ann_image(image_id, rois, split, width, height, label))
-    return make_dump(prototypes, images), make_annotations(ann_images)
+    return make_dump(prototypes, images), make_annotations(ann_images), patch_size
 
 
 def _outcome(fn, *args):
@@ -641,22 +705,23 @@ def _parsed(dump):
         return parse_dump(path)
 
 
-@given(
-    evidence_cases(),
-    st.builds(RunConfig, k=st.integers(1, 4), patch_size=st.sampled_from([1, 30, 64, 200]),
-              eps=st.sampled_from([0.0, 1e-8, 0.6])),
-)
-@settings(max_examples=250, deadline=None)
-def test_table_paths_match_reference_loops(case, config):
-    dump, annotations = case
+@given(evidence_cases(), st.integers(1, 4), st.sampled_from([0.0, 1e-8, 0.6]))
+@settings(max_examples=helpers.examples(250), deadline=None)
+def test_table_paths_match_reference_loops(case, k, eps):
+    dump, annotations, patch_size = case
+    config = RunConfig(k=k, patch_size=patch_size, eps=eps)
     for d in (dump, _parsed(dump)):
         for convention in (GROUND_TRUTH, MAX_WEIGHT):
             assert _outcome(local_prototypes, d, config.eps, convention) == _outcome(
                 helpers.local_prototypes, d, config.eps, convention)
-        assert top_k_evidence(d, annotations, MAMMO_LEXICON, config) == helpers.top_k_evidence(
-            d, annotations, MAMMO_LEXICON, config)
-        assert _outcome(_localization_detail, d, annotations, config) == _outcome(
-            helpers._localization_detail, d, annotations, config)
+        evidence = top_k_evidence(d, annotations, MAMMO_LEXICON, config)
+        assert evidence == helpers.top_k_evidence(d, annotations, MAMMO_LEXICON, config)
+        assert all(type(item.roi_index) in (int, type(None))
+                   for ev in evidence for item in ev.items)
+        detail = _outcome(_localization_detail, d, annotations, config)
+        assert detail == _outcome(helpers._localization_detail, d, annotations, config)
+        if detail[0] == "value":
+            assert all(type(row.n_candidates) is int for row in detail[1][0])
 
 
 def test_localization_ties_break_by_prototype_id_not_file_order():
@@ -679,37 +744,126 @@ def test_localization_ties_break_by_prototype_id_not_file_order():
 
 
 @st.composite
-def patch_and_rois(draw):
-    """A patch with fractional edges (odd image sizes and patch sides) and
-    ROIs placed around it, duplicates and equidistant centers included."""
-    width, height = draw(st.integers(9, 151)), draw(st.integers(9, 151))
-    feature_h, feature_w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    patch = resolve_patch_box(
-        draw(st.integers(0, feature_h - 1)), draw(st.integers(0, feature_w - 1)),
-        feature_h, feature_w, width, height, draw(st.integers(1, 160)),
-    )
-    def span(lo, hi, limit):
-        """An ROI side centered anywhere, or on or next to a patch edge,
-        clipped to the image."""
-        doubled = draw(st.sampled_from([math.floor(2 * lo), math.ceil(2 * lo),
-                                        math.floor(2 * hi), math.ceil(2 * hi)])
-                       | st.integers(1, 2 * limit - 1))  # twice the center
-        size = 2 * draw(st.integers(1, 20)) - doubled % 2  # whole-pixel ends
-        start = min(max(0, (doubled - size) // 2), limit - 1)
-        return start, min(limit, start + size)
-
-    rois = []
-    for _ in range(draw(st.integers(0, 5))):
-        x0, x1 = span(patch.x_min, patch.x_max, width)
-        y0, y1 = span(patch.y_min, patch.y_max, height)
-        rois.append(make_roi((x0, y0, x1, y1)))
-        if draw(st.booleans()):
-            rois.append(make_roi((x0, y0, x1, y1)))
-    return patch, make_ann_image("img", rois, width=width, height=height)
+def cells_and_rois(draw):
+    """Up to three images, each with a few feature-map cells and ROIs placed
+    around their patches (see :func:`_rois_around`); odd image sides,
+    feature maps up to 7x7 and odd patch sides give fractional edges."""
+    patch_size = draw(st.sampled_from(PATCH_SIZES) | st.integers(1, 160))
+    images, cells = [], []
+    for index in range(draw(st.integers(1, 3))):
+        width, height = draw(st.integers(9, 151)), draw(st.integers(9, 151))
+        feature_h, feature_w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        image_cells = draw(st.lists(st.tuples(st.integers(0, feature_h - 1),
+                                              st.integers(0, feature_w - 1)),
+                                    min_size=1, max_size=4))
+        boxes = []
+        for _ in range(draw(st.integers(0, 4))):
+            row, col = draw(st.sampled_from(image_cells))
+            patch = helpers.resolve_patch_box(row, col, feature_h, feature_w,
+                                              width, height, patch_size)
+            boxes.extend(_rois_around(draw, patch, width, height))
+        ann = make_ann_image(f"img{index}", [make_roi(b) for b in boxes],
+                             width=width, height=height)
+        images.append((feature_h, feature_w, ann))
+        cells.extend((index, row, col) for row, col in image_cells)
+    order = draw(st.permutations(range(len(cells))))
+    return images, [cells[j] for j in order], patch_size
 
 
-@given(patch_and_rois())
-@settings(max_examples=300, deadline=None)
+@given(cells_and_rois())
+@settings(max_examples=helpers.examples(300), deadline=None)
 def test_match_roi_matches_reference(case):
-    patch, ann = case
-    assert _match_roi(patch, ann) == helpers._match_roi(patch, ann)
+    images, cells, patch_size = case
+    image, rows, cols = (np.array(column, dtype=np.int64) for column in zip(*cells))
+    expected = []
+    for i, row, col in cells:
+        feature_h, feature_w, ann = images[i]
+        patch = helpers.resolve_patch_box(row, col, feature_h, feature_w,
+                                          ann.width, ann.height, patch_size)
+        expected.append(helpers._match_roi(patch, ann))
+    got = _match_rois(images, image, rows, cols, patch_size)
+    assert got == expected
+    assert all(type(r) in (int, type(None)) for r in got)
+
+
+@st.composite
+def verdict_cases(draw):
+    """Top-k evidence built directly: per level, category values whose string
+    order differs from the order the items first name them in, equal counts
+    included; unmatched items; prototypes without evidence."""
+    levels = ("type", "mass-shape", "combined")
+    values = st.sampled_from(["b", "a", "ab", "B", "é", "a-b", "_"])
+    weight = st.sampled_from([0.0, 1.0, -1.0, 0.5])
+    k = draw(st.integers(1, 6))
+    prototypes, evidence = [], []
+    for n in range(draw(st.integers(1, 5))):
+        pid = f"p{n}"
+        prototypes.append((pid, (draw(weight), draw(weight))))
+        if draw(st.integers(0, 3)) == 0:
+            continue  # not global: no evidence
+        items = []
+        for _ in range(draw(st.integers(0, k))):
+            named = draw(st.lists(st.sampled_from(levels), unique=True))
+            if named:
+                categories = {level: CategoryId(level, draw(values)) for level in named}
+                items.append(EvidenceItem("img", 1.0, PatchBox(0, 0, 1, 1), 0, categories))
+            else:
+                items.append(EvidenceItem("img", 1.0, PatchBox(0, 0, 1, 1), None, None))
+        evidence.append(TopKEvidence(pid, k, tuple(items), k - len(items)))
+    class_counts = {
+        CategoryId(level, value): (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        for level in levels for value in draw(st.lists(values, unique=True))
+    }
+    wanted = tuple(draw(st.lists(st.sampled_from(levels), unique=True)))
+    return make_dump(prototypes, []), evidence, wanted, draw(st.sampled_from(levels)), class_counts
+
+
+@given(verdict_cases())
+@settings(max_examples=helpers.examples(300), deadline=None)
+def test_verdicts_match_reference(case):
+    assert build_verdicts(*case) == helpers.build_verdicts(*case)
+
+
+@given(evidence_cases(), st.integers(1, 4))
+@settings(max_examples=helpers.examples(100), deadline=None)
+def test_evaluated_verdicts_match_reference(case, k):
+    dump, annotations, patch_size = case
+    config = RunConfig(k=k, patch_size=patch_size)
+    evidence = top_k_evidence(dump, annotations, MAMMO_LEXICON, config)
+    counts = derive_category_universe(annotations, MAMMO_LEXICON, COMBINED_LEVEL)
+    args = (dump, evidence, MAMMO_LEXICON.levels(), COMBINED_LEVEL, counts)
+    assert build_verdicts(*args) == helpers.build_verdicts(*args)
+
+
+class TestExactGridBound:
+    """A dump built in code can hold an image too large for the int64
+    lattice, which the dump parser rejects; the metrics raise OverflowError
+    rather than wrap."""
+
+    @staticmethod
+    def _case(side):
+        dump = make_dump(
+            [("p0", (1.0, 1.0))],
+            [make_image("tr", [("p0", 1.0, 0, 0)], "train", side, 8),
+             make_image("te", [("p0", 1.0, 0, 0)], "test", side, 8)],
+        )
+        rois = [make_roi((0, 0, 5, 5)), make_roi((side - 9, 0, side, 5))]
+        ann = make_annotations([make_ann_image("tr", rois, "train", side, 8),
+                                make_ann_image("te", rois, "test", side, 8)])
+        return dump, ann
+
+    def test_largest_side_matches_reference(self):
+        dump, ann = self._case(2**62 - 1)
+        config = RunConfig(patch_size=2**70)
+        evidence = top_k_evidence(dump, ann, MAMMO_LEXICON, config)
+        assert evidence == helpers.top_k_evidence(dump, ann, MAMMO_LEXICON, config)
+        assert evidence[0].items[0].roi_index == 1  # both centers inside; the far one nearer
+        assert (_localization_detail(dump, ann, config)
+                == helpers._localization_detail(dump, ann, config))
+
+    def test_side_past_int64_raises(self):
+        dump, ann = self._case(2**62)
+        with pytest.raises(OverflowError):
+            top_k_evidence(dump, ann, MAMMO_LEXICON, CONFIG)
+        with pytest.raises(OverflowError):
+            _localization_detail(dump, ann, CONFIG)
