@@ -32,16 +32,17 @@ _DTYPES = (np.intp, np.float64, np.int64, np.int64)
 _NO_ENTRIES = Entries(*(np.empty(0, dtype) for dtype in _DTYPES))
 
 
-def pack_entries(obj: dict, codes: dict[str, int]) -> None:
+def pack_entries(obj: dict, codes: dict[str, int]) -> bool:
     """Replace ``obj["entries"]`` by its :class:`Entries` when it is a list
     that passes, in bulk, every check of ``dumpio._raise_entry_fault`` against
     ``obj``'s own ``feature_h`` and ``feature_w`` except that the prototypes
     are known; prototype ids are coded by ``codes``, in first-seen order.
-    Any other value is left as decoded."""
+    Any other value is left as decoded. Whether the entries were packed, so
+    whether they were a list of objects."""
     entries = obj["entries"]
     feature_h, feature_w = obj.get("feature_h"), obj.get("feature_w")
     if type(entries) is not list or type(feature_h) is not int or type(feature_w) is not int:
-        return
+        return False
     try:
         pids = [e["prototype_id"] for e in entries]
         scores = [e["score"] for e in entries]
@@ -57,11 +58,12 @@ def pack_entries(obj: dict, codes: dict[str, int]) -> None:
             and 0 <= min(rows, default=0) and max(rows, default=-1) < feature_h
             and 0 <= min(cols, default=0) and max(cols, default=-1) < feature_w
         ):
-            return
+            return False
         columns = [codes.setdefault(pid, len(codes)) for pid in pids], scores, rows, cols
         obj["entries"] = Entries(*map(np.array, columns, _DTYPES))
     except (KeyError, TypeError, OverflowError):
-        return
+        return False
+    return True
 
 
 def prototype_of_code(codes: dict[str, int], index: dict[str, int]) -> np.ndarray:

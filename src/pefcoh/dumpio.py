@@ -11,10 +11,12 @@ included, raises :class:`FormatError` naming the offending field and record
 index. Cross-file checks (shared class list, split agreement, ...) are
 collected by :func:`cross_validate`.
 
-Every file is decoded by one :func:`json.loads` whose object hook rejects a
-repeated key. For the dump, the same hook packs each image's entries into
-numpy columns as the image's object closes, so the parse never holds the
-whole JSON tree (see :func:`parse_dump`).
+Every file but the dump is decoded by one :func:`json.loads` whose object
+pairs hook rejects a repeated key. The dump is decoded by a plain object
+hook that packs each image's entries into numpy columns as the image's
+object closes, so the parse never holds the whole JSON tree, and that counts
+pairs to prove no key repeats; when it cannot, the strict hook decodes the
+dump again (see :func:`parse_dump`).
 
 This module imports no numpy. The dump's column packing is array code in
 :mod:`pefcoh.columns`, which :func:`parse_dump` imports on its first call;
@@ -317,14 +319,19 @@ def _image_header(
 def parse_dump(path: str | Path) -> EvidenceDump:
     """Parse and fully validate an evidence dump file.
 
-    The text is decoded once. As each object that holds ``entries`` closes
-    (an image, or any other object), its entries are checked in bulk against
-    that object's own ``feature_h`` and ``feature_w`` and, when they pass,
-    packed into numpy columns, so memory holds the text, the columns and one
-    image's entry objects but never the whole JSON tree, in any key order.
-    No record is checked while the text decodes, so a fault in the JSON
-    anywhere in the file (a syntax error, a repeated key) wins over a fault
-    in a record.
+    As each object that holds ``entries`` closes (an image, or any other
+    object), its entries are checked in bulk against that object's own
+    ``feature_h`` and ``feature_w`` and, when they pass, packed into numpy
+    columns, so memory holds the text, the columns and one image's entry
+    objects but never the whole JSON tree, in any key order. No record is
+    checked while the text decodes, so a fault in the JSON anywhere in the
+    file (a syntax error, a repeated key) wins over a fault in a record.
+
+    The text is first decoded by :func:`_loads_counted`, whose plain object
+    hook cannot see a repeated key but counts the pairs it keeps. Only when
+    that count proves that no key repeats is its tree used. Otherwise, and
+    when that decode fails, the text is decoded again, with fresh codes, by
+    the strict :func:`_loads` of every other reader, which names the fault.
 
     The image columns are joined into the dump's one ``activations`` table,
     which its images' ``entries`` view; only an image whose entries were
@@ -332,9 +339,74 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     """
     from . import columns  # the array code, loaded by the first dump parsed
 
+    text = _read_text(path)
     codes: dict[str, int] = {}
-    raw = _loads(_read_text(path), path, pack=lambda obj: columns.pack_entries(obj, codes))
+    raw = _loads_counted(text, path, lambda obj: columns.pack_entries(obj, codes))
+    if raw is None:
+        codes = {}
+        raw = _loads(text, path, pack=lambda obj: columns.pack_entries(obj, codes))
+    del text  # not held while the columns are joined, which copies them
     return _dump_from_raw(raw, path, codes)
+
+
+def _loads_counted(text: str, path: str | Path, pack: Callable[[dict], bool]) -> Any:
+    """The tree of ``text`` as the strict :func:`_loads` would give it with
+    ``pack``, or None when this decode cannot show that no key repeats.
+
+    The object hook takes dicts, not the pair lists of ``_unique_keys``,
+    whose building is most of the strict decode's extra time. It counts the
+    pairs of the entry objects of every list that ``pack`` packs, and one
+    walk of the retained tree adds the pairs of every object left in it.
+    Each ``:`` outside a string separates one written pair, so
+    ``text.count(":")`` less the colons of the retained strings is at least
+    the pairs written. Those strings are their source text when ``text``
+    holds no backslash, so their colons are subtracted then and only then.
+    No object adds more than its written pairs to the count, and one that
+    repeats a key adds fewer (an object dropped by a repeated key, or nested
+    in a packed entry, adds none), so the two are equal only when no key
+    repeats.
+    """
+    packed_pairs = 0
+
+    def hook(obj: dict) -> dict:
+        nonlocal packed_pairs
+        if "entries" in obj:
+            entries = obj["entries"]
+            if pack(obj):  # a list of entry objects
+                packed_pairs += sum(map(len, entries))
+        return obj
+
+    try:
+        obj = json.loads(text, object_hook=hook)
+    except (ValueError, RecursionError):
+        return None
+    escaped = "\\" in text
+    pairs, colons = _pairs_and_colons(obj, count_colons=not escaped)
+    if packed_pairs + pairs != text.count(":") - colons:
+        return None
+    # text read as UTF-8 holds no surrogate; only a \u escape can decode to one
+    if escaped:
+        _reject_lone_surrogates(obj, path)
+    return obj
+
+
+def _pairs_and_colons(obj: Any, count_colons: bool) -> tuple[int, int]:
+    """The pairs of every object in ``obj`` and, with ``count_colons``, the
+    colons in its keys and string values. Packed entries are not walked."""
+    pairs = colons = 0
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        if type(node) is dict:
+            pairs += len(node)
+            if count_colons:
+                colons += sum(key.count(":") for key in node)
+            stack.extend(node.values())
+        elif type(node) is list:
+            stack.extend(node)
+        elif count_colons and type(node) is str:
+            colons += node.count(":")
+    return pairs, colons
 
 
 def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> EvidenceDump:

@@ -248,6 +248,24 @@ def _group_starts(groups: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=n))))
 
 
+def _top_k_candidates(proto: np.ndarray, score: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Positions of the entries that score at least the k-th highest score of
+    their prototype (0..n-1), or of all its entries when it has fewer: every
+    entry of each prototype's top k however its ties break, and its ties."""
+    by_score = np.argsort(-score)
+    group = proto[by_score]
+    if n < 2**15:
+        group = group.astype(np.int16)  # a stable sort of int16 is a radix sort
+    order = by_score[np.argsort(group, kind="stable")]
+    starts = _group_starts(proto, n)
+    sizes = np.diff(starts)
+    k = min(k, len(score))  # no larger group; keeps k in int64
+    present = sizes > 0
+    threshold = np.zeros(n)
+    threshold[present] = score[order[starts[:-1][present] + np.minimum(sizes[present], k) - 1]]
+    return np.flatnonzero(score >= threshold[proto])
+
+
 def top_k_evidence(
     dump: EvidenceDump,
     annotations: AnnotationSet,
@@ -267,6 +285,7 @@ def top_k_evidence(
     is_global = _global_mask(dump, config.eps)
     pool = np.flatnonzero(np.array([ann is not None for ann in anns], dtype=bool)[t.image]
                           & is_global[t.proto])
+    pool = pool[_top_k_candidates(t.proto[pool], t.score[pool], len(is_global), config.k)]
     image_rank = _ranks([img.image_id for img in dump.images])
     # grouped by prototype index, then score descending, then image_id ascending
     pool = pool[np.lexsort((image_rank[t.image[pool]], -t.score[pool], t.proto[pool]))]
@@ -541,7 +560,9 @@ def evaluate(
     )
 
     tc = config.tc_override
-    if tc is None:
+    if tc is None and config.class_specific_level == COMBINED_LEVEL:
+        tc = len(class_counts)  # the same universe as total_categories walks
+    elif tc is None:
         tc = total_categories(annotations, lexicon, config.tc_split)
     if tc < 1:
         raise ValueError("total category count must be >= 1 (empty annotation universe)")

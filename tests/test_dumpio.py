@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pefcoh import dumpio
 from pefcoh.dumpio import (
     FormatError,
     annotations_to_json,
@@ -662,6 +663,173 @@ class TestEntryPacking:
         message = _fault_message(parse_dump, path)
         assert message == _fault_message(helpers.parse_dump, path)
         assert message.endswith("images[2].entries[57]: unknown prototype 'zz'")
+
+
+def _text(obj):
+    """The JSON text of ``obj``, except that a key starting with NUL is
+    written without it, so it repeats a key, and the character U+0001 is
+    written as the escape ``\\u003a``, which decodes to ``:``."""
+    return dumps_canonical(obj).replace('"\\u0000', '"').replace("\\u0001", "\\u003a")
+
+
+def _repeat(obj, key, value=1, at=None):
+    """Write ``key`` of ``obj`` a second time in its text, with ``value``,
+    at position ``at`` among its keys (last by default)."""
+    items = list(obj.items())
+    items.insert(len(items) if at is None else at, ("\0" + key, value))
+    obj.clear()
+    obj.update(items)
+
+
+def _rename_prototype(obj, old, new):
+    for proto in obj["prototypes"]:
+        if proto["id"] == old:
+            proto["id"] = new
+    for image in obj["images"]:
+        for entry in image["entries"]:
+            if entry["prototype_id"] == old:
+                entry["prototype_id"] = new
+
+
+def _nested_in_entry(obj, repeated):
+    extra = obj["images"][0]["entries"][5]["extra"] = {"a": 1, "b": [2]}
+    if repeated:
+        _repeat(extra, "a", 2, at=0)
+
+
+def _colon_in_nested_key(obj, repeated):
+    obj["notes"] = {"a:b": {"c:d": ["e:f", 1]}, "g": "h:"}
+    if repeated:
+        _repeat(obj["images"][3], "image_id", "img9")
+
+
+def _colon_in_prototype_id_and_repeated_key(obj):
+    _rename_prototype(obj, "p03", "p:03")
+    _repeat(obj["images"][2]["entries"][40], "col", 0, at=0)
+
+
+# name: (edit of the dump object, characters cut from the end of its text,
+# the end of parse_dump's message or None for a dump)
+COUNTED_CASES = {
+    "clean": (lambda obj: None, 0, None),
+    "repeated-key-in-an-entry": (
+        lambda obj: _repeat(obj["images"][2]["entries"][7], "row"), 0, "duplicate key 'row'"),
+    "repeated-key-in-an-image": (
+        lambda obj: _repeat(obj["images"][1], "split", "test", at=0), 0,
+        "duplicate key 'split'"),
+    "repeated-key-at-the-top-level": (
+        lambda obj: _repeat(obj, "seed", 9), 0, "duplicate key 'seed'"),
+    "colon-in-model-name": (lambda obj: obj.update(model_name="m:x"), 0, None),
+    "escaped-colon-in-model-name": (lambda obj: obj.update(model_name="m\x01x"), 0, None),
+    "colon-in-a-prototype-id": (lambda obj: _rename_prototype(obj, "p03", "p:03"), 0, None),
+    "colon-in-a-prototype-id-and-a-repeated-key": (
+        _colon_in_prototype_id_and_repeated_key, 0, "duplicate key 'col'"),
+    "colon-in-a-nested-key": (lambda obj: _colon_in_nested_key(obj, False), 0, None),
+    "colon-in-a-nested-key-and-a-repeated-key": (
+        lambda obj: _colon_in_nested_key(obj, True), 0, "duplicate key 'image_id'"),
+    "object-nested-in-an-entry": (lambda obj: _nested_in_entry(obj, False), 0, None),
+    "repeated-key-nested-in-an-entry": (
+        lambda obj: _nested_in_entry(obj, True), 0, "duplicate key 'a'"),
+    "lone-surrogate-in-a-prototype-id": (
+        lambda obj: _rename_prototype(obj, "p05", "p\ud800"), 0,
+        "prototypes[5].id: 'p\\ud800' is not valid Unicode (a lone surrogate)"),
+    "syntax-error-after-a-repeated-key": (
+        lambda obj: _repeat(obj["images"][0], "width", 50), 40, "duplicate key 'width'"),
+}
+
+
+def _counted_case(tmp_path, name):
+    """The path of the dump file of case ``name`` of COUNTED_CASES."""
+    edit, cut, _ = COUNTED_CASES[name]
+    obj = wide_dump_obj()
+    edit(obj)
+    text = _text(obj)
+    path = tmp_path / "d.json"
+    path.write_bytes(text[:len(text) - cut].encode("utf-8", "backslashreplace"))
+    return path
+
+
+class TestCountedDecode:
+    """parse_dump keeps the tree of a plain decode only when its pair count
+    proves that no key repeats, and decodes the text again strictly when it
+    cannot: either way it gives the reference parser's dump or message."""
+
+    @pytest.mark.parametrize("name", sorted(COUNTED_CASES))
+    def test_case_matches_reference(self, tmp_path, name):
+        path = _counted_case(tmp_path, name)
+        outcome = _outcome(parse_dump, path)
+        assert outcome == _outcome(helpers.parse_dump, path)
+        expected = COUNTED_CASES[name][2]
+        if expected is None:
+            assert isinstance(outcome, EvidenceDump)
+        else:
+            assert outcome == f"{path}: {expected}"
+
+    @pytest.mark.parametrize(
+        "name", ["clean", "colon-in-model-name", "escaped-colon-in-model-name",
+                 "colon-in-a-nested-key"])
+    def test_clean_dump_skips_the_strict_decode(self, tmp_path, monkeypatch, name):
+        path = _counted_case(tmp_path, name)
+        expected = helpers.parse_dump(path)
+
+        def strict(*args, **kwargs):
+            raise AssertionError("strict decode reached")
+
+        monkeypatch.setattr(dumpio, "_loads", strict)
+        assert parse_dump(path) == expected
+
+    def test_colon_in_a_prototype_id_takes_the_strict_decode(self, tmp_path, monkeypatch):
+        path = _counted_case(tmp_path, "colon-in-a-prototype-id")
+        calls = []
+        strict = dumpio._loads
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return strict(*args, **kwargs)
+
+        monkeypatch.setattr(dumpio, "_loads", counted)
+        dump = parse_dump(path)
+        assert calls == [path]
+        assert dump == helpers.parse_dump(path)
+        assert "p:03" in dump.activations.prototype_ids
+
+    @given(data=st.data())
+    @settings(max_examples=helpers.examples(60), deadline=None)
+    def test_drawn_dump_matches_reference(self, tmp_path_factory, data):
+        obj = wide_dump_obj(n_images=3, n_prototypes=12)
+        suffix = st.sampled_from(["", ":", "\x01", "\ud800", ":\x01"])
+        obj["model_name"] += data.draw(suffix, label="model_name")
+        obj["images"][1]["image_id"] += data.draw(suffix, label="image_id")
+        _rename_prototype(obj, "p04", "p04" + data.draw(suffix, label="prototype_id"))
+        if data.draw(st.booleans(), label="notes"):
+            obj["notes"] = {"k" + data.draw(suffix, label="notes key"): ["x:y", {}]}
+        if data.draw(st.booleans(), label="nested in an entry"):
+            _nested_in_entry(obj, False)
+        objects = [node for node in _dicts(obj) if node]
+        for _ in range(data.draw(st.integers(0, 2), label="repeats")):
+            target = data.draw(st.sampled_from(objects), label="object")
+            key = data.draw(st.sampled_from([k for k in target if k[0] != "\0"]), label="key")
+            value = data.draw(st.sampled_from([target[key], 1, "x:y", "z\x01"]), label="value")
+            _repeat(target, key, value, at=data.draw(st.integers(0, len(target)), label="at"))
+        text = _text(obj)
+        cut = data.draw(st.none() | st.integers(1, 200), label="cut")
+        path = tmp_path_factory.mktemp("counted") / "d.json"
+        text = text if cut is None else text[:-cut]
+        path.write_bytes(text.encode("utf-8", "backslashreplace"))
+        assert _outcome(parse_dump, path) == _outcome(helpers.parse_dump, path)
+
+
+def _dicts(node):
+    """Every object in ``node``, ``node`` itself included."""
+    if isinstance(node, dict):
+        yield node
+        children = list(node.values())
+    elif isinstance(node, list):
+        children = node
+    else:
+        children = []
+    for child in children:
+        yield from _dicts(child)
 
 
 class TestActivationTable:

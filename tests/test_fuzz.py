@@ -4,7 +4,8 @@ Each example mutates a valid synth file (dump, annotations, lexicon, report,
 synth spec or ledger) at the level of its JSON tree: a field dropped,
 renamed, repeated or retyped; a number replaced by a bool, a string, ``NaN``,
 ``Infinity``, ``10**400`` or ``2**63``; a name made empty, whitespace-only,
-non-ASCII or a lone surrogate; keys or list items reordered. The CLI must
+non-ASCII, a lone surrogate or one holding a colon, written as itself or as
+the escape ``\\u003a``; keys or list items reordered. The CLI must
 answer every mutant with exit 0 or 2 (1 only where ``evaluate`` reports a
 property it cannot compute), never with a traceback, and the ledger reader
 may raise only :class:`FormatError`. A key written twice in the raw text of
@@ -44,7 +45,10 @@ FUZZ = settings(
 )
 
 NUMBERS = [True, False, "1", math.nan, math.inf, -math.inf, 10**400, 2**63, -1, 0, 0.5]
-NAMES = ["", " ", "\t\n", "\u00a0", "é", "İ", "ß", "日本語", " MASS ", "p\ud800"]
+# a character that write_json writes as the escape \u003a, which decodes to ':'
+ESCAPED_COLON = "\x01"
+NAMES = ["", " ", "\t\n", "\u00a0", "é", "İ", "ß", "日本語", " MASS ", "p\ud800", "p:q",
+         f"p{ESCAPED_COLON}q"]
 RETYPED = [None, True, "x", 0, 1.5, [], {}]
 
 INPUTS = ("dump", "annotations", "lexicon")
@@ -119,8 +123,9 @@ def _reorder_keys(rnd, node):
 
 def write_json(path, obj):
     """``dumpio.write_json``, but a lone surrogate, which UTF-8 cannot hold,
-    is written as its JSON escape."""
-    path.write_bytes(dumps_canonical(obj).encode("utf-8", "backslashreplace"))
+    is written as its JSON escape, and ESCAPED_COLON as ``\\u003a``."""
+    text = dumps_canonical(obj).replace("\\u0001", "\\u003a")
+    path.write_bytes(text.encode("utf-8", "backslashreplace"))
 
 
 def run_cli(*argv):
