@@ -15,8 +15,9 @@ Every file but the dump is decoded by one :func:`json.loads` whose object
 pairs hook rejects a repeated key. The dump is decoded by a plain object
 hook that packs each image's entries into numpy columns as the image's
 object closes, so the parse never holds the whole JSON tree, and that counts
-pairs to prove no key repeats; when it cannot, the strict hook decodes the
-dump again (see :func:`parse_dump`).
+the string tokens it keeps to prove no key repeats; only a dump that repeats
+a key or is not valid JSON is decoded again, by the strict hook, which names
+the fault (see :func:`parse_dump`).
 
 This module imports no numpy. The dump's column packing is array code in
 :mod:`pefcoh.columns`, which :func:`parse_dump` imports on its first call;
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import Field, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -128,7 +130,10 @@ def _reject_lone_surrogates(obj: Any, path: str | Path) -> None:
     """Raise :class:`FormatError` naming the first string, key or value, in
     document order that holds a lone surrogate, which UTF-8 cannot encode.
     Packed entries are not walked: an entry's prototype id either names a
-    prototype, whose own id is walked, or is rejected as unknown."""
+    prototype, whose own id is walked, or is rejected as unknown; a packed
+    list whose entries hold other fields was checked before it was packed,
+    and put back when one holds a lone surrogate (see
+    :func:`_loads_counted`)."""
     stack: list[tuple[Any, str]] = [(obj, "")]
     while stack:
         node, field = stack.pop()
@@ -138,13 +143,21 @@ def _reject_lone_surrogates(obj: Any, path: str | Path) -> None:
                 if not _encodes(key):
                     raise FormatError(f"{path}: {field or 'top level'}: key {key!r} "
                                       "is not valid Unicode (a lone surrogate)")
-                children.append((value, f"{field}.{key}" if field else key))
+                children.append((value, _member(field, key)))
             stack.extend(reversed(children))
         elif type(node) is list:
             stack.extend((node[i], f"{field}[{i}]") for i in reversed(range(len(node))))
         elif type(node) is str and not _encodes(node):
             raise FormatError(f"{path}: {field}: {node!r} is not valid Unicode "
                               "(a lone surrogate)")
+
+
+def _member(field: str, key: str) -> str:
+    """The path of member ``key`` of the object at ``field`` ('' at the top
+    level). A key that does not print as itself (a newline, a lone
+    surrogate) is written as its repr, so a message stays on one line."""
+    name = key if key.isprintable() else repr(key)
+    return f"{field}.{name}" if field else name
 
 
 def _encodes(text: str) -> bool:
@@ -261,7 +274,7 @@ def _read_value(tp: Any, value: Any, where: str, what: str) -> Any:
         if not isinstance(value, dict):
             raise FormatError(f"{where}: {what} must be an object")
         return {
-            key: _read_value(args[1], item, where, f"{what}.{key}")
+            key: _read_value(args[1], item, where, _member(what, key))
             for key, item in value.items()
         }
     if tp is float:
@@ -327,11 +340,13 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     checked while the text decodes, so a fault in the JSON anywhere in the
     file (a syntax error, a repeated key) wins over a fault in a record.
 
-    The text is first decoded by :func:`_loads_counted`, whose plain object
-    hook cannot see a repeated key but counts the pairs it keeps. Only when
-    that count proves that no key repeats is its tree used. Otherwise, and
-    when that decode fails, the text is decoded again, with fresh codes, by
-    the strict :func:`_loads` of every other reader, which names the fault.
+    The text is decoded by :func:`_loads_counted`, whose plain object hook
+    cannot see a repeated key but counts the string tokens it keeps; the
+    tree is used when that count equals the text's, which holds for every
+    valid JSON text that repeats no key, whatever its strings say. Only a
+    text that repeats a key or is not valid JSON is decoded again, with
+    fresh codes, by the strict :func:`_loads` of every other reader, which
+    names the fault.
 
     The image columns are joined into the dump's one ``activations`` table,
     which its images' ``entries`` view; only an image whose entries were
@@ -351,38 +366,47 @@ def parse_dump(path: str | Path) -> EvidenceDump:
 
 def _loads_counted(text: str, path: str | Path, pack: Callable[[dict], bool]) -> Any:
     """The tree of ``text`` as the strict :func:`_loads` would give it with
-    ``pack``, or None when this decode cannot show that no key repeats.
+    ``pack``, or None when ``text`` repeats a key or is not valid JSON.
 
     The object hook takes dicts, not the pair lists of ``_unique_keys``,
-    whose building is most of the strict decode's extra time. It counts the
-    pairs of the entry objects of every list that ``pack`` packs, and one
-    walk of the retained tree adds the pairs of every object left in it.
-    Each ``:`` outside a string separates one written pair, so
-    ``text.count(":")`` less the colons of the retained strings is at least
-    the pairs written. Those strings are their source text when ``text``
-    holds no backslash, so their colons are subtracted then and only then.
-    No object adds more than its written pairs to the count, and one that
-    repeats a key adds fewer (an object dropped by a repeated key, or nested
-    in a packed entry, adds none), so the two are equal only when no key
-    repeats.
+    whose building is most of the strict decode's extra time, and counts
+    the string tokens it keeps. In valid JSON each string token is a key,
+    one per written pair, or a string value, so a decode that drops nothing
+    keeps exactly the text's unescaped quotes over two, and one that drops
+    a repeated key keeps fewer. Nothing in the count reads what a string
+    says. An entry that ``pack`` packs with only its four keys keeps five
+    (four keys and its prototype id); any other packed list is walked, and
+    one walk of the retained tree counts the rest.
     """
-    packed_pairs = 0
+    escaped = "\\" in text
+    tokens = 0
 
     def hook(obj: dict) -> dict:
-        nonlocal packed_pairs
+        nonlocal tokens
         if "entries" in obj:
             entries = obj["entries"]
-            if pack(obj):  # a list of entry objects
-                packed_pairs += sum(map(len, entries))
+            if not pack(obj):  # not a list of entry objects
+                return obj
+            if sum(map(len, entries)) == 4 * len(entries):  # only their four keys
+                tokens += 5 * len(entries)
+                return obj
+            try:  # the fields that packing drops, checked as _loads checks them
+                if escaped:
+                    _reject_lone_surrogates(entries, path)
+            except FormatError:
+                obj["entries"] = entries  # for the document-order walk to name
+            else:
+                tokens += _string_tokens(entries)
         return obj
 
     try:
         obj = json.loads(text, object_hook=hook)
     except (ValueError, RecursionError):
         return None
-    escaped = "\\" in text
-    pairs, colons = _pairs_and_colons(obj, count_colons=not escaped)
-    if packed_pairs + pairs != text.count(":") - colons:
+    quotes = text.count('"')
+    if escaped:  # less the escaped quotes, each after an odd run of backslashes
+        quotes -= re.findall(r'\\[\\"]', text).count('\\"')
+    if 2 * (tokens + _string_tokens(obj)) != quotes:
         return None
     # text read as UTF-8 holds no surrogate; only a \u escape can decode to one
     if escaped:
@@ -390,23 +414,21 @@ def _loads_counted(text: str, path: str | Path, pack: Callable[[dict], bool]) ->
     return obj
 
 
-def _pairs_and_colons(obj: Any, count_colons: bool) -> tuple[int, int]:
-    """The pairs of every object in ``obj`` and, with ``count_colons``, the
-    colons in its keys and string values. Packed entries are not walked."""
-    pairs = colons = 0
+def _string_tokens(obj: Any) -> int:
+    """The keys of every object in ``obj`` and its string values. Packed
+    entries are not walked."""
+    tokens = 0
     stack = [obj]
     while stack:
         node = stack.pop()
         if type(node) is dict:
-            pairs += len(node)
-            if count_colons:
-                colons += sum(key.count(":") for key in node)
+            tokens += len(node)
             stack.extend(node.values())
         elif type(node) is list:
             stack.extend(node)
-        elif count_colons and type(node) is str:
-            colons += node.count(":")
-    return pairs, colons
+        elif type(node) is str:
+            tokens += 1
+    return tokens
 
 
 def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> EvidenceDump:

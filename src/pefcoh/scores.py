@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .dumpio import ConsistencyError, to_json
+from .dumpio import ConsistencyError, _member, to_json
 from .records import COMBINED_LEVEL, SPLITS, Lexicon
 
 if TYPE_CHECKING:
@@ -99,7 +99,7 @@ class PropertyScores:
         for name in ("sparsity_ratio", "relevance", "uniqueness", "class_specific"):
             _check_range(name, getattr(self, name), 1)
         for level, value in self.specialization.items():
-            _check_range(f"specialization.{level}", value, 1)
+            _check_range(_member("specialization", level), value, 1)
         for name in (
             "total_prototypes", "global_prototypes", "local_positive", "local_negative",
             "relevant_prototypes", "unique_categories", "coverage", "total_categories",

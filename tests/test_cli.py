@@ -911,6 +911,53 @@ class TestLoneSurrogate:
             parse_ledger(path)
 
 
+    @pytest.mark.parametrize("field_text, field", [
+        ('"note": "\\ud800", ', "note: '\\ud800' is not valid Unicode"),
+        ('"extra": {"k\\ud800": 1}, ', "extra: key 'k\\ud800' is not valid Unicode"),
+    ], ids=["value", "key"])
+    def test_entry_field_that_packing_drops(self, tmp_path, capsys, field_text, field):
+        assert run_cli("synth", "--out", tmp_path, "--seed", 3) == 0
+        path = tmp_path / "dump.json"
+        self._plant(path, '"prototype_id"', field_text + '"prototype_id"')
+        capsys.readouterr()
+        assert run_cli("validate", "--dump", path,
+                       "--annotations", tmp_path / "annotations.json") == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"dump: ERROR {path}: images[0].entries[0].{field} (a lone ")
+
+
+class TestKeyThatDoesNotPrint:
+    """A field path writes a key that does not print as itself (here one
+    holding a newline) as its repr, so the cause stays on one line."""
+
+    def test_dump(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", tmp_path, "--seed", 3) == 0
+        path = tmp_path / "dump.json"
+        TestLoneSurrogate._plant(path, '"format"', '"\\t\\n": [{"p\\ud800": 1}], "format"')
+        capsys.readouterr()
+        assert run_cli("evaluate", "--dump", path, "--annotations",
+                       tmp_path / "annotations.json", "--out", tmp_path / "e") == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: '\\t\\n'[0]: key 'p\\ud800' is not valid Unicode "
+            "(a lone surrogate)\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "scores.specialization.'a\\nb' must be float, got str"),
+        (2.0, "bad scores: specialization.'a\\nb' must be in [0, 1], got 2.0"),
+    ], ids=["type", "range"])
+    def test_report(self, synth_dir, tmp_path, capsys, value, message):
+        out = tmp_path / "e"
+        assert run_cli("evaluate", "--dump", synth_dir / "dump.json",
+                       "--annotations", synth_dir / "annotations.json", "--out", out) == 0
+        path = out / "m1-seed11.report.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["scores"]["specialization"]["a\nb"] = value
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("compare", path, "--out", tmp_path / "cmp") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 class TestCliDeterminism:
     def test_full_pipeline_byte_identical(self, tmp_path):
         def run_tree(root: Path):

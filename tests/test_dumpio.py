@@ -735,6 +735,24 @@ COUNTED_CASES = {
         "prototypes[5].id: 'p\\ud800' is not valid Unicode (a lone surrogate)"),
     "syntax-error-after-a-repeated-key": (
         lambda obj: _repeat(obj["images"][0], "width", 50), 40, "duplicate key 'width'"),
+    "lone-surrogate-in-an-entry-field": (
+        lambda obj: obj["images"][0]["entries"][0].update(note="\ud800"), 0,
+        "images[0].entries[0].note: '\\ud800' is not valid Unicode (a lone surrogate)"),
+    "lone-surrogate-in-a-key-in-an-entry": (
+        lambda obj: obj["images"][0]["entries"][0].update(extra={"k\ud800": 1}), 0,
+        "images[0].entries[0].extra: key 'k\\ud800' is not valid Unicode (a lone surrogate)"),
+}
+
+# name: edit of a clean dump object, whose text is written as json.dumps
+# writes it by default, with every non-ASCII character as a \u escape
+ESCAPED_CLEAN_CASES = {
+    "colon-in-a-prototype-id": lambda obj: _rename_prototype(obj, "p03", "p:03"),
+    "escaped-e-acute-and-a-colon-timestamp": lambda obj: obj.update(
+        model_name="protopnet-é", exported="2024-03-01T12:00:00"),
+    "escaped-quote-in-an-image-id": lambda obj: obj["images"][1].update(image_id='img"1'),
+    "key-ending-in-an-escaped-backslash": lambda obj: obj.update(notes={"k\\": "v\\"}),
+    "extra-field-in-an-entry": lambda obj: obj["images"][2]["entries"][7].update(note="a:b"),
+    "object-nested-in-an-entry": lambda obj: _nested_in_entry(obj, False),
 }
 
 
@@ -778,7 +796,7 @@ class TestCountedDecode:
         monkeypatch.setattr(dumpio, "_loads", strict)
         assert parse_dump(path) == expected
 
-    def test_colon_in_a_prototype_id_takes_the_strict_decode(self, tmp_path, monkeypatch):
+    def test_colon_in_a_prototype_id_skips_the_strict_decode(self, tmp_path, monkeypatch):
         path = _counted_case(tmp_path, "colon-in-a-prototype-id")
         calls = []
         strict = dumpio._loads
@@ -789,9 +807,23 @@ class TestCountedDecode:
 
         monkeypatch.setattr(dumpio, "_loads", counted)
         dump = parse_dump(path)
-        assert calls == [path]
+        assert calls == []
         assert dump == helpers.parse_dump(path)
         assert "p:03" in dump.activations.prototype_ids
+
+    @pytest.mark.parametrize("name", sorted(ESCAPED_CLEAN_CASES))
+    def test_escaped_clean_dump_skips_the_strict_decode(self, tmp_path, monkeypatch, name):
+        obj = wide_dump_obj()
+        ESCAPED_CLEAN_CASES[name](obj)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+        expected = helpers.parse_dump(path)
+
+        def strict(*args, **kwargs):
+            raise AssertionError("strict decode reached")
+
+        monkeypatch.setattr(dumpio, "_loads", strict)
+        assert parse_dump(path) == expected
 
     @given(data=st.data())
     @settings(max_examples=helpers.examples(60), deadline=None)
@@ -817,6 +849,51 @@ class TestCountedDecode:
         text = text if cut is None else text[:-cut]
         path.write_bytes(text.encode("utf-8", "backslashreplace"))
         assert _outcome(parse_dump, path) == _outcome(helpers.parse_dump, path)
+
+    @given(data=st.data())
+    @settings(max_examples=helpers.examples(60), deadline=None)
+    def test_strict_decode_only_names_faults(self, tmp_path_factory, data):
+        obj = wide_dump_obj(n_images=3, n_prototypes=12)
+        names = ["", ":", "\x01", "\ud800", ":\x01", '"', "\\"]
+        suffix = st.sampled_from(names)
+        # check_run_id rejects a backslash in model_name, and the reference does not
+        obj["model_name"] += data.draw(st.sampled_from(names[:-1]), label="model_name")
+        obj["images"][1]["image_id"] += data.draw(suffix, label="image_id")
+        _rename_prototype(obj, "p04", "p04" + data.draw(suffix, label="prototype_id"))
+        if data.draw(st.booleans(), label="notes"):
+            obj["notes"] = {"k" + data.draw(suffix, label="notes key"): ["x:y", {}]}
+        if data.draw(st.booleans(), label="nested in an entry"):
+            _nested_in_entry(obj, False)
+        if data.draw(st.booleans(), label="string field in an entry"):
+            entry = obj["images"][2]["entries"][data.draw(st.integers(0, 11), label="entry")]
+            entry["note"] = "n" + data.draw(suffix, label="note")
+        objects = [node for node in _dicts(obj) if node]
+        for _ in range(data.draw(st.integers(0, 2), label="repeats")):
+            target = data.draw(st.sampled_from(objects), label="object")
+            key = data.draw(st.sampled_from([k for k in target if k[0] != "\0"]), label="key")
+            value = data.draw(st.sampled_from([target[key], 1, "x:y", "z\x01"]), label="value")
+            _repeat(target, key, value, at=data.draw(st.integers(0, len(target)), label="at"))
+        text = _text(obj)
+        cut = data.draw(st.none() | st.integers(1, 200), label="cut")
+        path = tmp_path_factory.mktemp("counted") / "d.json"
+        text = text if cut is None else text[:-cut]
+        path.write_bytes(text.encode("utf-8", "backslashreplace"))
+
+        calls = []
+        strict = dumpio._loads
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return strict(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dumpio, "_loads", counted)
+            outcome = _outcome(parse_dump, path)
+        expected = _outcome(helpers.parse_dump, path)
+        assert outcome == expected
+        fault = isinstance(expected, str) and re.match(
+            f"{re.escape(str(path))}: (duplicate key|not valid JSON)", expected)
+        assert bool(calls) == bool(fault)
 
 
 def _dicts(node):

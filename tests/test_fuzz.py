@@ -48,7 +48,7 @@ NUMBERS = [True, False, "1", math.nan, math.inf, -math.inf, 10**400, 2**63, -1, 
 # a character that write_json writes as the escape \u003a, which decodes to ':'
 ESCAPED_COLON = "\x01"
 NAMES = ["", " ", "\t\n", "\u00a0", "é", "İ", "ß", "日本語", " MASS ", "p\ud800", "p:q",
-         f"p{ESCAPED_COLON}q"]
+         f"p{ESCAPED_COLON}q", 'p"q', "p\\q"]
 RETYPED = [None, True, "x", 0, 1.5, [], {}]
 
 INPUTS = ("dump", "annotations", "lexicon")
