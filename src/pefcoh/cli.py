@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
+import os
 import sys
 from pathlib import Path
 
-from . import dumpio, report, synth
+from . import dumpio, report
 from .records import SPLITS
 from .scores import LP_WEIGHT_CLASSES, RunConfig, aggregate
 
@@ -186,6 +187,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth  # the generator, loaded by this command only
+
     spec = synth.parse_synth_spec(args.spec) if args.spec else synth.SynthSpec()
     overrides = {
         "rng_seed": args.seed,
@@ -220,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (dumpio.FormatError, dumpio.ConsistencyError, synth.InfeasibleSpecError) as exc:
+    except (dumpio.FormatError, dumpio.ConsistencyError, dumpio.InfeasibleSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
@@ -228,5 +231,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The program: ``python -m pefcoh`` and the ``pefcoh`` script run
+    :func:`main` on ``sys.argv`` through this function.
+
+    numpy starts with one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is
+    set: pefcoh makes no BLAS call (its one matrix product, in
+    ``geometry._areas``, is of integers, which numpy computes without BLAS),
+    and starting the thread pool is a large share of ``import numpy``. The
+    variable is read once, when numpy loads, so it is set here, before
+    anything imports numpy, and not in :func:`main`, which leaves the
+    environment of a caller's process as it is.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

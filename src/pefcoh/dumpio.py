@@ -71,6 +71,13 @@ class ConsistencyError(ValueError):
     """Two otherwise-valid files disagree (class lists, splits, labels)."""
 
 
+class InfeasibleSpecError(ValueError):
+    """A synth spec's planted targets or dimensions cannot be realized.
+    Raised by :mod:`pefcoh.synth`, which exports it; it is defined here, with
+    the other input faults, so the CLI catches it without loading the
+    generator."""
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
@@ -92,11 +99,14 @@ def _read_text(path: str | Path) -> str:
 
 
 def _unique_keys(
-    path: str | Path, pack: Callable[[dict], None] | None = None
+    path: str | Path, codes: dict[str, int] | None = None
 ) -> Callable[[list[tuple[str, Any]]], dict]:
     """The ``object_pairs_hook`` that builds an object and rejects a repeated
-    key; with ``pack``, it then passes each object that holds ``entries`` to
-    ``pack``."""
+    key; with ``codes``, it then packs the entries of each object that holds
+    ``entries``, coding prototype ids by ``codes`` (see
+    :func:`pefcoh.columns.pack_entries`)."""
+    if codes is not None:
+        from . import columns
 
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
         obj = dict(pairs)
@@ -106,34 +116,40 @@ def _unique_keys(
                 if key in seen:
                     raise FormatError(f"{path}: duplicate key {key!r}")
                 seen.add(key)
-        if pack is not None and "entries" in obj:
-            pack(obj)
+        if codes is not None and "entries" in obj:
+            columns.pack_entries(obj, codes)
         return obj
 
     return unique_keys
 
 
-def _loads(text: str, path: str | Path, pack: Callable[[dict], None] | None = None) -> Any:
+def _loads(text: str, path: str | Path, codes: dict[str, int] | None = None) -> Any:
+    """The decode of ``text`` that raises :class:`FormatError` on a repeated
+    key, invalid JSON or a lone surrogate. With ``codes`` the text is a dump,
+    whose entries are packed as their objects close (see :func:`_unique_keys`)."""
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys(path, pack))
+        obj = json.loads(text, object_pairs_hook=_unique_keys(path, codes))
     except FormatError:
         raise
     except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     # text read as UTF-8 holds no surrogate; only a \u escape can decode to one
     if "\\" in text:
-        _reject_lone_surrogates(obj, path)
+        _reject_lone_surrogates(obj, path, list(codes or ()))
     return obj
 
 
-def _reject_lone_surrogates(obj: Any, path: str | Path) -> None:
+def _reject_lone_surrogates(obj: Any, path: str | Path, ids: Sequence[str] = ()) -> None:
     """Raise :class:`FormatError` naming the first string, key or value, in
     document order that holds a lone surrogate, which UTF-8 cannot encode.
-    Packed entries are not walked: an entry's prototype id either names a
-    prototype, whose own id is walked, or is rejected as unknown; a packed
-    list whose entries hold other fields was checked before it was packed,
-    and put back when one holds a lone surrogate (see
-    :func:`_loads_counted`)."""
+
+    Packed entries (columns, the only tuples in a decoded tree) are walked
+    through ``ids``, the prototype id of each code: an entry packed with
+    only its four keys holds no other string. A packed list whose entries
+    hold other fields was checked before it was packed, and put back when
+    one holds a lone surrogate (see :func:`_loads_counted`).
+    """
+    bad_codes = {code for code, pid in enumerate(ids) if not _encodes(pid)}
     stack: list[tuple[Any, str]] = [(obj, "")]
     while stack:
         node, field = stack.pop()
@@ -150,6 +166,11 @@ def _reject_lone_surrogates(obj: Any, path: str | Path) -> None:
         elif type(node) is str and not _encodes(node):
             raise FormatError(f"{path}: {field}: {node!r} is not valid Unicode "
                               "(a lone surrogate)")
+        elif isinstance(node, tuple) and bad_codes:
+            for j, code in enumerate(node.proto.tolist()):
+                if code in bad_codes:
+                    raise FormatError(f"{path}: {field}[{j}].prototype_id: {ids[code]!r} "
+                                      "is not valid Unicode (a lone surrogate)")
 
 
 def _member(field: str, key: str) -> str:
@@ -352,21 +373,19 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     which its images' ``entries`` view; only an image whose entries were
     left unpacked is walked entry by entry, to name its first bad entry.
     """
-    from . import columns  # the array code, loaded by the first dump parsed
-
     text = _read_text(path)
     codes: dict[str, int] = {}
-    raw = _loads_counted(text, path, lambda obj: columns.pack_entries(obj, codes))
+    raw = _loads_counted(text, path, codes)
     if raw is None:
         codes = {}
-        raw = _loads(text, path, pack=lambda obj: columns.pack_entries(obj, codes))
+        raw = _loads(text, path, codes)
     del text  # not held while the columns are joined, which copies them
     return _dump_from_raw(raw, path, codes)
 
 
-def _loads_counted(text: str, path: str | Path, pack: Callable[[dict], bool]) -> Any:
+def _loads_counted(text: str, path: str | Path, codes: dict[str, int]) -> Any:
     """The tree of ``text`` as the strict :func:`_loads` would give it with
-    ``pack``, or None when ``text`` repeats a key or is not valid JSON.
+    ``codes``, or None when ``text`` repeats a key or is not valid JSON.
 
     The object hook takes dicts, not the pair lists of ``_unique_keys``,
     whose building is most of the strict decode's extra time, and counts
@@ -374,10 +393,12 @@ def _loads_counted(text: str, path: str | Path, pack: Callable[[dict], bool]) ->
     one per written pair, or a string value, so a decode that drops nothing
     keeps exactly the text's unescaped quotes over two, and one that drops
     a repeated key keeps fewer. Nothing in the count reads what a string
-    says. An entry that ``pack`` packs with only its four keys keeps five
+    says. An entry packed with only its four keys keeps five
     (four keys and its prototype id); any other packed list is walked, and
     one walk of the retained tree counts the rest.
     """
+    from . import columns  # the array code, loaded by the first dump parsed
+
     escaped = "\\" in text
     tokens = 0
 
@@ -385,7 +406,7 @@ def _loads_counted(text: str, path: str | Path, pack: Callable[[dict], bool]) ->
         nonlocal tokens
         if "entries" in obj:
             entries = obj["entries"]
-            if not pack(obj):  # not a list of entry objects
+            if not columns.pack_entries(obj, codes):  # not a list of entry objects
                 return obj
             if sum(map(len, entries)) == 4 * len(entries):  # only their four keys
                 tokens += 5 * len(entries)
@@ -410,7 +431,7 @@ def _loads_counted(text: str, path: str | Path, pack: Callable[[dict], bool]) ->
         return None
     # text read as UTF-8 holds no surrogate; only a \u escape can decode to one
     if escaped:
-        _reject_lone_surrogates(obj, path)
+        _reject_lone_surrogates(obj, path, list(codes))
     return obj
 
 

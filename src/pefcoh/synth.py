@@ -22,7 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .dumpio import _check_format, _load_json, check_run_id, read_dataclass, to_json
+from .dumpio import (
+    InfeasibleSpecError,
+    _check_format,
+    _load_json,
+    check_run_id,
+    read_dataclass,
+    to_json,
+)
 from .records import (
     COMBINED_LEVEL,
     TEST,
@@ -48,10 +55,6 @@ LEDGER_FORMAT = "pefcoh-ledger/1"
 CLASS_NAMES = ("benign", "malignant")
 MASS_AXES = ("shape", "margin")
 CALC_AXES = ("morphology", "distribution")
-
-
-class InfeasibleSpecError(ValueError):
-    """The planted targets or dimensions cannot be realized."""
 
 
 @dataclass(frozen=True)

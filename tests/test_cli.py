@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -994,6 +995,33 @@ class TestCliDeterminism:
         for rel in files1:
             assert ((tmp_path / "run1" / rel).read_bytes()
                     == (tmp_path / "run2" / rel).read_bytes()), rel
+
+    @pytest.mark.parametrize("table", ["markdown", "csv"])
+    def test_evaluate_byte_identical_across_blas_threads(self, tmp_path, table):
+        """The program runs numpy with one OpenBLAS thread by default; a float
+        BLAS call added later must not make the reports depend on that."""
+        for seed in (3, 4):
+            assert run_cli("synth", "--out", tmp_path / f"s{seed}", "--seed", seed,
+                           "--structure-seed", 11) == 0
+
+        def outputs(threads: str) -> dict:
+            out = tmp_path / f"eval-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "pefcoh", "evaluate",
+                 "--dump", tmp_path / "s3" / "dump.json", "--dump", tmp_path / "s4" / "dump.json",
+                 "--annotations", tmp_path / "s3" / "annotations.json",
+                 "--lexicon", tmp_path / "s3" / "lexicon.json",
+                 "--format", table, "--fixed-timestamp", "--out", out],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            return {"stdout": proc.stdout.replace(str(out), "OUT"), **files}
+
+        one = outputs("1")
+        assert len(one) == 5  # stdout, two reports, aggregate.json, the table
+        assert one == outputs("4")
 
 
 class TestComparisonRendering:

@@ -697,6 +697,11 @@ def _nested_in_entry(obj, repeated):
         _repeat(extra, "a", 2, at=0)
 
 
+def _prototypes_last(obj):
+    """Move the prototypes after the images in the text of ``obj``."""
+    obj["prototypes"] = obj.pop("prototypes")
+
+
 def _colon_in_nested_key(obj, repeated):
     obj["notes"] = {"a:b": {"c:d": ["e:f", 1]}, "g": "h:"}
     if repeated:
@@ -741,6 +746,14 @@ COUNTED_CASES = {
     "lone-surrogate-in-a-key-in-an-entry": (
         lambda obj: obj["images"][0]["entries"][0].update(extra={"k\ud800": 1}), 0,
         "images[0].entries[0].extra: key 'k\\ud800' is not valid Unicode (a lone surrogate)"),
+    "lone-surrogate-in-an-unknown-entry-prototype-id": (
+        lambda obj: obj["images"][0]["entries"][0].update(prototype_id="zz\ud800"), 0,
+        "images[0].entries[0].prototype_id: 'zz\\ud800' is not valid Unicode "
+        "(a lone surrogate)"),
+    "lone-surrogate-in-a-prototype-id-after-the-images": (
+        lambda obj: (_rename_prototype(obj, "p05", "p\ud800"), _prototypes_last(obj)), 0,
+        "images[0].entries[53].prototype_id: 'p\\ud800' is not valid Unicode "
+        "(a lone surrogate)"),
 }
 
 # name: edit of a clean dump object, whose text is written as json.dumps
@@ -833,6 +846,13 @@ class TestCountedDecode:
         obj["model_name"] += data.draw(suffix, label="model_name")
         obj["images"][1]["image_id"] += data.draw(suffix, label="image_id")
         _rename_prototype(obj, "p04", "p04" + data.draw(suffix, label="prototype_id"))
+        if data.draw(st.booleans(), label="unknown prototype in an entry"):
+            entry = obj["images"][data.draw(st.integers(0, 2), label="image")]["entries"][
+                data.draw(st.integers(0, 11), label="entry")]
+            entry["prototype_id"] = data.draw(st.sampled_from(["zz", "zz\ud800"]),
+                                              label="unknown prototype_id")
+        if data.draw(st.booleans(), label="prototypes after the images"):
+            _prototypes_last(obj)
         if data.draw(st.booleans(), label="notes"):
             obj["notes"] = {"k" + data.draw(suffix, label="notes key"): ["x:y", {}]}
         if data.draw(st.booleans(), label="nested in an entry"):

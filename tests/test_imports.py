@@ -1,6 +1,7 @@
 """The import graph: ``pefcoh.cli`` and a whole ``compare`` run stay off the
-array code, and the package's public names resolve lazily to the objects of
-their submodules."""
+array code, only ``synth`` loads the generator, the program starts numpy
+with one OpenBLAS thread, and the package's public names resolve lazily to
+the objects of their submodules."""
 
 import importlib
 import json
@@ -38,20 +39,31 @@ PUBLIC = {
 }
 
 
-def loaded_array_code(script: str) -> list[str]:
-    """The array-code modules that a fresh interpreter has loaded after
-    running ``script``."""
-    probe = (f"{script}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {ARRAY_CODE!r} if m in sys.modules]))")
+def child_env(**variables: str | None) -> dict[str, str]:
+    """This environment with ``src`` on the path and each of ``variables``
+    set, or removed when None."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def loaded(script: str, modules: tuple[str, ...] = ARRAY_CODE) -> list[str]:
+    """Those of ``modules`` that a fresh interpreter has loaded after running
+    ``script``."""
+    probe = (f"{script}\nimport json, sys\n"
+             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=child_env(), check=True)
     return json.loads(proc.stdout.splitlines()[-1])  # after the CLI's own lines
 
 
 def test_import_cli_loads_no_array_code():
-    assert loaded_array_code("import pefcoh.cli") == []
+    assert loaded("import pefcoh.cli") == []
 
 
 def test_compare_loads_no_array_code(tmp_path):
@@ -62,7 +74,7 @@ def test_compare_loads_no_array_code(tmp_path):
     argv = ["compare", str(out / "synthetic-seed3.report.json"),
             "--out", str(tmp_path / "cmp"), "--format", "all"]
     script = f"from pefcoh import cli\nassert cli.main({argv!r}) == 0"
-    assert loaded_array_code(script) == []
+    assert loaded(script) == []
     assert (tmp_path / "cmp" / "comparison.md").is_file()
 
 
@@ -72,8 +84,74 @@ def test_evaluate_loads_the_array_code(tmp_path):
     argv = ["evaluate", "--dump", str(synth / "dump.json"),
             "--annotations", str(synth / "annotations.json"), "--out", str(tmp_path / "eval")]
     script = f"from pefcoh import cli\nassert cli.main({argv!r}) == 0"
-    assert loaded_array_code(script) == ["numpy", "pefcoh.metrics", "pefcoh.geometry",
-                                         "pefcoh.columns"]
+    assert loaded(script) == ["numpy", "pefcoh.metrics", "pefcoh.geometry",
+                              "pefcoh.columns"]
+
+
+@pytest.fixture(scope="module")
+def synth_run(tmp_path_factory):
+    """The argv of an ``evaluate`` and of a ``compare`` run on a synth dump;
+    each has run once, so either may run again in any order."""
+    root = tmp_path_factory.mktemp("synth-run")
+    synth = root / "synth"
+    assert main(["synth", "--out", str(synth), "--seed", "3"]) == 0
+    evaluate = ["evaluate", "--dump", str(synth / "dump.json"),
+                "--annotations", str(synth / "annotations.json"), "--out", str(root / "eval")]
+    assert main(evaluate) == 0
+    compare = ["compare", str(root / "eval" / "synthetic-seed3.report.json"),
+               "--out", str(root / "cmp")]
+    return {"evaluate": evaluate, "compare": compare}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_run_loads_no_synth(synth_run, command):
+    script = f"from pefcoh import cli\nassert cli.main({synth_run[command]!r}) == 0"
+    assert loaded(script, ("pefcoh.synth",)) == []
+
+
+def test_import_cli_loads_no_synth():
+    assert loaded("import pefcoh.cli", ("pefcoh.synth",)) == []
+
+
+def test_main_leaves_the_environment_unchanged(synth_run, tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    for argv in (synth_run["evaluate"], synth_run["compare"],
+                 ["synth", "--out", str(tmp_path / "synth"), "--seed", "4"]):
+        assert main(argv) == 0
+        assert dict(os.environ) == before
+
+
+# ``python -m pefcoh``, as the program runs; at exit it prints its thread count
+# (``Threads:`` of /proc/self/status), whether numpy loaded and the variable
+PROGRAM = """\
+import atexit, json, os, runpy, sys
+
+def report():
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+    print(json.dumps([threads, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")]))
+
+atexit.register(report)
+sys.argv[1:] = {argv!r}
+runpy.run_module("pefcoh", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "preset"])
+def test_program_starts_numpy_with_one_blas_thread(synth_run, preset):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROGRAM.format(argv=synth_run["evaluate"])],
+        capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=preset),
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads, numpy_loaded, variable = json.loads(proc.stdout.splitlines()[-1])
+    assert numpy_loaded
+    if preset is None:
+        assert (threads, variable) == (1, "1")
+    else:  # the user's value is kept; OpenBLAS may cap it at the CPU count
+        assert variable == preset
 
 
 @pytest.mark.parametrize("module, name",
