@@ -24,7 +24,7 @@ _PUBLIC = {
         "dump_to_json", "load_annotations", "parse_annotations", "parse_dump",
         "parse_lexicon", "total_categories",
     ),
-    "geometry": ("PatchBox", "contains_point", "dsc", "iou", "resolve_patch_box", "roi_center"),
+    "geometry": ("resolve_patch_box",),
     "metrics": (
         "EvaluationReport", "PrototypeVerdict", "TopKEvidence", "class_specific", "coverage",
         "evaluate", "global_prototypes", "local_prototypes", "localization", "relevance",

@@ -91,9 +91,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
              if hasattr(args, f.name)}
     levels = given.get("levels")
-    if levels is not None:  # "" means all levels
+    if levels is not None:  # a value that names no level, "" or ",", means all levels
         parts = (part.strip() for part in levels.split(","))
-        given["levels"] = tuple(part for part in parts if part) if levels else None
+        given["levels"] = tuple(part for part in parts if part) or None
     if given.get("tc_split") == "all":
         given["tc_split"] = None
     return RunConfig(**given)

@@ -11,8 +11,8 @@ denominator of 2, and a shifted or clipped edge is an integer. ROI edges are
 integers too. So the image's patch lattice, with scale ``2 * feature_w`` on
 x and ``2 * feature_h`` on y, holds every patch and ROI edge as an integer:
 :func:`patch_lattice` resolves many cells at once as int64 edges on it, and
-:func:`resolve_patch_box` is the same arithmetic on one cell, returned as a
-:class:`PatchBox` of :class:`fractions.Fraction` edges.
+:func:`resolve_patch_box` is the same arithmetic on one cell, returned as
+pixel edges: each lattice edge over its scale, correctly rounded to a float.
 
 Union and intersection areas are exact integer sums over the cells of one
 coordinate-compressed grid cut by the boxes' lattice edges, so the only
@@ -25,62 +25,14 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .records import ROIAnnotation, fits_exact_grid
+from .records import fits_exact_grid
 
 logger = logging.getLogger(__name__)
-
-Number = int | Fraction
-
-
-@dataclass(frozen=True)
-class PatchBox:
-    """Axis-aligned half-open rectangle in pixel coordinates."""
-
-    x_min: Fraction
-    y_min: Fraction
-    x_max: Fraction
-    y_max: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"degenerate box: {self.as_tuple()}")
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
-
-    def as_floats(self) -> tuple[float, float, float, float]:
-        return tuple(float(v) for v in self.as_tuple())
-
-    def area(self) -> Fraction:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-    def center(self) -> tuple[Fraction, Fraction]:
-        return ((self.x_min + self.x_max) / 2, (self.y_min + self.y_max) / 2)
-
-
-# Box sets: PatchBox sequences, or (n, 4) int64 arrays of edges
-# (x_min, y_min, x_max, y_max) on one patch lattice.
-RegionSet = Sequence[PatchBox] | np.ndarray
-
-
-def contains_point(box: PatchBox, x: Number | float, y: Number | float) -> bool:
-    """Half-open containment test."""
-    return box.x_min <= x < box.x_max and box.y_min <= y < box.y_max
-
-
-def roi_center(roi: ROIAnnotation) -> tuple[Fraction, Fraction]:
-    x_min, y_min, x_max, y_max = roi.bbox
-    return (Fraction(x_min + x_max, 2), Fraction(y_min + y_max, 2))
-
 
 # ---------------------------------------------------------------------------
 # the patch lattice
@@ -151,9 +103,8 @@ def patch_lattice(
     return np.stack((x_min, y_min, x_max, y_max), axis=1)
 
 
-# A pure function of seven ints returning a frozen box: one dump repeats the
-# same few thousand (cell, feature map, image size) keys across its top-k
-# evidence.
+# A pure function of seven ints returning a tuple: one dump repeats the same
+# few thousand (cell, feature map, image size) keys across its top-k evidence.
 @functools.lru_cache(maxsize=4096)
 def resolve_patch_box(
     loc_row: int,
@@ -163,13 +114,17 @@ def resolve_patch_box(
     image_width: int,
     image_height: int,
     patch_size: int,
-) -> PatchBox:
+) -> tuple[float, float, float, float]:
     """Map a feature-map cell to a fixed-size patch box in pixel space.
 
     The box has side ``patch_size`` and is centered on the cell center
     mapped into pixel coordinates. A box that overhangs the image is
     translated (not shrunk) back inside; only when an image dimension is
     smaller than ``patch_size`` does the box span that full dimension.
+
+    Returns the pixel edges ``(x_min, y_min, x_max, y_max)`` as floats: each
+    lattice edge over its scale, ``2 * feature_w`` or ``2 * feature_h``, as an
+    ``int / int`` division, which is correctly rounded at any size.
     """
     if not (0 <= loc_row < feature_h and 0 <= loc_col < feature_w):
         raise ValueError(
@@ -181,38 +136,11 @@ def resolve_patch_box(
     x_min, x_max = _span(loc_col, feature_w, image_width, min(patch_size, image_width), _clip)
     y_min, y_max = _span(loc_row, feature_h, image_height, min(patch_size, image_height), _clip)
     sx, sy = 2 * feature_w, 2 * feature_h
-    return PatchBox(Fraction(x_min, sx), Fraction(y_min, sy),
-                    Fraction(x_max, sx), Fraction(y_max, sy))
+    return x_min / sx, y_min / sy, x_max / sx, y_max / sy
 
 
 # ---------------------------------------------------------------------------
 # exact areas
-
-
-def _scaled(values: list[Fraction]) -> tuple[list[int], int]:
-    """One axis's edges as integers: scaled by their common denominator and
-    counted from the smallest edge, with that scale."""
-    scale = math.lcm(*{v.denominator for v in values})
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
-    base = min(scaled)
-    return [v - base for v in scaled], scale
-
-
-def _on_lattice(
-    a: Sequence[PatchBox], b: Sequence[PatchBox]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Two box sequences as edge arrays on their common lattice, each axis
-    scaled by the common denominator of its edges, with the number of lattice
-    cells in one square pixel (the product of the scales). An edge one past
-    int64 raises ``OverflowError``, which
-    :func:`pefcoh.records.fits_exact_grid` rules out for a parsed dump."""
-    boxes = [*a, *b]
-    if not boxes:
-        return np.empty((0, 4), dtype=np.int64), np.empty((0, 4), dtype=np.int64), 1
-    xs, sx = _scaled([v for box in boxes for v in (box.x_min, box.x_max)])
-    ys, sy = _scaled([v for box in boxes for v in (box.y_min, box.y_max)])
-    edges = np.array(list(zip(xs[0::2], ys[0::2], xs[1::2], ys[1::2])), dtype=np.int64)
-    return edges[: len(a)], edges[len(a):], sx * sy
 
 
 def _areas(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
@@ -237,43 +165,16 @@ def _areas(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
     )
 
 
-def union_area(boxes: Sequence[PatchBox]) -> Fraction:
-    """Exact area of the union of ``boxes``."""
-    a, b, scale = _on_lattice(boxes, ())
-    return Fraction(_areas(a, b)[0], scale)
+def iou_dsc_exact(a: np.ndarray, b: np.ndarray) -> tuple[Fraction, Fraction]:
+    """IoU and DSC between the unions of two box sets, given as edge arrays
+    on one lattice, as exact rationals.
 
-
-def intersection_area(a: Sequence[PatchBox], b: Sequence[PatchBox]) -> Fraction:
-    """Exact area of union(a) ∩ union(b)."""
-    a, b, scale = _on_lattice(a, b)
-    return Fraction(_areas(a, b)[2], scale)
-
-
-def iou_dsc_exact(a: RegionSet, b: RegionSet) -> tuple[Fraction, Fraction]:
-    """IoU and DSC between the unions of two box sets, as exact rationals.
-
-    The sets are two edge arrays on one lattice, or two :class:`PatchBox`
-    sequences. Both results are 0 when either set covers no area; the
-    doubly-empty case is degenerate and logged.
+    Both results are 0 when either set covers no area; the doubly-empty case
+    is degenerate and logged.
     """
-    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
-        a, b, _ = _on_lattice(a, b)
     area_a, area_b, inter = _areas(a, b)
     if area_a == 0 or area_b == 0:
         if area_a == area_b:
             logger.debug("iou/dsc over two empty region sets; returning 0")
         return Fraction(0), Fraction(0)
     return Fraction(inter, area_a + area_b - inter), Fraction(2 * inter, area_a + area_b)
-
-
-def iou_dsc(a: RegionSet, b: RegionSet) -> tuple[float, float]:
-    i, d = iou_dsc_exact(a, b)
-    return float(i), float(d)
-
-
-def iou(a: RegionSet, b: RegionSet) -> float:
-    return iou_dsc(a, b)[0]
-
-
-def dsc(a: RegionSet, b: RegionSet) -> float:
-    return iou_dsc(a, b)[1]

@@ -29,13 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dumpio import derive_category_universe, require_consistent, total_categories
-from .geometry import (
-    PatchBox,
-    iou_dsc_exact,
-    lattice_sizes,
-    patch_lattice,
-    resolve_patch_box,
-)
+from .geometry import iou_dsc_exact, lattice_sizes, patch_lattice, resolve_patch_box
 from .records import (
     COMBINED_LEVEL,
     TEST,
@@ -71,7 +65,7 @@ class EvidenceItem:
 
     image_id: str
     score: float
-    patch: PatchBox
+    patch: tuple[float, float, float, float]  # pixel edges (x_min, y_min, x_max, y_max)
     roi_index: int | None
     categories: Mapping[str, CategoryId] | None
 

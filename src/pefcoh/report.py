@@ -89,7 +89,7 @@ def _verdict(v: PrototypeVerdict) -> dict:
                 {
                     "image_id": item.image_id,
                     "score": item.score,
-                    "patch": list(item.patch.as_floats()),
+                    "patch": list(item.patch),
                     "roi_index": item.roi_index,
                     "combined_category": (
                         item.categories[COMBINED_LEVEL].value

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -20,13 +21,6 @@ from pefcoh.dumpio import (
     _load_json,
     _require,
     to_json,
-)
-from pefcoh.geometry import (
-    PatchBox,
-    RegionSet,
-    contains_point,
-    iou_dsc_exact,
-    roi_center,
 )
 from pefcoh.metrics import (
     GROUND_TRUTH,
@@ -183,9 +177,61 @@ def ratio_fixture(n_global, n_relevant, n_unique, n_mass, n_calc):
     return dump, make_annotations(ann_images), MAMMO_LEXICON
 
 
-# Reference geometry: the x-slab sweep and pairwise box clipping that the
-# coordinate-compressed grid in pefcoh.geometry replaced, kept verbatim as an
-# independent check on the grid's exact areas.
+# Reference geometry: the Fraction box type, and the x-slab sweep and pairwise
+# box clipping that the coordinate-compressed grid on the integer lattice of
+# pefcoh.geometry replaced, kept verbatim as an independent check on the
+# grid's exact areas.
+
+
+@dataclass(frozen=True)
+class PatchBox:
+    """Axis-aligned half-open rectangle in pixel coordinates."""
+
+    x_min: Fraction
+    y_min: Fraction
+    x_max: Fraction
+    y_max: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("x_min", "y_min", "x_max", "y_max"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ValueError(f"degenerate box: {self.as_tuple()}")
+
+    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return (self.x_min, self.y_min, self.x_max, self.y_max)
+
+    def as_floats(self) -> tuple[float, float, float, float]:
+        return tuple(float(v) for v in self.as_tuple())
+
+    def area(self) -> Fraction:
+        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
+
+    def center(self) -> tuple[Fraction, Fraction]:
+        return ((self.x_min + self.x_max) / 2, (self.y_min + self.y_max) / 2)
+
+
+RegionSet = Sequence[PatchBox]
+
+
+def contains_point(box: PatchBox, x: int | Fraction | float, y: int | Fraction | float) -> bool:
+    """Half-open containment test."""
+    return box.x_min <= x < box.x_max and box.y_min <= y < box.y_max
+
+
+def roi_center(roi: ROIAnnotation) -> tuple[Fraction, Fraction]:
+    x_min, y_min, x_max, y_max = roi.bbox
+    return (Fraction(x_min + x_max, 2), Fraction(y_min + y_max, 2))
+
+
+def iou_dsc_exact(a: RegionSet, b: RegionSet) -> tuple[Fraction, Fraction]:
+    """IoU and DSC between the unions of two box sets, from the sweep; both 0
+    when either set covers no area."""
+    area_a, area_b = union_area(a), union_area(b)
+    if area_a == 0 or area_b == 0:
+        return Fraction(0), Fraction(0)
+    inter = intersection_area(a, b)
+    return inter / (area_a + area_b - inter), 2 * inter / (area_a + area_b)
 
 
 def union_area(boxes: RegionSet) -> Fraction:
@@ -385,7 +431,7 @@ def top_k_evidence(
             categories = None
             if roi_index is not None:
                 categories = categories_for_roi(lexicon, ann.rois[roi_index])
-            items.append(EvidenceItem(image_id, score, patch, roi_index, categories))
+            items.append(EvidenceItem(image_id, score, patch.as_floats(), roi_index, categories))
         out.append(TopKEvidence(pid, config.k, tuple(items), config.k - len(items)))
     return out
 
@@ -595,7 +641,7 @@ def report_to_dict(report, fixed_timestamp: bool = False) -> dict:
                     {
                         "image_id": item.image_id,
                         "score": item.score,
-                        "patch": list(item.patch.as_floats()),
+                        "patch": list(item.patch),
                         "roi_index": item.roi_index,
                         "combined_category": (
                             item.categories[COMBINED_LEVEL].value

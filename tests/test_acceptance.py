@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pefcoh.geometry import PatchBox, iou_dsc, union_area
+from pefcoh.geometry import _areas, iou_dsc_exact
 from pefcoh.metrics import RunConfig, evaluate, flatten_scores
 from pefcoh.oracle import brute_force_scores
 from pefcoh.records import (
@@ -69,14 +69,17 @@ def test_criterion_2_geometry_identity():
     def rand_box(side=512):
         x0 = rng.randrange(0, side - 1)
         y0 = rng.randrange(0, side - 1)
-        return PatchBox(x0, y0, rng.randrange(x0 + 1, side + 1),
-                        rng.randrange(y0 + 1, side + 1))
+        return (x0, y0, rng.randrange(x0 + 1, side + 1), rng.randrange(y0 + 1, side + 1))
 
     def pixel_count(boxes, side=512):
         mask = np.zeros((side, side), dtype=bool)
-        for b in boxes:
-            mask[int(b.y_min): int(b.y_max), int(b.x_min): int(b.x_max)] = True
+        for x0, y0, x1, y1 in boxes:
+            mask[y0:y1, x0:x1] = True
         return int(mask.sum())
+
+    def iou_dsc(a, b):
+        return tuple(map(float, iou_dsc_exact(np.array(a, dtype=np.int64),
+                                              np.array(b, dtype=np.int64))))
 
     checked_pairs = 0
     for _ in range(1000):  # single-rectangle pairs
@@ -89,8 +92,8 @@ def test_criterion_2_geometry_identity():
         b = [rand_box() for _ in range(rng.randint(1, 5))]
         i, d = iou_dsc(a, b)
         assert abs(d - 2 * i / (1 + i)) <= 1e-12
-        assert union_area(a) == pixel_count(a)
-        assert union_area(b) == pixel_count(b)
+        area_a, area_b, _ = _areas(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        assert (area_a, area_b) == (pixel_count(a), pixel_count(b))
         checked_pairs += 1
     assert checked_pairs >= 1000
 

@@ -272,13 +272,16 @@ class TestConfigFlags:
     @pytest.mark.parametrize("flags, expected", [
         ([], RunConfig()),
         (["--levels", "", "--tc-split", "all"], RunConfig()),
+        (["--levels", ","], RunConfig()),
+        (["--levels", " "], RunConfig()),
         (["--levels", " type, combined ,", "--class-specific-level", "type"],
          RunConfig(levels=("type", "combined"), class_specific_level="type")),
         (["--k", "5", "--patch-size", "64", "--eps", "0.5", "--tc", "3",
           "--tc-split", "train", "--lp-class", "max_weight"],
          RunConfig(k=5, patch_size=64, eps=0.5, tc_override=3, tc_split="train",
                    lp_weight_class="max_weight")),
-    ], ids=["none", "all-levels-all-splits", "levels", "numbers-and-choices"])
+    ], ids=["none", "all-levels-all-splits", "only-separators", "only-spaces", "levels",
+            "numbers-and-choices"])
     def test_flags_given_set_their_fields(self, flags, expected):
         args = _build_parser().parse_args(
             ["evaluate", "--dump", "d.json", "--annotations", "a.json", "--out", "o", *flags])

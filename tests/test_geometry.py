@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,28 +6,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pefcoh.geometry import (
-    PatchBox,
-    contains_point,
-    dsc,
-    intersection_area,
-    iou,
-    iou_dsc,
+    _areas,
     iou_dsc_exact,
     lattice_sizes,
     patch_lattice,
     resolve_patch_box,
-    roi_center,
-    union_area,
 )
 import helpers
-from helpers import make_roi
+from helpers import PatchBox
+
+
+def edges(boxes):
+    """Integer boxes ``(x_min, y_min, x_max, y_max)`` as an int64 edge array."""
+    return np.array(boxes, dtype=np.int64).reshape(-1, 4)
 
 
 def rasterized_area(boxes, side=512):
     """Independent pixel-count oracle for integer-coordinate boxes."""
     mask = np.zeros((side, side), dtype=bool)
-    for b in boxes:
-        mask[int(b.y_min): int(b.y_max), int(b.x_min): int(b.x_max)] = True
+    for x0, y0, x1, y1 in boxes:
+        mask[y0:y1, x0:x1] = True
     return int(mask.sum())
 
 
@@ -36,13 +35,14 @@ def int_boxes(max_side=512):
         y0 = draw(st.integers(0, max_side - 1))
         x1 = draw(st.integers(x0 + 1, max_side))
         y1 = draw(st.integers(y0 + 1, max_side))
-        return PatchBox(x0, y0, x1, y1)
+        return (x0, y0, x1, y1)
 
     return st.composite(build)()
 
 
 def fractional_boxes(denominators=(1, 2, 3, 48, 96)):
-    """Boxes whose every edge is n/d, with d drawn per edge from ``denominators``."""
+    """Reference boxes whose every edge is n/d, with d drawn per edge from
+    ``denominators``."""
     def build(draw):
         def part(low):
             return Fraction(draw(st.integers(low, 200)), draw(st.sampled_from(denominators)))
@@ -53,25 +53,44 @@ def fractional_boxes(denominators=(1, 2, 3, 48, 96)):
     return st.composite(build)()
 
 
+def on_lattice(a, b):
+    """Two sequences of reference boxes as int64 edge arrays on one lattice:
+    each axis scaled by the common denominator of its edges. Returns the
+    arrays and the number of lattice cells in one square pixel."""
+    boxes = [*a, *b]
+    sx = math.lcm(1, *(v.denominator for box in boxes for v in (box.x_min, box.x_max)))
+    sy = math.lcm(1, *(v.denominator for box in boxes for v in (box.y_min, box.y_max)))
+    scaled = edges([(int(box.x_min * sx), int(box.y_min * sy),
+                     int(box.x_max * sx), int(box.y_max * sy)) for box in boxes])
+    return scaled[: len(a)], scaled[len(a):], sx * sy
+
+
+def iou_dsc(a, b):
+    i, d = iou_dsc_exact(edges(a), edges(b))
+    return float(i), float(d)
+
+
 class TestResolvePatchBox:
     def test_single_cell_map(self):
         # 1x1 feature map on a 768x1536 image: cell center (384, 768)
-        box = resolve_patch_box(0, 0, 1, 1, 768, 1536, 130)
-        assert box.as_tuple() == (319, 703, 449, 833)
+        assert resolve_patch_box(0, 0, 1, 1, 768, 1536, 130) == (319.0, 703.0, 449.0, 833.0)
 
     def test_translated_into_image(self):
         # 48x24 map on 768x1536: cell (0,0) center (16,16); box slides to origin
-        box = resolve_patch_box(0, 0, 48, 24, 768, 1536, 130)
-        assert box.as_tuple() == (0, 0, 130, 130)
+        assert resolve_patch_box(0, 0, 48, 24, 768, 1536, 130) == (0.0, 0.0, 130.0, 130.0)
 
     def test_patch_equal_to_image(self):
-        box = resolve_patch_box(0, 0, 1, 1, 130, 130, 130)
-        assert box.as_tuple() == (0, 0, 130, 130)
+        assert resolve_patch_box(0, 0, 1, 1, 130, 130, 130) == (0.0, 0.0, 130.0, 130.0)
 
     def test_small_image_spans_dimension(self):
-        box = resolve_patch_box(0, 0, 1, 1, 100, 400, 130)
-        assert (box.x_min, box.x_max) == (0, 100)
-        assert box.y_max - box.y_min == 130
+        x_min, y_min, x_max, y_max = resolve_patch_box(0, 0, 1, 1, 100, 400, 130)
+        assert (x_min, x_max) == (0, 100)
+        assert y_max - y_min == 130
+
+    def test_fractional_edges(self):
+        # 3x3 map on a 10x10 image: cell (0, 0) center (5/3, 5/3); a 3-pixel
+        # patch spans 1/6 to 19/6 on both axes
+        assert resolve_patch_box(0, 0, 3, 3, 10, 10, 3) == (1 / 6, 1 / 6, 19 / 6, 19 / 6)
 
     def test_location_out_of_map_rejected(self):
         with pytest.raises(ValueError):
@@ -86,15 +105,17 @@ class TestResolvePatchBox:
     def test_center_always_contained(self, fh, fw, width, height, patch, data):
         row = data.draw(st.integers(0, fh - 1))
         col = data.draw(st.integers(0, fw - 1))
-        box = resolve_patch_box(row, col, fh, fw, width, height, patch)
+        # exact on the lattice, where the cell center is ((2 * col + 1) * width,
+        # (2 * row + 1) * height)
+        cell = [np.array([v]) for v in (row, col, fh, fw, width, height)]
+        ((x0, y0, x1, y1),) = patch_lattice(*cell, patch).tolist()
         if width >= patch and height >= patch:
-            cx = Fraction((2 * col + 1) * width, 2 * fw)
-            cy = Fraction((2 * row + 1) * height, 2 * fh)
-            assert contains_point(box, cx, cy)
-            assert box.x_max - box.x_min == patch
-            assert box.y_max - box.y_min == patch
-        assert box.x_min >= 0 and box.y_min >= 0
-        assert box.x_max <= width and box.y_max <= height
+            assert x0 <= (2 * col + 1) * width < x1
+            assert y0 <= (2 * row + 1) * height < y1
+            assert (x1 - x0, y1 - y0) == (2 * fw * patch, 2 * fh * patch)
+        x_min, y_min, x_max, y_max = resolve_patch_box(row, col, fh, fw, width, height, patch)
+        assert x_min >= 0 and y_min >= 0
+        assert x_max <= width and y_max <= height
 
 
 @st.composite
@@ -116,16 +137,35 @@ class TestPatchLattice:
     @settings(max_examples=helpers.examples(300))
     def test_patch_lattice_matches_reference(self, cells, patch_size):
         """One call over cells of different images, against the Fraction
-        mapping it replaced; resolve_patch_box gives the same boxes."""
+        mapping it replaced."""
         columns = [np.array(c, dtype=np.int64) for c in zip(*cells)]
-        edges = patch_lattice(*columns, patch_size)
-        assert edges.dtype == np.int64 and edges.shape == (len(cells), 4)
-        for (row, col, fh, fw, width, height), (x0, y0, x1, y1) in zip(cells, edges.tolist()):
+        lattice = patch_lattice(*columns, patch_size)
+        assert lattice.dtype == np.int64 and lattice.shape == (len(cells), 4)
+        for (row, col, fh, fw, width, height), (x0, y0, x1, y1) in zip(cells, lattice.tolist()):
             expected = helpers.resolve_patch_box(row, col, fh, fw, width, height, patch_size)
             sx, sy = 2 * fw, 2 * fh
             assert PatchBox(Fraction(x0, sx), Fraction(y0, sy),
                             Fraction(x1, sx), Fraction(y1, sy)) == expected
-            assert resolve_patch_box(row, col, fh, fw, width, height, patch_size) == expected
+
+    @given(lattice_cells(), st.sampled_from(PATCH_SIZES) | st.integers(1, 170))
+    @settings(max_examples=helpers.examples(300))
+    def test_patch_floats_match_reference(self, cell, patch_size):
+        """The pixel edges of a report's patch, int / int, against float() of
+        the reference's Fraction edges."""
+        assert (resolve_patch_box(*cell, patch_size)
+                == helpers.resolve_patch_box(*cell, patch_size).as_floats())
+
+    def test_patch_floats_match_reference_past_2_53(self):
+        """Lattice edges past 2**53, where float64(edge) / scale can miss the
+        correctly rounded quotient, as it does for x_max of cell (0, 0) of a
+        3x3 map on 2**60 + 1 pixels with a 130-pixel patch."""
+        wide = (2**60 + 1, 2**60 + 1)
+        for cell in ((0, 0, 1, 1, 2**62 - 1, 3), (0, 0, 3, 3, *wide), (2, 2, 3, 3, *wide)):
+            for patch_size in (7, 130, 2**70):
+                assert (resolve_patch_box(*cell, patch_size)
+                        == helpers.resolve_patch_box(*cell, patch_size).as_floats())
+        edge = int(patch_lattice(*(np.array([v]) for v in (0, 0, 3, 3, *wide)), 130)[0, 2])
+        assert float(np.int64(edge)) / 6 != edge / 6
 
     def test_no_cells(self):
         empty = np.empty(0, dtype=np.int64)
@@ -142,9 +182,9 @@ class TestPatchLattice:
         # a whole-image patch, stays within int64
         side = 2**62 - 1
         sizes = lattice_sizes([(1, 1, side, 3)])
-        edges = patch_lattice(np.array([0]), np.array([0]), *sizes.T, 2**70)
-        assert edges.tolist() == [[0, 0, 2 * side, 6]]
-        assert resolve_patch_box(0, 0, 1, 1, side, 3, 2**70).as_tuple() == (0, 0, side, 3)
+        lattice = patch_lattice(np.array([0]), np.array([0]), *sizes.T, 2**70)
+        assert lattice.tolist() == [[0, 0, 2 * side, 6]]
+        assert resolve_patch_box(0, 0, 1, 1, side, 3, 2**70) == (0.0, 0.0, float(side), 3.0)
 
     @pytest.mark.parametrize("size", [(1, 1, 2**62, 3), (2, 1, 3, 2**62), (1, 2**61, 2, 1)])
     def test_image_past_int64_raises(self, size):
@@ -152,56 +192,29 @@ class TestPatchLattice:
             lattice_sizes([(1, 1, 10, 10), size])
 
 
-class TestContainment:
-    def test_inside(self):
-        assert contains_point(PatchBox(0, 0, 10, 10), 5, 5)
-
-    def test_half_open_boundary(self):
-        box = PatchBox(0, 0, 10, 10)
-        assert not contains_point(box, 10, 5)
-        assert contains_point(box, 0, 0)
-
-    def test_resolved_patch_contains_roi_center(self):
-        box = resolve_patch_box(0, 0, 1, 1, 768, 1536, 130)
-        assert contains_point(box, 384, 768)
-
-    def test_roi_center(self):
-        assert roi_center(make_roi((0, 0, 10, 10))) == (5, 5)
-        assert roi_center(make_roi((100, 200, 300, 400))) == (200, 300)
-        assert roi_center(make_roi((0, 0, 1, 1))) == (Fraction(1, 2), Fraction(1, 2))
-
-
 class TestIouDsc:
     def test_identical_boxes(self):
-        a = [PatchBox(0, 0, 10, 10)]
-        assert iou(a, a) == 1.0
-        assert dsc(a, a) == 1.0
+        a = [(0, 0, 10, 10)]
+        assert iou_dsc(a, a) == (1.0, 1.0)
 
     def test_disjoint_boxes(self):
-        a = [PatchBox(0, 0, 10, 10)]
-        b = [PatchBox(20, 20, 30, 30)]
-        assert iou(a, b) == 0.0
-        assert dsc(a, b) == 0.0
+        assert iou_dsc([(0, 0, 10, 10)], [(20, 20, 30, 30)]) == (0.0, 0.0)
 
     def test_half_overlap(self):
-        a = [PatchBox(0, 0, 10, 10)]
-        b = [PatchBox(5, 0, 15, 10)]
-        assert iou(a, b) == pytest.approx(1 / 3, abs=1e-15)
-        assert dsc(a, b) == pytest.approx(0.5, abs=1e-15)
+        assert iou_dsc_exact(edges([(0, 0, 10, 10)]), edges([(5, 0, 15, 10)])) == (
+            Fraction(1, 3), Fraction(1, 2))
 
     def test_empty_sets(self):
-        a = [PatchBox(0, 0, 10, 10)]
-        assert iou(a, []) == 0.0
-        assert iou([], a) == 0.0
-        assert iou([], []) == 0.0
-        assert dsc([], []) == 0.0
+        a = [(0, 0, 10, 10)]
+        assert iou_dsc(a, []) == (0.0, 0.0)
+        assert iou_dsc([], a) == (0.0, 0.0)
+        assert iou_dsc([], []) == (0.0, 0.0)
 
     def test_union_of_overlapping_boxes(self):
         # two overlapping boxes union to area 150, not 200
-        a = [PatchBox(0, 0, 10, 10), PatchBox(5, 0, 15, 10)]
-        assert union_area(a) == 150
-        b = [PatchBox(0, 0, 15, 10)]
-        assert iou(a, b) == 1.0
+        a = [(0, 0, 10, 10), (5, 0, 15, 10)]
+        assert _areas(edges(a), edges([])) == (150, 0, 0)
+        assert iou_dsc(a, [(0, 0, 15, 10)]) == (1.0, 1.0)
 
     @given(st.lists(int_boxes(64), min_size=1, max_size=6),
            st.lists(int_boxes(64), min_size=1, max_size=6))
@@ -217,7 +230,7 @@ class TestIouDsc:
     @given(st.lists(int_boxes(128), min_size=1, max_size=8))
     @settings(max_examples=150)
     def test_union_area_matches_rasterization(self, boxes):
-        assert union_area(boxes) == rasterized_area(boxes, side=128)
+        assert _areas(edges(boxes), edges([]))[0] == rasterized_area(boxes, side=128)
 
     @given(st.lists(int_boxes(96), min_size=1, max_size=5),
            st.lists(int_boxes(96), min_size=1, max_size=5))
@@ -225,36 +238,36 @@ class TestIouDsc:
     def test_intersection_matches_rasterization(self, a, b):
         mask_a = np.zeros((96, 96), dtype=bool)
         mask_b = np.zeros((96, 96), dtype=bool)
-        for box in a:
-            mask_a[int(box.y_min): int(box.y_max), int(box.x_min): int(box.x_max)] = True
-        for box in b:
-            mask_b[int(box.y_min): int(box.y_max), int(box.x_min): int(box.x_max)] = True
-        assert intersection_area(a, b) == int((mask_a & mask_b).sum())
+        for x0, y0, x1, y1 in a:
+            mask_a[y0:y1, x0:x1] = True
+        for x0, y0, x1, y1 in b:
+            mask_b[y0:y1, x0:x1] = True
+        assert _areas(edges(a), edges(b))[2] == int((mask_a & mask_b).sum())
 
     def test_exact_on_fractional_boxes(self):
-        a = [PatchBox(Fraction(1, 3), 0, Fraction(4, 3), 1)]
-        b = [PatchBox(Fraction(2, 3), 0, Fraction(5, 3), 1)]
-        assert intersection_area(a, b) == Fraction(2, 3)
-        assert iou(a, b) == float(Fraction(2, 4))
+        a, b, scale = on_lattice([PatchBox(Fraction(1, 3), 0, Fraction(4, 3), 1)],
+                                 [PatchBox(Fraction(2, 3), 0, Fraction(5, 3), 1)])
+        assert Fraction(_areas(a, b)[2], scale) == Fraction(2, 3)
+        assert iou_dsc_exact(a, b) == (Fraction(1, 2), Fraction(2, 3))
 
     @given(st.lists(fractional_boxes(), max_size=7), st.lists(fractional_boxes(), max_size=7))
     @settings(max_examples=helpers.examples(300))
     def test_grid_matches_reference_sweep(self, a, b):
         area_a, area_b = helpers.union_area(a), helpers.union_area(b)
         inter = helpers.intersection_area(a, b)
-        assert union_area(a) == area_a
-        assert union_area(b) == area_b
-        assert intersection_area(a, b) == inter
+        lattice_a, lattice_b, scale = on_lattice(a, b)
+        got = _areas(lattice_a, lattice_b)
+        assert tuple(Fraction(area, scale) for area in got) == (area_a, area_b, inter)
         if area_a and area_b:
             expected = (inter / (area_a + area_b - inter), 2 * inter / (area_a + area_b))
         else:
             expected = (0, 0)
-        assert iou_dsc_exact(a, b) == expected
+        assert iou_dsc_exact(lattice_a, lattice_b) == expected == helpers.iou_dsc_exact(a, b)
 
-    def test_extent_beyond_int64_raises(self):
-        # 2**62 + 1/2 scaled by its denominator 2 is 2**63 + 1 units wide
-        box = PatchBox(Fraction(1, 2), 0, 2**62 + 1, 1)
-        with pytest.raises(OverflowError):
-            union_area([box])
-        with pytest.raises(OverflowError):
-            iou_dsc_exact([box], [PatchBox(0, 0, 1, 1)])
+    def test_areas_past_int64_are_exact(self):
+        # edges within int64 whose areas are not: summed in Python ints
+        side = 2**63 - 1
+        a, b = edges([(0, 0, side, 3)]), edges([(1, 1, side, 2)])
+        assert _areas(a, b) == (3 * side, side - 1, side - 1)
+        assert iou_dsc_exact(a, b) == (Fraction(side - 1, 3 * side),
+                                       Fraction(2 * (side - 1), 4 * side - 1))

@@ -19,14 +19,15 @@ SRC = Path(pefcoh.__file__).resolve().parents[1]
 ARRAY_CODE = ("numpy", "pefcoh.metrics", "pefcoh.geometry", "pefcoh.oracle", "pefcoh.columns")
 
 # every public name of pefcoh/__init__.py before its exports became lazy, by
-# the submodule that defined it then
+# the submodule that defined it then, less the Fraction box API of geometry
+# (PatchBox, contains_point, roi_center, iou, dsc), since removed
 PUBLIC = {
     "dumpio": (
         "ConsistencyError", "FormatError", "cross_validate", "derive_category_universe",
         "dump_to_json", "load_annotations", "parse_annotations", "parse_dump",
         "parse_lexicon", "total_categories",
     ),
-    "geometry": ("PatchBox", "contains_point", "dsc", "iou", "resolve_patch_box", "roi_center"),
+    "geometry": ("resolve_patch_box",),
     "metrics": (
         "EvaluationReport", "PropertyScores", "PrototypeVerdict", "RunConfig", "TopKEvidence",
         "aggregate", "class_specific", "coverage", "evaluate", "global_prototypes",
@@ -166,6 +167,12 @@ def test_all_lists_every_public_name():
     public = {name for names in PUBLIC.values() for name in names}
     assert set(pefcoh.__all__) == public | {"__version__"}
     assert public <= set(dir(pefcoh))
+
+
+@pytest.mark.parametrize("name", ["PatchBox", "contains_point", "roi_center", "iou", "dsc"])
+def test_removed_geometry_name_raises_import_error(name):
+    with pytest.raises(ImportError):
+        exec(f"from pefcoh import {name}", {})
 
 
 def test_unknown_name_raises_attribute_error():

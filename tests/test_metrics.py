@@ -13,7 +13,6 @@ from pefcoh.dumpio import (
     parse_dump,
     write_json,
 )
-from pefcoh.geometry import PatchBox
 from pefcoh.metrics import (
     GROUND_TRUTH,
     MAX_WEIGHT,
@@ -786,6 +785,32 @@ def test_match_roi_matches_reference(case):
     assert all(type(r) in (int, type(None)) for r in got)
 
 
+# ROI-center containment is half-open: a center on a patch's low edge is in
+# it, one on its high edge is not. Each case is (image width, height, feature
+# map, cell, patch size, ROI boxes, matched ROI index).
+CONTAINMENT_CASES = {
+    "inside": (10, 10, (1, 1), (0, 0), 10, [(4, 4, 6, 6)], 0),
+    # patches [0, 10) and [10, 20) on x; the ROI center is (10, 5)
+    "on-high-edge": (20, 10, (1, 2), (0, 0), 10, [(9, 4, 11, 6)], None),
+    "on-low-edge": (20, 10, (1, 2), (0, 1), 10, [(9, 4, 11, 6)], 0),
+    # the cell center (384, 768) of a 768x1536 image
+    "resolved-patch": (768, 1536, (1, 1), (0, 0), 130, [(374, 758, 394, 778)], 0),
+    # the patch is [1/2, 5/2) on both axes; ROI centers (1/2, 1/2) and (5/2, 5/2)
+    "fractional-low-edge": (3, 3, (1, 1), (0, 0), 2, [(2, 2, 3, 3), (0, 0, 1, 1)], 1),
+    "fractional-high-edge": (3, 3, (1, 1), (0, 0), 2, [(2, 2, 3, 3)], None),
+}
+
+
+@pytest.mark.parametrize("case", CONTAINMENT_CASES.values(), ids=CONTAINMENT_CASES)
+def test_match_roi_half_open_containment(case):
+    width, height, (feature_h, feature_w), (row, col), patch_size, boxes, expected = case
+    ann = make_ann_image("img", [make_roi(b) for b in boxes], width=width, height=height)
+    got = _match_rois([(feature_h, feature_w, ann)], np.array([0]), np.array([row]),
+                      np.array([col]), patch_size)
+    patch = helpers.resolve_patch_box(row, col, feature_h, feature_w, width, height, patch_size)
+    assert got == [expected] == [helpers._match_roi(patch, ann)]
+
+
 @st.composite
 def verdict_cases(draw):
     """Top-k evidence built directly: per level, category values whose string
@@ -806,9 +831,9 @@ def verdict_cases(draw):
             named = draw(st.lists(st.sampled_from(levels), unique=True))
             if named:
                 categories = {level: CategoryId(level, draw(values)) for level in named}
-                items.append(EvidenceItem("img", 1.0, PatchBox(0, 0, 1, 1), 0, categories))
+                items.append(EvidenceItem("img", 1.0, (0.0, 0.0, 1.0, 1.0), 0, categories))
             else:
-                items.append(EvidenceItem("img", 1.0, PatchBox(0, 0, 1, 1), None, None))
+                items.append(EvidenceItem("img", 1.0, (0.0, 0.0, 1.0, 1.0), None, None))
         evidence.append(TopKEvidence(pid, k, tuple(items), k - len(items)))
     class_counts = {
         CategoryId(level, value): (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
