@@ -12,12 +12,15 @@ index. Cross-file checks (shared class list, split agreement, ...) are
 collected by :func:`cross_validate`.
 
 Every file but the dump is decoded by one :func:`json.loads` whose object
-pairs hook rejects a repeated key. The dump is decoded by a plain object
-hook that packs each image's entries into numpy columns as the image's
-object closes, so the parse never holds the whole JSON tree, and that counts
-the string tokens it keeps to prove no key repeats; only a dump that repeats
-a key or is not valid JSON is decoded again, by the strict hook, which names
-the fault (see :func:`parse_dump`).
+pairs hook rejects a repeated key. The dump is read through a window of the
+file and decoded one value at a time, each image on its own, by a plain
+decoder that counts the string tokens it keeps to prove no key repeats; each
+image's entries go into one growing column per field as the image is read.
+So the parse holds the window, one image's entry objects, the header fields
+and the columns, and never the whole text or the whole JSON tree. Only a
+dump that repeats a key or is not valid JSON or UTF-8 is read whole and
+decoded again, by the strict hook, which names the fault (see
+:func:`parse_dump`).
 
 This module imports no numpy. The dump's column packing is array code in
 :mod:`pefcoh.columns`, which :func:`parse_dump` imports on its first call;
@@ -36,9 +39,12 @@ import math
 import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import Field, dataclass, fields, is_dataclass
+from itertools import islice
 from pathlib import Path
 from types import UnionType
-from typing import Any, NoReturn, TypeVar, Union, get_args, get_origin, get_type_hints
+from typing import (
+    TYPE_CHECKING, Any, NoReturn, TextIO, TypeVar, Union, get_args, get_origin, get_type_hints,
+)
 
 from .records import (
     COMBINED_LEVEL,
@@ -57,6 +63,9 @@ from .records import (
     categories_for_roi,
     fits_exact_grid,
 )
+
+if TYPE_CHECKING:
+    from . import columns
 
 DUMP_FORMAT = "pefcoh-dump/1"
 ANN_FORMAT = "pefcoh-ann/1"
@@ -91,22 +100,22 @@ class Diagnostic:
 def _read_text(path: str | Path) -> str:
     """The whole text of a UTF-8 file; bytes that are not UTF-8 raise
     :class:`FormatError` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        return _read_rest(fh, path)
+
+
+def _read_rest(fh: TextIO, path: str | Path) -> str:
+    """The rest of the text of ``fh``, the UTF-8 file at ``path``; bytes
+    that are not UTF-8 raise :class:`FormatError` naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
 
 
-def _unique_keys(
-    path: str | Path, codes: dict[str, int] | None = None
-) -> Callable[[list[tuple[str, Any]]], dict]:
+def _unique_keys(path: str | Path) -> Callable[[list[tuple[str, Any]]], dict]:
     """The ``object_pairs_hook`` that builds an object and rejects a repeated
-    key; with ``codes``, it then packs the entries of each object that holds
-    ``entries``, coding prototype ids by ``codes`` (see
-    :func:`pefcoh.columns.pack_entries`)."""
-    if codes is not None:
-        from . import columns
+    key."""
 
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
         obj = dict(pairs)
@@ -116,61 +125,59 @@ def _unique_keys(
                 if key in seen:
                     raise FormatError(f"{path}: duplicate key {key!r}")
                 seen.add(key)
-        if codes is not None and "entries" in obj:
-            columns.pack_entries(obj, codes)
         return obj
 
     return unique_keys
 
 
-def _loads(text: str, path: str | Path, codes: dict[str, int] | None = None) -> Any:
+def _loads(text: str, path: str | Path) -> Any:
     """The decode of ``text`` that raises :class:`FormatError` on a repeated
-    key, invalid JSON or a lone surrogate. With ``codes`` the text is a dump,
-    whose entries are packed as their objects close (see :func:`_unique_keys`)."""
+    key, invalid JSON or a lone surrogate."""
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys(path, codes))
+        obj = json.loads(text, object_pairs_hook=_unique_keys(path))
     except FormatError:
         raise
     except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     # text read as UTF-8 holds no surrogate; only a \u escape can decode to one
-    if "\\" in text:
-        _reject_lone_surrogates(obj, path, list(codes or ()))
+    if "\\" in text and (fault := _lone_surrogate(obj)):
+        raise FormatError(f"{path}: {fault}")
     return obj
 
 
-def _reject_lone_surrogates(obj: Any, path: str | Path, ids: Sequence[str] = ()) -> None:
-    """Raise :class:`FormatError` naming the first string, key or value, in
-    document order that holds a lone surrogate, which UTF-8 cannot encode.
+def _lone_surrogate(
+    obj: Any, field: str = "", packed: Callable[[range], tuple[int, str] | None] | None = None
+) -> str | None:
+    """The fault, without the file name, of the first string, key or value,
+    in document order that holds a lone surrogate, which UTF-8 cannot
+    encode, or None. ``field`` names ``obj``; every key of an object is
+    checked before its values.
 
-    Packed entries (columns, the only tuples in a decoded tree) are walked
-    through ``ids``, the prototype id of each code: an entry packed with
-    only its four keys holds no other string. A packed list whose entries
-    hold other fields was checked before it was packed, and put back when
-    one holds a lone surrogate (see :func:`_loads_counted`).
+    Packed entries (a range of rows of the dump's columns, see
+    :meth:`pefcoh.columns.Columns.pack`) are read through ``packed``, which
+    gives the first of them whose prototype id holds a lone surrogate, by
+    its position and id: an entry packed with only its four keys holds no
+    other string.
     """
-    bad_codes = {code for code, pid in enumerate(ids) if not _encodes(pid)}
-    stack: list[tuple[Any, str]] = [(obj, "")]
+    stack: list[tuple[Any, str]] = [(obj, field)]
     while stack:
         node, field = stack.pop()
         if type(node) is dict:
             children = []
             for key, value in node.items():
                 if not _encodes(key):
-                    raise FormatError(f"{path}: {field or 'top level'}: key {key!r} "
-                                      "is not valid Unicode (a lone surrogate)")
+                    return (f"{field or 'top level'}: key {key!r} "
+                            "is not valid Unicode (a lone surrogate)")
                 children.append((value, _member(field, key)))
             stack.extend(reversed(children))
         elif type(node) is list:
             stack.extend((node[i], f"{field}[{i}]") for i in reversed(range(len(node))))
         elif type(node) is str and not _encodes(node):
-            raise FormatError(f"{path}: {field}: {node!r} is not valid Unicode "
-                              "(a lone surrogate)")
-        elif isinstance(node, tuple) and bad_codes:
-            for j, code in enumerate(node.proto.tolist()):
-                if code in bad_codes:
-                    raise FormatError(f"{path}: {field}[{j}].prototype_id: {ids[code]!r} "
-                                      "is not valid Unicode (a lone surrogate)")
+            return f"{field}: {node!r} is not valid Unicode (a lone surrogate)"
+        elif type(node) is range and packed is not None and (bad := packed(node)):
+            j, pid = bad
+            return f"{field}[{j}].prototype_id: {pid!r} is not valid Unicode (a lone surrogate)"
+    return None
 
 
 def _member(field: str, key: str) -> str:
@@ -353,86 +360,247 @@ def _image_header(
 def parse_dump(path: str | Path) -> EvidenceDump:
     """Parse and fully validate an evidence dump file.
 
-    As each object that holds ``entries`` closes (an image, or any other
-    object), its entries are checked in bulk against that object's own
-    ``feature_h`` and ``feature_w`` and, when they pass, packed into numpy
-    columns, so memory holds the text, the columns and one image's entry
-    objects but never the whole JSON tree, in any key order. No record is
-    checked while the text decodes, so a fault in the JSON anywhere in the
-    file (a syntax error, a repeated key) wins over a fault in a record.
+    The file is read through a window (:class:`_Window`) and decoded one
+    value at a time: each top-level field, and each image of ``images`` on
+    its own. As an image is decoded, its entries are checked in bulk against
+    the image's own ``feature_h`` and ``feature_w`` and, when they pass,
+    appended to the dump's columns (:class:`pefcoh.columns.Columns`). So the
+    parse holds the window, one image's entry objects, the other fields and
+    the columns, but never the whole text or the whole JSON tree, in any key
+    order. No record is checked before the whole file is read, so a fault in
+    the JSON anywhere in the file (a syntax error, a repeated key) wins over
+    a fault in a record.
 
-    The text is decoded by :func:`_loads_counted`, whose plain object hook
-    cannot see a repeated key but counts the string tokens it keeps; the
-    tree is used when that count equals the text's, which holds for every
-    valid JSON text that repeats no key, whatever its strings say. Only a
-    text that repeats a key or is not valid JSON is decoded again, with
-    fresh codes, by the strict :func:`_loads` of every other reader, which
-    names the fault.
+    Each value is decoded by a plain decoder, which cannot see a repeated
+    key, and kept when the string tokens it holds match its text's (see
+    :func:`_read_windowed`). A text that the window does not take, which
+    repeats a key, is not valid JSON or UTF-8, or whose top level is not an
+    object, is read whole from its start and decoded again, with fresh
+    columns, by the strict :func:`_loads` of every other reader, which
+    names the fault. So is a file that cannot be read twice (a pipe), from
+    the first.
 
-    The image columns are joined into the dump's one ``activations`` table,
-    which its images' ``entries`` view; only an image whose entries were
-    left unpacked is walked entry by entry, to name its first bad entry.
-    """
-    text = _read_text(path)
-    codes: dict[str, int] = {}
-    raw = _loads_counted(text, path, codes)
-    if raw is None:
-        codes = {}
-        raw = _loads(text, path, codes)
-    del text  # not held while the columns are joined, which copies them
-    return _dump_from_raw(raw, path, codes)
-
-
-def _loads_counted(text: str, path: str | Path, codes: dict[str, int]) -> Any:
-    """The tree of ``text`` as the strict :func:`_loads` would give it with
-    ``codes``, or None when ``text`` repeats a key or is not valid JSON.
-
-    The object hook takes dicts, not the pair lists of ``_unique_keys``,
-    whose building is most of the strict decode's extra time, and counts
-    the string tokens it keeps. In valid JSON each string token is a key,
-    one per written pair, or a string value, so a decode that drops nothing
-    keeps exactly the text's unescaped quotes over two, and one that drops
-    a repeated key keeps fewer. Nothing in the count reads what a string
-    says. An entry packed with only its four keys keeps five
-    (four keys and its prototype id); any other packed list is walked, and
-    one walk of the retained tree counts the rest.
+    The columns become the dump's one ``activations`` table, which its
+    images' ``entries`` view; only an image whose entries were left unpacked
+    is walked entry by entry, to name its first bad entry.
     """
     from . import columns  # the array code, loaded by the first dump parsed
 
-    escaped = "\\" in text
-    tokens = 0
+    cols = columns.Columns()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = _read_windowed(fh, path, cols)
+        except _Unread:
+            if fh.seekable():
+                fh.seek(0)
+            raw, cols = _loads(_read_rest(fh, path), path), columns.Columns()
+            if type(raw) is dict and type(raw.get("images")) is list:
+                for rec in raw["images"]:
+                    cols.pack(rec)
+    return _dump_from_raw(raw, path, cols)
 
-    def hook(obj: dict) -> dict:
-        nonlocal tokens
-        if "entries" in obj:
-            entries = obj["entries"]
-            if not columns.pack_entries(obj, codes):  # not a list of entry objects
-                return obj
-            if sum(map(len, entries)) == 4 * len(entries):  # only their four keys
-                tokens += 5 * len(entries)
-                return obj
-            try:  # the fields that packing drops, checked as _loads checks them
-                if escaped:
-                    _reject_lone_surrogates(entries, path)
-            except FormatError:
-                obj["entries"] = entries  # for the document-order walk to name
+
+_WINDOW = 1 << 16  # characters read ahead of the cursor, at the least
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # as JSON has it
+_ESCAPES = re.compile(r'\\[\\"]')
+_DECODER = json.JSONDecoder()
+
+
+class _Unread(Exception):
+    """A dump text that :func:`_read_windowed` does not take."""
+
+
+class _Window:
+    """A text file read forward through a window: ``buf[pos:]`` holds the
+    next characters, at least four times the longest value read so far
+    where the file has them, so that each value is decoded once."""
+
+    def __init__(self, fh: TextIO) -> None:
+        self.fh = fh
+        self.buf = ""
+        self.pos = 0
+        self.eof = False
+        self.longest = 0
+
+    def fill(self, need: int) -> None:
+        """When fewer than ``need`` characters follow ``pos``, read at least
+        ``need`` more, or all that are left."""
+        if self.eof or len(self.buf) - self.pos >= need:
+            return
+        text = self.buf[self.pos:]
+        self.buf = ""  # so the text read is appended in place
+        try:
+            chunk = self.fh.read(max(need, _WINDOW))
+        except UnicodeDecodeError:
+            raise _Unread from None
+        self.eof = not chunk
+        text += chunk
+        self.buf, self.pos = text, 0
+
+    def peek(self) -> str:
+        """The next character that is not whitespace, with ``pos`` on it, or
+        '' at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos:self.pos + 1]
+            self.fill(1)
+
+    def take(self, chars: str) -> str:
+        """The next character that is not whitespace, read; it must be one
+        of ``chars``."""
+        char = self.peek()
+        if not char or char not in chars:
+            raise _Unread
+        self.pos += 1
+        return char
+
+    def value(self) -> tuple[Any, int]:
+        """The next JSON value, read, and where its text starts.
+
+        A value that fails to decode, or that ends within two characters of
+        the window's end, where a number may go on (``1`` of ``1.5`` or
+        ``1e+5``), is decoded again with more of the file.
+        """
+        self.peek()
+        need = max(_WINDOW, 4 * self.longest)
+        while True:
+            self.fill(need)
+            try:
+                obj, end = _DECODER.raw_decode(self.buf, self.pos)
+            except RecursionError:
+                raise _Unread from None
+            except ValueError:  # not valid JSON, or cut by the window
+                if self.eof:
+                    raise _Unread from None
             else:
-                tokens += _string_tokens(entries)
-        return obj
+                if self.eof or end + 3 <= len(self.buf):
+                    break
+            need = 2 * (len(self.buf) - self.pos) + 1
+        start, self.pos = self.pos, end
+        self.longest = max(self.longest, end - start)
+        return obj, start
 
-    try:
-        obj = json.loads(text, object_hook=hook)
-    except (ValueError, RecursionError):
+
+def _read_windowed(fh: TextIO, path: str | Path, cols: columns.Columns) -> dict:
+    """The top-level object of the dump ``fh``, the file at ``path``, read
+    through a window, with the entries of each image of ``images`` packed
+    into ``cols``.
+
+    The top-level object and the ``images`` array are framed here, and each
+    value in them is decoded on its own, with no hook. The keys of the top
+    level are compared as they are read. Inside a value the decoder cannot
+    see a repeated key, so the string tokens it keeps are counted: in valid
+    JSON each string token is a key, one per written pair, or a string
+    value, so a value that repeats no key keeps exactly its text's unescaped
+    quotes over two, and one that drops a repeated key keeps fewer. Nothing
+    in the count reads what a string says. An entry packed with only its
+    four keys keeps five (four keys and its prototype id).
+
+    Raises :class:`_Unread` at a repeated key, at a text that is not valid
+    JSON or UTF-8, at a top level that is not an object, or, before reading
+    anything, at a file that cannot be read twice (a pipe). A lone
+    surrogate is named once the whole text has been read, so that a fault
+    in the JSON after it wins; as :func:`_lone_surrogate` walks the whole
+    tree, every top-level key is checked before any value.
+    """
+    if not fh.seekable():
+        raise _Unread
+    raw: dict[str, Any] = {}
+    key_fault = value_fault = None
+    window = _Window(fh)
+    window.take("{")
+    if window.peek() == "}":
+        window.pos += 1
+    else:
+        while True:
+            if window.peek() != '"':
+                raise _Unread
+            key, _ = window.value()
+            if key in raw:
+                raise _Unread
+            key_fault = key_fault or _lone_surrogate({key: None})
+            window.take(":")
+            field = _member("", key)
+            if key == "images" and window.peek() == "[":
+                raw[key], fault = _read_images(window, cols, field)
+            else:
+                raw[key], start = window.value()
+                fault = None
+                if _escaped(window, start, _string_tokens(raw[key])):
+                    fault = _lone_surrogate(raw[key], field)
+            value_fault = value_fault or fault
+            if window.take(",}") == "}":
+                break
+    if window.peek():  # data after the top-level object
+        raise _Unread
+    if key_fault or value_fault:
+        raise FormatError(f"{path}: {key_fault or value_fault}")
+    return raw
+
+
+def _read_images(
+    window: _Window, cols: columns.Columns, field: str
+) -> tuple[list, str | None]:
+    """The array of images at the window's cursor, read, with each image's
+    entries packed into ``cols`` when they pass the bulk checks, and its
+    first lone surrogate (see :func:`_lone_surrogate`)."""
+    images = []
+    fault = None
+    window.take("[")
+    if window.peek() == "]":
+        window.pos += 1
+        return images, fault
+    while True:
+        rec, start = window.value()
+        known = len(cols.codes)
+        entries = rec.get("entries") if type(rec) is dict else None
+        shown = rec  # as the lone-surrogate walk reads it
+        if cols.pack(rec) is None:
+            tokens = _string_tokens(rec)
+        elif sum(map(len, entries)) == 4 * len(entries):  # only their four keys
+            tokens = 5 * len(entries) + _string_tokens(rec)
+        else:  # the fields that packing drops, walked as decoded
+            tokens = _string_tokens(entries) + _string_tokens(rec)
+            shown = {**rec, "entries": entries}
+        if _escaped(window, start, tokens) and fault is None:
+            fault = _lone_surrogate(shown, f"{field}[{len(images)}]", _bad_ids(cols, known))
+        images.append(rec)
+        if window.take(",]") == "]":
+            return images, fault
+
+
+def _bad_ids(
+    cols: columns.Columns, known: int
+) -> Callable[[range], tuple[int, str] | None] | None:
+    """The reader of packed entries for :func:`_lone_surrogate` that finds
+    those whose prototype id holds a lone surrogate and was coded after the
+    first ``known`` codes, or None when no such id was; an id coded before
+    was walked with an earlier image."""
+    bad = {code: pid for pid, code in islice(cols.codes.items(), known, None)
+           if not _encodes(pid)}
+    if not bad:
         return None
-    quotes = text.count('"')
+
+    def first_bad(span: range) -> tuple[int, str] | None:
+        codes = cols.proto[span.start:span.stop]
+        return next(((j, bad[c]) for j, c in enumerate(codes) if c in bad), None)
+
+    return first_bad
+
+
+def _escaped(window: _Window, start: int, tokens: int) -> bool:
+    """Whether the text of the value just read, from ``start``, holds a
+    backslash. Raises :class:`_Unread` unless it holds ``tokens`` string
+    tokens (see :func:`_read_windowed`)."""
+    buf, end = window.buf, window.pos
+    quotes = buf.count('"', start, end)
+    escaped = buf.find("\\", start, end) >= 0
     if escaped:  # less the escaped quotes, each after an odd run of backslashes
-        quotes -= re.findall(r'\\[\\"]', text).count('\\"')
-    if 2 * (tokens + _string_tokens(obj)) != quotes:
-        return None
-    # text read as UTF-8 holds no surrogate; only a \u escape can decode to one
-    if escaped:
-        _reject_lone_surrogates(obj, path, list(codes))
-    return obj
+        quotes -= _ESCAPES.findall(buf, start, end).count('\\"')
+    if 2 * tokens != quotes:
+        raise _Unread
+    return escaped
 
 
 def _string_tokens(obj: Any) -> int:
@@ -452,11 +620,9 @@ def _string_tokens(obj: Any) -> int:
     return tokens
 
 
-def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> EvidenceDump:
-    """The dump of the decoded file ``raw``, whose packed entries name their
-    prototypes by ``codes``."""
-    from . import columns
-
+def _dump_from_raw(raw: Any, path: str | Path, cols: columns.Columns) -> EvidenceDump:
+    """The dump of the decoded file ``raw``, whose images' packed entries
+    are the rows of ``cols``."""
     _check_format(raw, DUMP_FORMAT, path)
     model_name = _require(raw, "model_name", str, str(path))
     seed = _require(raw, "seed", int, str(path))
@@ -488,9 +654,9 @@ def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> Evidenc
             ws.append(float(w))
         prototypes.append(PrototypeRecord(pid, tuple(ws)))
 
-    proto_of_code = columns.prototype_of_code(codes, index)
+    unknown = cols.resolve(index)  # the first entry whose prototype is unknown, or None
     headers = []
-    packed = []
+    counts = []
     seen_images: set[str] = set()
     for i, rec in enumerate(_require(raw, "images", list, str(path))):
         where = f"{path}: images[{i}]"
@@ -507,17 +673,16 @@ def _dump_from_raw(raw: Any, path: str | Path, codes: dict[str, int]) -> Evidenc
                 f"{where}: image too large for exact geometry "
                 "(2 * width * feature_w and 2 * height * feature_h must be below 2**63)"
             )
-        entries = _require(rec, "entries", (list, columns.Entries), where)
+        entries = _require(rec, "entries", (list, range), where)
         if isinstance(entries, list):
             _raise_entry_fault(entries, where, index, feature_h, feature_w)
-        resolved = columns.resolve(entries, proto_of_code)
-        if isinstance(resolved, int):
-            pid = list(codes)[entries.proto[resolved]]
-            raise FormatError(f"{where}.entries[{resolved}]: unknown prototype {pid!r}")
-        packed.append(resolved)
+        if unknown and unknown[0] in entries:
+            at, pid = unknown
+            raise FormatError(f"{where}.entries[{at - entries.start}]: unknown prototype {pid!r}")
+        counts.append(len(entries))
         headers.append((*header, feature_h, feature_w))
 
-    table = columns.join(tuple(index), packed)
+    table = cols.table(tuple(index), counts)
     images = tuple(
         ImageActivationRecord(*header, ActivationView(table, i))
         for i, header in enumerate(headers)

@@ -24,15 +24,12 @@ each image's lattice within int64.
 from __future__ import annotations
 
 import functools
-import logging
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .records import fits_exact_grid
-
-logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # the patch lattice
@@ -169,12 +166,10 @@ def iou_dsc_exact(a: np.ndarray, b: np.ndarray) -> tuple[Fraction, Fraction]:
     """IoU and DSC between the unions of two box sets, given as edge arrays
     on one lattice, as exact rationals.
 
-    Both results are 0 when either set covers no area; the doubly-empty case
-    is degenerate and logged.
+    Both results are 0 when either set covers no area, the degenerate case
+    of two empty sets included.
     """
     area_a, area_b, inter = _areas(a, b)
     if area_a == 0 or area_b == 0:
-        if area_a == area_b:
-            logger.debug("iou/dsc over two empty region sets; returning 0")
         return Fraction(0), Fraction(0)
     return Fraction(inter, area_a + area_b - inter), Fraction(2 * inter, area_a + area_b)

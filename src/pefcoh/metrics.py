@@ -287,7 +287,8 @@ def top_k_evidence(
     kept = pool[np.arange(len(pool)) - _group_starts(proto, len(is_global))[proto] < config.k]
 
     image = t.image[kept]
-    train = np.unique(image).tolist()  # the annotated train images holding kept items
+    # the annotated train images holding kept items, ascending
+    train = np.flatnonzero(np.bincount(image, minlength=len(dump.images))).tolist()
     roi_index = _match_rois(
         [(dump.images[i].feature_h, dump.images[i].feature_w, anns[i]) for i in train],
         np.searchsorted(train, image), t.row[kept], t.col[kept], config.patch_size,

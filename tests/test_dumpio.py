@@ -1,9 +1,13 @@
 import copy
 import dataclasses
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -525,34 +529,45 @@ TEXT_FAULTS = {
 }
 
 
-class TestStreamedParse:
-    """parse_dump packs each image's entries as the image's object closes;
-    the reference decodes the whole tree first and checks it after. Both
-    must agree on every input: the same dump, or the same message."""
+# a dump's key order and layout, with an entry fault and a cut end or not
+LAYOUTS = dict(
+    order=st.permutations(
+        ["format", "model_name", "seed", "class_names", "prototypes", "images", "notes"]),
+    indent=st.sampled_from([None, 2]),
+    gap=st.sampled_from(["", " ", "\n", " \t\r\n "]),
+    fault=st.none() | st.tuples(st.integers(0, 3), st.integers(1, 79),
+                                st.sampled_from(sorted(ENTRY_FAULTS))),
+    cut=st.none() | st.integers(1, 300),
+)
 
-    @given(
-        order=st.permutations(
-            ["format", "model_name", "seed", "class_names", "prototypes", "images", "notes"]),
-        indent=st.sampled_from([None, 2]),
-        gap=st.sampled_from(["", " ", "\n", " \t\r\n "]),
-        fault=st.none() | st.tuples(st.integers(0, 3), st.integers(1, 79),
-                                    st.sampled_from(sorted(ENTRY_FAULTS))),
-        cut=st.none() | st.integers(1, 300),
-    )
+
+def _layout_file(tmp_path_factory, order, indent, gap, fault, cut):
+    """The path of a dump file drawn from LAYOUTS."""
+    obj = wide_dump_obj()
+    obj["notes"] = {"run": [1, 2]}
+    if fault is not None:
+        TestEntryFaults.place(obj, *fault)
+    text = gap + json.dumps(
+        {key: obj[key] for key in order},
+        indent=indent, separators=(f"{gap},{gap}", f"{gap}:{gap}"),
+    ) + gap
+    path = tmp_path_factory.mktemp("order") / "d.json"
+    path.write_text(text if cut is None else text[:-cut], encoding="utf-8")
+    return path
+
+
+class TestStreamedParse:
+    """parse_dump reads the file through a window and packs each image's
+    entries as the image is read; the reference decodes the whole tree
+    first and checks it after. Both must agree on every input: the same
+    dump, or the same message."""
+
+    @given(**LAYOUTS)
     @settings(max_examples=60, deadline=None)
     def test_key_order_and_layout_match_reference(
         self, tmp_path_factory, order, indent, gap, fault, cut
     ):
-        obj = wide_dump_obj()
-        obj["notes"] = {"run": [1, 2]}
-        if fault is not None:
-            TestEntryFaults.place(obj, *fault)
-        text = gap + json.dumps(
-            {key: obj[key] for key in order},
-            indent=indent, separators=(f"{gap},{gap}", f"{gap}:{gap}"),
-        ) + gap
-        path = tmp_path_factory.mktemp("order") / "d.json"
-        path.write_text(text if cut is None else text[:-cut], encoding="utf-8")
+        path = _layout_file(tmp_path_factory, order, indent, gap, fault, cut)
         assert _outcome(parse_dump, path) == _outcome(helpers.parse_dump, path)
 
     @pytest.mark.parametrize("name", sorted(TEXT_FAULTS))
@@ -580,15 +595,20 @@ class TestStreamedParse:
             "prototypes[2]: class_weights length 1 != 2 classes")
 
     def test_peak_memory_bounded_by_the_text(self, tmp_path):
+        # 3.8 MB, written as pefcoh writes dumps; the window reads 64k
+        # characters at a time here (four times its longest value, an image
+        # of 9.5 kB, is less)
         path = tmp_path / "d.json"
-        path.write_text(json.dumps(wide_dump_obj(n_images=400)), encoding="utf-8")
+        path.write_text(dumps_canonical(wide_dump_obj(n_images=400)), encoding="utf-8")
         tracemalloc.start()
         try:
             parse_dump(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * path.stat().st_size
+        # the whole text alone would take all of it; the table (40 bytes an
+        # entry) and the image headers take half
+        assert peak <= 0.75 * path.stat().st_size
 
     @pytest.mark.parametrize(
         "read",
@@ -610,8 +630,9 @@ def _written(tmp_path, obj, order=None):
 
 
 class TestEntryPacking:
-    """Entries are packed wherever an object holding them closes, before the
-    prototypes may be known; the result must not depend on where they are."""
+    """An image's entries are packed as the image is read, before the
+    prototypes may be known, and entries outside the images are not; the
+    result must not depend on where they are."""
 
     def test_peak_memory_bounded_with_images_first(self, tmp_path):
         obj = wide_dump_obj(n_images=400)
@@ -914,6 +935,210 @@ class TestCountedDecode:
         fault = isinstance(expected, str) and re.match(
             f"{re.escape(str(path))}: (duplicate key|not valid JSON)", expected)
         assert bool(calls) == bool(fault)
+
+
+# the window sizes, in characters, of TestWindowBoundaries: the small ones
+# put a window boundary inside every token of the first values read
+WINDOWS = [1, 2, 3, 7, dumpio._WINDOW]
+
+
+def _window_outcomes(path):
+    """parse_dump's outcome for ``path`` with each of WINDOWS, and whether
+    it reached the strict decode."""
+    outcomes = []
+    strict = dumpio._loads
+    for window in WINDOWS:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return strict(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dumpio, "_WINDOW", window)
+            patch.setattr(dumpio, "_loads", counted)
+            outcomes.append((_outcome(parse_dump, path), bool(calls)))
+    return outcomes
+
+
+def _reference_outcomes(path):
+    """What _window_outcomes must give for ``path``: the reference parser's
+    outcome, and the strict decode reached only to name a fault in the JSON."""
+    expected = _outcome(helpers.parse_dump, path)
+    fault = isinstance(expected, str) and re.match(
+        f"{re.escape(str(path))}: (duplicate key|not valid JSON)", expected)
+    return [(expected, bool(fault))] * len(WINDOWS)
+
+
+def _canonical(edit=None):
+    """The text of wide_dump_obj(), edited by ``edit``, as pefcoh writes it."""
+    obj = wide_dump_obj()
+    if edit is not None:
+        edit(obj)
+    return dumps_canonical(obj)
+
+
+def _replaced(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def _escape_runs(k):
+    """Escaped quotes and backslash runs ``k`` characters into the first
+    value and into an image id."""
+    def edit(obj):
+        items = list(obj.items())
+        obj.clear()
+        obj.update([("notes", {"a" * k + '"\\"\\\\': "b" * k + '\\\\"\\'}), *items])
+        obj["images"][2]["image_id"] = "c" * k + '\\"\\\\"'
+    return _canonical(edit).encode()
+
+
+def _long_first_string(k, tail):
+    """A dump whose first value is a string that ends ``tail`` (bytes)
+    near byte 8192 + ``k``, where the file reader decodes its next block."""
+    head = '{\n  "notes": "'
+    text = _canonical()
+    return (head.encode() + b"x" * (8190 - len(head) + k) + tail + b'",'
+            + text[1:].encode())
+
+
+def _cut_in_number(k, first):
+    """A dump whose seed, a long number, is its first or last value, with
+    the file cut ``k`` digits into it."""
+    def edit(obj):
+        seed = obj.pop("seed")
+        items = list(obj.items())
+        obj.clear()
+        obj.update([("seed", seed), *items] if first else [*items, ("seed", seed)])
+    text = _replaced(_canonical(edit), '"seed": 1', '"seed": 123456789')
+    return text[:text.index("123456789") + k].encode()
+
+
+def _long_first_number(k, tail):
+    """A dump whose first value is a number of 20 + ``k`` digits and then
+    ``tail``, longer than the window the parse starts with."""
+    return ('{\n  "notes": ' + "1" * (20 + k) + tail + "," + _canonical()[1:]).encode()
+
+
+def _lone_surrogates(obj):
+    """A lone surrogate in an image id and in the last top-level key."""
+    obj["images"][1]["image_id"] = "img\ud800"
+    obj["z\ud800"] = 1
+
+
+# name: the bytes of a dump file, given an offset k in 0-8 that moves the
+# fault against the window's boundaries
+WINDOW_FAULTS = {
+    "escaped-quote-and-backslash-runs": _escape_runs,
+    "crlf-between-tokens": lambda k: (" " * k + _canonical()).replace("\n", "\r\n").encode(),
+    "crlf-in-a-string": lambda k: (" " * k + _replaced(
+        _canonical(), '"model_name": "m"', '"model_name": "m\r\n"')).encode(),
+    "invalid-utf-8-at-the-start": lambda k: b" " * k + b"\xff" + _canonical().encode(),
+    "invalid-utf-8-after-a-block": lambda k: _long_first_string(k, b"\xff"),
+    "multibyte-characters-across-a-block": lambda k: _long_first_string(k, "éé€".encode()),
+    "invalid-utf-8-in-an-image": lambda k: _replaced(
+        _canonical(), '"img2"', '"img2' + "x" * k + '\udcc3"').encode("utf-8", "surrogateescape"),
+    "bom": lambda k: b"\xef\xbb\xbf" + b" " * k + _canonical().encode(),
+    "repeated-top-level-key": lambda k: _replaced(
+        _canonical(), '"seed": 1,', '"seed": 1,' + " " * k + '"seed": 1,').encode(),
+    "repeated-images": lambda k: _replaced(
+        _canonical(), '"images": [', '"images": [],' + " " * k + '"images": [').encode(),
+    "file-cut-in-the-first-number": lambda k: _cut_in_number(k, first=True),
+    "file-cut-in-the-last-number": lambda k: _cut_in_number(k, first=False),
+    "number-at-the-end": lambda k: _cut_in_number(9, first=False) + b" " * k + b"}",
+    "long-first-integer": lambda k: _long_first_number(k, ""),
+    "long-first-number-with-a-fraction-and-an-exponent": lambda k: _long_first_number(
+        k, ".5e+3"),
+    "data-after-the-object": lambda k: (_canonical() + " " * k + "{}").encode(),
+    "lone-surrogates-in-a-value-and-a-later-key": lambda k: (" " * k + _canonical(
+        _lone_surrogates)).encode("utf-8", "backslashreplace"),
+    "numbers-with-fractions-and-exponents": lambda k: (" " * k + _canonical()).replace(
+        '"score": 2,', '"score": 2.0e+0,').replace('"score": 0.5,', '"score": 5E-1,').encode(),
+}
+
+
+class TestWindowBoundaries:
+    """parse_dump decodes the file through a window of a few characters as
+    through its default one, and either way gives the reference parser's
+    dump or message: wherever a window boundary falls in a token, a
+    character or a fault."""
+
+    @given(**LAYOUTS)
+    @settings(max_examples=helpers.examples(30), deadline=None)
+    def test_drawn_layout_matches_reference(
+        self, tmp_path_factory, order, indent, gap, fault, cut
+    ):
+        path = _layout_file(tmp_path_factory, order, indent, gap, fault, cut)
+        assert _window_outcomes(path) == _reference_outcomes(path)
+
+    @pytest.mark.parametrize("name", sorted(COUNTED_CASES))
+    def test_counted_case_matches_reference(self, tmp_path, name):
+        path = _counted_case(tmp_path, name)
+        assert _window_outcomes(path) == _reference_outcomes(path)
+
+    @pytest.mark.parametrize("name", sorted(ESCAPED_CLEAN_CASES))
+    def test_escaped_clean_case_matches_reference(self, tmp_path, name):
+        obj = wide_dump_obj()
+        ESCAPED_CLEAN_CASES[name](obj)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+        expected = _reference_outcomes(path)
+        assert isinstance(expected[0][0], EvidenceDump)
+        assert _window_outcomes(path) == expected
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_FAULTS))
+    def test_fault_at_a_boundary_matches_reference(self, tmp_path, name):
+        path = tmp_path / "d.json"
+        for k in range(9):
+            path.write_bytes(WINDOW_FAULTS[name](k))
+            assert _window_outcomes(path) == _reference_outcomes(path), k
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("name", ["clean", "repeated-key-at-the-top-level",
+                                      "syntax-error-after-a-repeated-key",
+                                      "lone-surrogate-in-a-prototype-id"])
+    def test_pipe_is_read_once(self, tmp_path, name):
+        # a pipe cannot be read again for the strict decode, so it is read
+        # whole, by the strict decode, from the first
+        path = _counted_case(tmp_path, name)
+        expected = _outcome(helpers.parse_dump, path)
+        if isinstance(expected, str):
+            expected = expected.replace(str(path), "/dev/stdin", 1)
+        else:
+            expected = dumps_canonical(dump_to_json(expected))
+        script = (
+            "from pefcoh.dumpio import FormatError, dump_to_json, dumps_canonical, parse_dump\n"
+            "try:\n"
+            "    print(dumps_canonical(dump_to_json(parse_dump('/dev/stdin'))), end='')\n"
+            "except FormatError as exc:\n"
+            "    print(exc, end='')\n"
+        )
+        src = str(Path(dumpio.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", script], input=path.read_bytes(),
+                              capture_output=True, env=env, timeout=120, check=True)
+        assert proc.stdout.decode() == expected
+
+    def test_values_are_decoded_about_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.json"
+        path.write_text(dumps_canonical(wide_dump_obj(n_images=40)), encoding="utf-8")
+        decoded = []
+
+        class Decoder(json.JSONDecoder):
+            def raw_decode(self, s, idx=0):
+                try:
+                    obj, end = super().raw_decode(s, idx)
+                except ValueError:
+                    decoded.append(len(s) - idx)
+                    raise
+                decoded.append(end - idx)
+                return obj, end
+
+        monkeypatch.setattr(dumpio, "_DECODER", Decoder())
+        assert parse_dump(path) == helpers.parse_dump(path)
+        assert sum(decoded) <= 1.02 * path.stat().st_size
 
 
 def _dicts(node):

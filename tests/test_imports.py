@@ -89,6 +89,11 @@ def test_evaluate_loads_the_array_code(tmp_path):
                               "pefcoh.columns"]
 
 
+def test_evaluate_loads_no_masked_arrays(synth_run):
+    script = f"from pefcoh import cli\nassert cli.main({synth_run['evaluate']!r}) == 0"
+    assert loaded(script, ("numpy.ma",)) == []
+
+
 @pytest.fixture(scope="module")
 def synth_run(tmp_path_factory):
     """The argv of an ``evaluate`` and of a ``compare`` run on a synth dump;
