@@ -25,10 +25,10 @@ _CHUNK = 1 << 14  # entries resolved at a time
 class Columns:
     """The packed entries of a dump, image after image: per entry its
     prototype code, score, row and column, each in one stdlib array.
-    Prototype ids are coded by ``codes`` in first-seen order."""
+    Prototype ids are coded in first-seen order."""
 
     def __init__(self) -> None:
-        self.codes: dict[str, int] = {}
+        self._codes: dict[str, int] = {}
         self.proto = array("q")
         self.score = array("d")
         self.row = array("q")
@@ -67,7 +67,7 @@ class Columns:
         except (KeyError, TypeError, OverflowError):
             return None
         start = len(self.proto)
-        codes = self.codes
+        codes = self._codes
         self.proto.fromlist([codes.setdefault(pid, len(codes)) for pid in pids])
         self.score.fromlist(scores)
         self.row.fromlist(rows)
@@ -81,12 +81,12 @@ class Columns:
         their indices; or, when an entry's prototype is not one of them,
         keep the codes and give the first such entry's position and
         prototype id."""
-        of_code = np.array([index.get(pid, -1) for pid in self.codes], dtype=np.int64)
+        of_code = np.array([index.get(pid, -1) for pid in self._codes], dtype=np.int64)
         proto = np.frombuffer(self.proto, np.int64)
         unknown = np.flatnonzero(of_code < 0)
         if unknown.size:
             at = int(np.flatnonzero(np.isin(proto, unknown))[0])
-            return at, list(self.codes)[proto[at]]
+            return at, list(self._codes)[proto[at]]
         for start in range(0, len(proto), _CHUNK):  # no copy of the whole column
             part = proto[start:start + _CHUNK]
             part[:] = of_code[part]

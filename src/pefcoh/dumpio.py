@@ -18,9 +18,9 @@ decoder that counts the string tokens it keeps to prove no key repeats; each
 image's entries go into one growing column per field as the image is read.
 So the parse holds the window, one image's entry objects, the header fields
 and the columns, and never the whole text or the whole JSON tree. Only a
-dump that repeats a key or is not valid JSON or UTF-8 is read whole and
-decoded again, by the strict hook, which names the fault (see
-:func:`parse_dump`).
+dump that repeats a key, is not valid JSON or UTF-8, or holds a surrogate
+escape (``\\uD800`` to ``\\uDFFF``) is read whole and decoded again, by the
+strict hook, which names the fault (see :func:`parse_dump`).
 
 This module imports no numpy. The dump's column packing is array code in
 :mod:`pefcoh.columns`, which :func:`parse_dump` imports on its first call;
@@ -39,7 +39,6 @@ import math
 import re
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import Field, dataclass, fields, is_dataclass
-from itertools import islice
 from pathlib import Path
 from types import UnionType
 from typing import (
@@ -145,21 +144,11 @@ def _loads(text: str, path: str | Path) -> Any:
     return obj
 
 
-def _lone_surrogate(
-    obj: Any, field: str = "", packed: Callable[[range], tuple[int, str] | None] | None = None
-) -> str | None:
+def _lone_surrogate(obj: Any) -> str | None:
     """The fault, without the file name, of the first string, key or value,
     in document order that holds a lone surrogate, which UTF-8 cannot
-    encode, or None. ``field`` names ``obj``; every key of an object is
-    checked before its values.
-
-    Packed entries (a range of rows of the dump's columns, see
-    :meth:`pefcoh.columns.Columns.pack`) are read through ``packed``, which
-    gives the first of them whose prototype id holds a lone surrogate, by
-    its position and id: an entry packed with only its four keys holds no
-    other string.
-    """
-    stack: list[tuple[Any, str]] = [(obj, field)]
+    encode, or None; every key of an object is checked before its values."""
+    stack: list[tuple[Any, str]] = [(obj, "")]
     while stack:
         node, field = stack.pop()
         if type(node) is dict:
@@ -174,9 +163,6 @@ def _lone_surrogate(
             stack.extend((node[i], f"{field}[{i}]") for i in reversed(range(len(node))))
         elif type(node) is str and not _encodes(node):
             return f"{field}: {node!r} is not valid Unicode (a lone surrogate)"
-        elif type(node) is range and packed is not None and (bad := packed(node)):
-            j, pid = bad
-            return f"{field}[{j}].prototype_id: {pid!r} is not valid Unicode (a lone surrogate)"
     return None
 
 
@@ -372,13 +358,14 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     a fault in a record.
 
     Each value is decoded by a plain decoder, which cannot see a repeated
-    key, and kept when the string tokens it holds match its text's (see
-    :func:`_read_windowed`). A text that the window does not take, which
-    repeats a key, is not valid JSON or UTF-8, or whose top level is not an
-    object, is read whole from its start and decoded again, with fresh
-    columns, by the strict :func:`_loads` of every other reader, which
-    names the fault. So is a file that cannot be read twice (a pipe), from
-    the first.
+    key, and kept when the string tokens it holds match its text's and its
+    text holds no surrogate escape (see :func:`_read_windowed`). A text
+    that the window does not take, which repeats a key, is not valid JSON or
+    UTF-8, holds a surrogate escape, or whose top level is not an object, is
+    read whole from its start and decoded again, with fresh columns, by the
+    strict :func:`_loads` of every other reader, which names the fault (a
+    lone surrogate among them) or, for a surrogate pair, gives the dump. So
+    is a file that cannot be read twice (a pipe), from the first.
 
     The columns become the dump's one ``activations`` table, which its
     images' ``entries`` view; only an image whose entries were left unpacked
@@ -389,7 +376,7 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     cols = columns.Columns()
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = _read_windowed(fh, path, cols)
+            raw = _read_windowed(fh, cols)
         except _Unread:
             if fh.seekable():
                 fh.seek(0)
@@ -402,7 +389,8 @@ def parse_dump(path: str | Path) -> EvidenceDump:
 
 _WINDOW = 1 << 16  # characters read ahead of the cursor, at the least
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # as JSON has it
-_ESCAPES = re.compile(r'\\[\\"]')
+# an escaped backslash or quote, or the start of a surrogate's \u escape
+_ESCAPES = re.compile(r'\\(?:[\\"]|u[dD][89a-fA-F])')
 _DECODER = json.JSONDecoder()
 
 
@@ -482,10 +470,9 @@ class _Window:
         return obj, start
 
 
-def _read_windowed(fh: TextIO, path: str | Path, cols: columns.Columns) -> dict:
-    """The top-level object of the dump ``fh``, the file at ``path``, read
-    through a window, with the entries of each image of ``images`` packed
-    into ``cols``.
+def _read_windowed(fh: TextIO, cols: columns.Columns) -> dict:
+    """The top-level object of the dump ``fh``, read through a window, with
+    the entries of each image of ``images`` packed into ``cols``.
 
     The top-level object and the ``images`` array are framed here, and each
     value in them is decoded on its own, with no hook. The keys of the top
@@ -498,16 +485,13 @@ def _read_windowed(fh: TextIO, path: str | Path, cols: columns.Columns) -> dict:
     four keys keeps five (four keys and its prototype id).
 
     Raises :class:`_Unread` at a repeated key, at a text that is not valid
-    JSON or UTF-8, at a top level that is not an object, or, before reading
-    anything, at a file that cannot be read twice (a pipe). A lone
-    surrogate is named once the whole text has been read, so that a fault
-    in the JSON after it wins; as :func:`_lone_surrogate` walks the whole
-    tree, every top-level key is checked before any value.
+    JSON or UTF-8, at a top level that is not an object, at a key or value
+    whose text holds a surrogate escape (see :func:`_check_text`), or,
+    before reading anything, at a file that cannot be read twice (a pipe).
     """
     if not fh.seekable():
         raise _Unread
     raw: dict[str, Any] = {}
-    key_fault = value_fault = None
     window = _Window(fh)
     window.take("{")
     if window.peek() == "}":
@@ -516,91 +500,58 @@ def _read_windowed(fh: TextIO, path: str | Path, cols: columns.Columns) -> dict:
         while True:
             if window.peek() != '"':
                 raise _Unread
-            key, _ = window.value()
+            key, start = window.value()
             if key in raw:
                 raise _Unread
-            key_fault = key_fault or _lone_surrogate({key: None})
+            _check_text(window, start, 1)
             window.take(":")
-            field = _member("", key)
             if key == "images" and window.peek() == "[":
-                raw[key], fault = _read_images(window, cols, field)
+                raw[key] = _read_images(window, cols)
             else:
                 raw[key], start = window.value()
-                fault = None
-                if _escaped(window, start, _string_tokens(raw[key])):
-                    fault = _lone_surrogate(raw[key], field)
-            value_fault = value_fault or fault
+                _check_text(window, start, _string_tokens(raw[key]))
             if window.take(",}") == "}":
                 break
     if window.peek():  # data after the top-level object
         raise _Unread
-    if key_fault or value_fault:
-        raise FormatError(f"{path}: {key_fault or value_fault}")
     return raw
 
 
-def _read_images(
-    window: _Window, cols: columns.Columns, field: str
-) -> tuple[list, str | None]:
+def _read_images(window: _Window, cols: columns.Columns) -> list:
     """The array of images at the window's cursor, read, with each image's
-    entries packed into ``cols`` when they pass the bulk checks, and its
-    first lone surrogate (see :func:`_lone_surrogate`)."""
+    entries packed into ``cols`` when they pass the bulk checks."""
     images = []
-    fault = None
     window.take("[")
     if window.peek() == "]":
         window.pos += 1
-        return images, fault
+        return images
     while True:
         rec, start = window.value()
-        known = len(cols.codes)
         entries = rec.get("entries") if type(rec) is dict else None
-        shown = rec  # as the lone-surrogate walk reads it
-        if cols.pack(rec) is None:
-            tokens = _string_tokens(rec)
-        elif sum(map(len, entries)) == 4 * len(entries):  # only their four keys
-            tokens = 5 * len(entries) + _string_tokens(rec)
-        else:  # the fields that packing drops, walked as decoded
-            tokens = _string_tokens(entries) + _string_tokens(rec)
-            shown = {**rec, "entries": entries}
-        if _escaped(window, start, tokens) and fault is None:
-            fault = _lone_surrogate(shown, f"{field}[{len(images)}]", _bad_ids(cols, known))
+        tokens = 0
+        if cols.pack(rec) is not None:  # the entries, now a range, are counted here
+            only_keys = sum(map(len, entries)) == 4 * len(entries)
+            tokens = 5 * len(entries) if only_keys else _string_tokens(entries)
+        _check_text(window, start, tokens + _string_tokens(rec))
         images.append(rec)
         if window.take(",]") == "]":
-            return images, fault
+            return images
 
 
-def _bad_ids(
-    cols: columns.Columns, known: int
-) -> Callable[[range], tuple[int, str] | None] | None:
-    """The reader of packed entries for :func:`_lone_surrogate` that finds
-    those whose prototype id holds a lone surrogate and was coded after the
-    first ``known`` codes, or None when no such id was; an id coded before
-    was walked with an earlier image."""
-    bad = {code: pid for pid, code in islice(cols.codes.items(), known, None)
-           if not _encodes(pid)}
-    if not bad:
-        return None
-
-    def first_bad(span: range) -> tuple[int, str] | None:
-        codes = cols.proto[span.start:span.stop]
-        return next(((j, bad[c]) for j, c in enumerate(codes) if c in bad), None)
-
-    return first_bad
-
-
-def _escaped(window: _Window, start: int, tokens: int) -> bool:
-    """Whether the text of the value just read, from ``start``, holds a
-    backslash. Raises :class:`_Unread` unless it holds ``tokens`` string
-    tokens (see :func:`_read_windowed`)."""
+def _check_text(window: _Window, start: int, tokens: int) -> None:
+    """Raise :class:`_Unread` unless the text of the value just read, from
+    ``start``, holds ``tokens`` string tokens (see :func:`_read_windowed`)
+    and no surrogate escape. A text read as UTF-8 holds a surrogate only as
+    a ``\\uD800`` to ``\\uDFFF`` escape, which the strict decode reads."""
     buf, end = window.buf, window.pos
     quotes = buf.count('"', start, end)
-    escaped = buf.find("\\", start, end) >= 0
-    if escaped:  # less the escaped quotes, each after an odd run of backslashes
-        quotes -= _ESCAPES.findall(buf, start, end).count('\\"')
+    if buf.find("\\", start, end) >= 0:  # escapes, matched left to right
+        escapes = _ESCAPES.findall(buf, start, end)
+        if any(len(escape) > 2 for escape in escapes):
+            raise _Unread
+        quotes -= escapes.count('\\"')
     if 2 * tokens != quotes:
         raise _Unread
-    return escaped
 
 
 def _string_tokens(obj: Any) -> int:

@@ -146,6 +146,8 @@ def aggregate_flat(
 
     Properties absent in some runs are averaged over the runs where they are
     present, with that count recorded; a property absent everywhere is None.
+    Values whose mean or std overflows a float raise :class:`ConsistencyError`
+    naming the key.
     """
     if not runs:
         raise ValueError("no runs to aggregate")
@@ -162,9 +164,12 @@ def aggregate_flat(
         elif len(values) == 1:
             out[key] = AggregateProperty(values[0], None, 1)
         else:
-            out[key] = AggregateProperty(
-                statistics.fmean(values), statistics.stdev(values), len(values)
-            )
+            try:
+                out[key] = AggregateProperty(
+                    statistics.fmean(values), statistics.stdev(values), len(values)
+                )
+            except OverflowError:  # a sum past the largest float
+                raise ConsistencyError(f"{key}: values too large to pool across runs") from None
     return out
 
 

@@ -712,6 +712,19 @@ class TestCompare:
         assert f"scores.{field} must be a finite number" in err
         assert not (tmp_path / "cmp").exists()
 
+    def test_scores_too_large_to_pool_rejected(self, tmp_path, capsys):
+        paths = self._reports(tmp_path, models=("m1", "m1"), seeds=(11, 22))
+        for path in paths:
+            raw = json.loads(path.read_text())
+            raw["scores"]["coverage"] = 1e308  # finite, but two of them overflow a sum
+            write_json(path, raw)
+        capsys.readouterr()
+        code = run_cli("compare", *paths, "--out", tmp_path / "cmp")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: coverage: values too large to pool across runs\n"
+        assert not (tmp_path / "cmp").exists()
+
     @pytest.mark.parametrize(
         "keys, value, message", SCORE_RANGE_FAULTS,
         ids=[".".join(keys) for keys, _, _ in SCORE_RANGE_FAULTS],

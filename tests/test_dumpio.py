@@ -771,6 +771,9 @@ COUNTED_CASES = {
         lambda obj: obj["images"][0]["entries"][0].update(prototype_id="zz\ud800"), 0,
         "images[0].entries[0].prototype_id: 'zz\\ud800' is not valid Unicode "
         "(a lone surrogate)"),
+    "lone-surrogate-in-a-top-level-key": (
+        lambda obj: obj.update({"z\ud800": 1}), 0,
+        "top level: key 'z\\ud800' is not valid Unicode (a lone surrogate)"),
     "lone-surrogate-in-a-prototype-id-after-the-images": (
         lambda obj: (_rename_prototype(obj, "p05", "p\ud800"), _prototypes_last(obj)), 0,
         "images[0].entries[53].prototype_id: 'p\\ud800' is not valid Unicode "
@@ -787,6 +790,9 @@ ESCAPED_CLEAN_CASES = {
     "key-ending-in-an-escaped-backslash": lambda obj: obj.update(notes={"k\\": "v\\"}),
     "extra-field-in-an-entry": lambda obj: obj["images"][2]["entries"][7].update(note="a:b"),
     "object-nested-in-an-entry": lambda obj: _nested_in_entry(obj, False),
+    # an escaped backslash, then the text ud800: no surrogate escape
+    "escaped-backslash-before-ud800-in-a-prototype-id": lambda obj: _rename_prototype(
+        obj, "p03", "a\\ud800"),
 }
 
 
@@ -801,10 +807,30 @@ def _counted_case(tmp_path, name):
     return path
 
 
+# a surrogate's JSON escape, \uD800 to \uDFFF: a backslash that no odd run of
+# backslashes escapes, then u and the escape's first two hex digits
+SURROGATE_ESCAPE = re.compile(rb"(?<!\\)(?:\\\\)*\\u[dD][89a-fA-F]")
+
+
+def _strict_decode_expected(path, expected):
+    """Whether parse_dump must reach the strict decode for ``path``, whose
+    reference outcome is ``expected``: to name a repeated key or invalid
+    JSON, or to read a text that holds a surrogate escape, unless the file
+    is not UTF-8 and so fails before any decode."""
+    if isinstance(expected, str):
+        fault = expected.removeprefix(f"{path}: ")
+        if fault.startswith("not valid UTF-8"):
+            return False
+        if fault.startswith(("duplicate key", "not valid JSON")):
+            return True
+    return bool(SURROGATE_ESCAPE.search(path.read_bytes()))
+
+
 class TestCountedDecode:
-    """parse_dump keeps the tree of a plain decode only when its pair count
-    proves that no key repeats, and decodes the text again strictly when it
-    cannot: either way it gives the reference parser's dump or message."""
+    """parse_dump keeps each value of a plain decode only when its
+    string-token count proves that no key repeats and its text holds no
+    surrogate escape, and decodes the text again strictly when it cannot:
+    either way it gives the reference parser's dump or message."""
 
     @pytest.mark.parametrize("name", sorted(COUNTED_CASES))
     def test_case_matches_reference(self, tmp_path, name):
@@ -844,6 +870,25 @@ class TestCountedDecode:
         assert calls == []
         assert dump == helpers.parse_dump(path)
         assert "p:03" in dump.activations.prototype_ids
+
+    def test_surrogate_pair_escape_takes_the_strict_decode(self, tmp_path, monkeypatch):
+        obj = wide_dump_obj()
+        _rename_prototype(obj, "p03", "p\U0001F600")
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+        assert '"p\\ud83d\\ude00"' in path.read_text(encoding="utf-8")
+        calls = []
+        strict = dumpio._loads
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return strict(*args, **kwargs)
+
+        monkeypatch.setattr(dumpio, "_loads", counted)
+        dump = parse_dump(path)
+        assert calls == [path]
+        assert dump == helpers.parse_dump(path)
+        assert "p\U0001F600" in dump.activations.prototype_ids
 
     @pytest.mark.parametrize("name", sorted(ESCAPED_CLEAN_CASES))
     def test_escaped_clean_dump_skips_the_strict_decode(self, tmp_path, monkeypatch, name):
@@ -932,9 +977,7 @@ class TestCountedDecode:
             outcome = _outcome(parse_dump, path)
         expected = _outcome(helpers.parse_dump, path)
         assert outcome == expected
-        fault = isinstance(expected, str) and re.match(
-            f"{re.escape(str(path))}: (duplicate key|not valid JSON)", expected)
-        assert bool(calls) == bool(fault)
+        assert bool(calls) == _strict_decode_expected(path, expected)
 
 
 # the window sizes, in characters, of TestWindowBoundaries: the small ones
@@ -963,11 +1006,10 @@ def _window_outcomes(path):
 
 def _reference_outcomes(path):
     """What _window_outcomes must give for ``path``: the reference parser's
-    outcome, and the strict decode reached only to name a fault in the JSON."""
+    outcome, and the strict decode reached only to name a fault in the JSON
+    or to read a surrogate escape (see _strict_decode_expected)."""
     expected = _outcome(helpers.parse_dump, path)
-    fault = isinstance(expected, str) and re.match(
-        f"{re.escape(str(path))}: (duplicate key|not valid JSON)", expected)
-    return [(expected, bool(fault))] * len(WINDOWS)
+    return [(expected, _strict_decode_expected(path, expected))] * len(WINDOWS)
 
 
 def _canonical(edit=None):
@@ -1021,6 +1063,19 @@ def _long_first_number(k, tail):
     return ('{\n  "notes": ' + "1" * (20 + k) + tail + "," + _canonical()[1:]).encode()
 
 
+def _surrogate_pair(k):
+    """A dump written as json.dumps writes it by default, whose first value
+    is a string that ends, ``k`` characters in, with a non-BMP character,
+    written as a surrogate pair's two escapes."""
+    obj = wide_dump_obj()
+    items = list(obj.items())
+    obj.clear()
+    obj.update([("notes", "x" * k + "\U0001F600"), *items])
+    text = json.dumps(obj, indent=2)
+    assert "\\ud83d\\ude00" in text
+    return text.encode()
+
+
 def _lone_surrogates(obj):
     """A lone surrogate in an image id and in the last top-level key."""
     obj["images"][1]["image_id"] = "img\ud800"
@@ -1053,6 +1108,7 @@ WINDOW_FAULTS = {
     "data-after-the-object": lambda k: (_canonical() + " " * k + "{}").encode(),
     "lone-surrogates-in-a-value-and-a-later-key": lambda k: (" " * k + _canonical(
         _lone_surrogates)).encode("utf-8", "backslashreplace"),
+    "surrogate-pair-escape-in-the-first-value": _surrogate_pair,
     "numbers-with-fractions-and-exponents": lambda k: (" " * k + _canonical()).replace(
         '"score": 2,', '"score": 2.0e+0,').replace('"score": 0.5,', '"score": 5E-1,').encode(),
 }
