@@ -34,6 +34,7 @@ from .records import (
     COMBINED_LEVEL,
     TEST,
     TRAIN,
+    ActivationTable,
     AnnotatedImage,
     AnnotationSet,
     CategoryId,
@@ -159,10 +160,10 @@ def local_prototypes(
     if not n:
         raise ValueError("empty test split")
     t = dump.activations
-    rows = np.flatnonzero(is_test[t.image])
+    rows = np.flatnonzero(t.per_row(is_test))
     weights = _weight_matrix(dump)
     if weight_convention == GROUND_TRUTH:
-        w = weights[t.proto[rows], _class_labels(dump)[t.image[rows]]]
+        w = weights[t.proto[rows], _class_labels(dump)[t.image_of(rows)]]
     else:
         w = weights.max(axis=1)[t.proto[rows]]
     with np.errstate(over="ignore"):  # a product past float64 is inf, as in Python
@@ -242,22 +243,68 @@ def _group_starts(groups: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=n))))
 
 
-def _top_k_candidates(proto: np.ndarray, score: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Positions of the entries that score at least the k-th highest score of
-    their prototype (0..n-1), or of all its entries when it has fewer: every
-    entry of each prototype's top k however its ties break, and its ties."""
+def _kth_scores(proto: np.ndarray, score: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Per prototype 0..n-1, the k-th highest of its entries' scores, or
+    -inf when it has fewer than k entries: the entries at or above it are
+    every entry of the prototype's top k however its ties break, and its
+    ties."""
     by_score = np.argsort(-score)
     group = proto[by_score]
     if n < 2**15:
         group = group.astype(np.int16)  # a stable sort of int16 is a radix sort
     order = by_score[np.argsort(group, kind="stable")]
     starts = _group_starts(proto, n)
-    sizes = np.diff(starts)
-    k = min(k, len(score))  # no larger group; keeps k in int64
-    present = sizes > 0
-    threshold = np.zeros(n)
-    threshold[present] = score[order[starts[:-1][present] + np.minimum(sizes[present], k) - 1]]
-    return np.flatnonzero(score >= threshold[proto])
+    threshold = np.full(n, -np.inf)
+    if k <= len(score):  # else no group is full; keeps k in int64
+        full = np.diff(starts) >= k
+        threshold[full] = score[order[starts[:-1][full] + k - 1]]
+    return threshold
+
+
+# entries of whole images read at a time while top-k candidates are picked
+_CHUNK = 1 << 15
+
+
+def _image_runs(offsets: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """Consecutive runs ``(a, b)`` of images ``a:b`` that cover every image:
+    a run starts at the first image to start at or past a multiple of
+    ``size`` entries, so it holds about ``size`` entries, or one larger
+    image."""
+    starts = offsets.searchsorted(np.arange(size, offsets[-1], size)).tolist()
+    bounds = [0, *starts, len(offsets) - 1]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def _pool_candidates(
+    t: ActivationTable, annotated: np.ndarray, is_global: np.ndarray, k: int
+) -> np.ndarray:
+    """The rows, ascending, of the pool (entries of global prototypes on
+    annotated images) that score at least their prototype's k-th highest
+    score in the pool (see :func:`_kth_scores`).
+
+    They are picked one run of images at a time (:func:`_image_runs`): the
+    run's pool rows that reach their prototype's k-th score among the rows
+    kept so far join those rows, and the k-th scores of the union decide
+    which are kept. A prototype's k-th score in part of the pool is never
+    above the one in the whole pool, so every row that one pass over the
+    whole pool keeps is kept at each step, and the kept rows stay near k
+    per prototype.
+    """
+    counts = t.offsets[1:] - t.offsets[:-1]
+    threshold = np.full(len(is_global), -np.inf)
+    kept = np.empty(0, dtype=np.intp)
+    for a, b in _image_runs(t.offsets, _CHUNK):
+        lo, hi = t.offsets[a], t.offsets[b]
+        proto = t.proto[lo:hi]
+        in_pool = np.repeat(annotated[a:b], counts[a:b]) & is_global[proto]
+        in_pool &= t.score[lo:hi] >= threshold[proto]
+        if not in_pool.any():
+            continue
+        rows = np.concatenate((kept, lo + np.flatnonzero(in_pool)))
+        proto, score = t.proto[rows], t.score[rows]
+        threshold = _kth_scores(proto, score, len(is_global), k)
+        kept = rows[score >= threshold[proto]]
+    return kept
 
 
 def top_k_evidence(
@@ -272,21 +319,27 @@ def top_k_evidence(
     missing from the annotation set are excluded from the pool. A prototype
     with fewer than k activations keeps all of them and records the
     shortfall.
+
+    Only the candidates, every entry at or above its prototype's k-th score,
+    are sorted; they are picked one run of about ``_CHUNK`` entries of whole
+    images at a time (:func:`_pool_candidates`), so no temporary is as long
+    as the table.
     """
     ann_by_id = annotations.by_id()
     anns = [ann_by_id.get(img.image_id) if img.split == TRAIN else None for img in dump.images]
     t = dump.activations
     is_global = _global_mask(dump, config.eps)
-    pool = np.flatnonzero(np.array([ann is not None for ann in anns], dtype=bool)[t.image]
-                          & is_global[t.proto])
-    pool = pool[_top_k_candidates(t.proto[pool], t.score[pool], len(is_global), config.k)]
+    annotated = np.array([ann is not None for ann in anns], dtype=bool)
+    pool = _pool_candidates(t, annotated, is_global, config.k)
+    image = t.image_of(pool)
     image_rank = _ranks([img.image_id for img in dump.images])
     # grouped by prototype index, then score descending, then image_id ascending
-    pool = pool[np.lexsort((image_rank[t.image[pool]], -t.score[pool], t.proto[pool]))]
+    order = np.lexsort((image_rank[image], -t.score[pool], t.proto[pool]))
+    pool, image = pool[order], image[order]
     proto = t.proto[pool]
-    kept = pool[np.arange(len(pool)) - _group_starts(proto, len(is_global))[proto] < config.k]
+    first_k = np.arange(len(pool)) - _group_starts(proto, len(is_global))[proto] < config.k
+    kept, image = pool[first_k], image[first_k]
 
-    image = t.image[kept]
     # the annotated train images holding kept items, ascending
     train = np.flatnonzero(np.bincount(image, minlength=len(dump.images))).tolist()
     roi_index = _match_rois(
@@ -455,8 +508,8 @@ def _localization_detail(
     t = dump.activations
     in_image = np.zeros(len(dump.images), dtype=bool)
     in_image[localized] = True
-    entries = np.flatnonzero(in_image[t.image])
-    proto, image = t.proto[entries], t.image[entries]
+    entries = np.flatnonzero(t.per_row(in_image))
+    proto, image = t.proto[entries], t.image_of(entries)
     weight = _weight_matrix(dump)[proto, _class_labels(dump)[image]]
     with np.errstate(over="ignore"):  # a product past float64 is inf, as in Python
         magnitude = np.abs(t.score[entries] * weight)
@@ -464,13 +517,14 @@ def _localization_detail(
     # grouped by image, then |score x weight| descending, then prototype id
     order = np.lexsort((_ranks(t.prototype_ids)[proto[keep]], -magnitude[keep], image[keep]))
     candidates = entries[keep][order]
-    image_start = _group_starts(t.image[candidates], len(dump.images)).tolist()
+    image = image[keep][order]
+    image_start = _group_starts(image, len(dump.images)).tolist()
     grid = np.zeros((len(dump.images), 4), dtype=np.int64)
     grid[localized] = lattice_sizes([(dump.images[i].feature_h, dump.images[i].feature_w,
                                       dump.images[i].width, dump.images[i].height)
                                      for i in localized])
     patches = patch_lattice(t.row[candidates], t.col[candidates],
-                            *grid[t.image[candidates]].T, config.patch_size)
+                            *grid[image].T, config.patch_size)
     rows = []
     sums = {variant: [Fraction(0), Fraction(0)] for variant in VARIANTS}
     for i in localized:

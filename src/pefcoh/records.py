@@ -12,8 +12,9 @@ to the dump, whose ``entries`` are views of it; a dump built in code derives
 it from its records on first use.
 
 This module imports no numpy: the table's columns are numpy arrays, but only
-:meth:`ActivationTable.from_columns` builds them, so a reader of report files
-(``compare``) never loads the array code.
+:meth:`ActivationTable.from_columns` builds them (the table's other methods
+call the arrays' own methods), so a reader of report files (``compare``)
+never loads the array code.
 """
 
 from __future__ import annotations
@@ -155,15 +156,16 @@ class ActivationTable:
     """Every activation of a dump as numpy columns, one row per entry, in
     image order and, within an image, in entry order.
 
-    The rows of image ``i`` are ``offsets[i]:offsets[i + 1]``; ``proto``
-    indexes ``prototype_ids`` (the dump's prototypes) and ``image`` the
-    dump's images.
+    The rows of image ``i`` are ``offsets[i]:offsets[i + 1]``, and ``proto``
+    indexes ``prototype_ids`` (the dump's prototypes). No column names a
+    row's image: :meth:`image_of` finds it from the offsets for the rows
+    that need it, and :meth:`per_row` spreads a value per image over the
+    rows.
     """
 
     prototype_ids: tuple[str, ...]
     offsets: np.ndarray  # intp, one more than the images
     proto: np.ndarray  # intp
-    image: np.ndarray  # intp
     score: np.ndarray  # float64
     row: np.ndarray  # int64
     col: np.ndarray  # int64
@@ -181,7 +183,7 @@ class ActivationTable:
         """The table of images holding ``counts[i]`` entries each, from the
         concatenated entry columns; a column already an array of its dtype
         is kept, not copied."""
-        import numpy as np  # the one array code here, off the import path
+        import numpy as np  # off the import path
 
         offsets = np.zeros(len(counts) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
@@ -189,11 +191,19 @@ class ActivationTable:
             prototype_ids,
             offsets,
             np.asarray(proto, dtype=np.intp),
-            np.repeat(np.arange(len(counts), dtype=np.intp), counts),
             np.asarray(score, dtype=np.float64),
             np.asarray(row, dtype=np.int64),
             np.asarray(col, dtype=np.int64),
         )
+
+    def image_of(self, rows: np.ndarray) -> np.ndarray:
+        """The image index of each of ``rows``."""
+        return self.offsets.searchsorted(rows, side="right") - 1
+
+    def per_row(self, values: np.ndarray) -> np.ndarray:
+        """``values``, an array of one per image, repeated over each image's
+        rows."""
+        return values.repeat(self.offsets[1:] - self.offsets[:-1])
 
 
 class ActivationView(Sequence):

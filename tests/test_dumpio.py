@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +32,7 @@ from pefcoh.dumpio import (
 )
 from pefcoh.records import (
     ActivationEntry,
+    ActivationTable,
     ActivationView,
     CategoryId,
     EvidenceDump,
@@ -606,8 +608,8 @@ class TestStreamedParse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole text alone would take all of it; the table (40 bytes an
-        # entry) and the image headers take half
+        # the whole text alone would take all of it; the table (32 bytes an
+        # entry) and the image headers take a third
         assert peak <= 0.75 * path.stat().st_size
 
     @pytest.mark.parametrize(
@@ -1232,7 +1234,7 @@ class TestActivationTable:
         assert [table.prototype_ids[p] for p in table.proto[80:83]] == [
             e["prototype_id"] for e in obj["images"][1]["entries"][:3]
         ]
-        assert list(table.image[79:81]) == [0, 1]
+        assert list(table.image_of(np.arange(79, 81))) == [0, 1]
 
     def test_built_dump_derives_the_same_table(self, write_file):
         obj = wide_dump_obj(n_images=3)
@@ -1247,9 +1249,11 @@ class TestActivationTable:
             model_name="m", seed=1,
         )
         assert built == parsed
-        for column in ("offsets", "proto", "image", "score", "row", "col"):
+        for column in ("offsets", "proto", "score", "row", "col"):
             built_column = getattr(built.activations, column)
             assert (built_column == getattr(parsed.activations, column)).all()
+        rows = np.arange(240)
+        assert (built.activations.image_of(rows) == parsed.activations.image_of(rows)).all()
 
     def test_reordered_images_derive_their_table_from_records(self, write_file):
         parsed = parse_dump(write_file("d.json", wide_dump_obj(n_images=3)))
@@ -1260,10 +1264,24 @@ class TestActivationTable:
                   for img in parsed.images[::-1]),
         )
         assert reordered.activations.prototype_ids == records.activations.prototype_ids
-        for column in ("offsets", "proto", "image", "score", "row", "col"):
+        for column in ("offsets", "proto", "score", "row", "col"):
             assert (getattr(reordered.activations, column)
                     == getattr(records.activations, column)).all()
         assert list(reordered.activations.offsets) == [0, 80, 160, 240]
+        rows = np.arange(240)
+        assert (reordered.activations.image_of(rows)
+                == records.activations.image_of(rows)).all()
+
+    @pytest.mark.parametrize("counts", [[3, 0, 2], [0, 0, 4, 1, 0], [1], [0, 5], [2, 2, 0, 0]])
+    def test_image_of_each_row(self, counts):
+        n = sum(counts)
+        table = ActivationTable.from_columns(
+            ("p",), counts, [0] * n, [1.0] * n, [0] * n, [0] * n)
+        image = np.repeat(np.arange(len(counts)), counts)
+        assert (table.image_of(np.arange(n)) == image).all()
+        assert list(table.image_of(np.arange(n)[::-1])) == list(image[::-1])
+        marks = np.arange(len(counts)) % 2 == 0
+        assert (table.per_row(marks) == marks[image]).all()
 
     def test_written_parsed_dump_round_trips(self, write_file):
         dump = parse_dump(write_file("d.json", wide_dump_obj(n_images=2)))

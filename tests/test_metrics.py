@@ -1,11 +1,16 @@
+import json
 import math
+import random
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pefcoh import metrics
 from pefcoh.dumpio import (
     ConsistencyError,
     derive_category_universe,
@@ -740,6 +745,141 @@ def test_localization_ties_break_by_prototype_id_not_file_order():
         detail = _localization_detail(d, ann, config)
         assert detail[0][0].per_variant["top1"] == LocalizationScore(1.0, 1.0)
         assert detail == helpers._localization_detail(d, ann, config)
+
+
+def _reference_candidates(dump, annotations, k, eps):
+    """The table rows of the pool (entries of global prototypes on annotated
+    train images) at or above their prototype's k-th highest pool score, or
+    every pool row of a prototype with fewer: one pass in plain Python."""
+    annotated = {img.image_id for img in annotations.images}
+    weights = dump.weights_by_id()
+    pool, row = {}, 0
+    for img in dump.images:
+        for e in img.entries:
+            if (img.split == "train" and img.image_id in annotated
+                    and any(abs(w) > eps for w in weights[e.prototype_id])):
+                pool.setdefault(e.prototype_id, []).append((e.score, row))
+            row += 1
+    rows = []
+    for scored in pool.values():
+        scores = sorted((score for score, _ in scored), reverse=True)
+        threshold = scores[k - 1] if len(scores) >= k else -math.inf
+        rows.extend(r for score, r in scored if score >= threshold)
+    return sorted(rows)
+
+
+def _chunked_candidates(dump, annotations, k, eps, chunk):
+    """``metrics._pool_candidates`` as ``top_k_evidence`` calls it, picking
+    from runs of about ``chunk`` entries."""
+    annotated = {img.image_id for img in annotations.images}
+    mask = np.array([img.split == "train" and img.image_id in annotated
+                     for img in dump.images], dtype=bool)
+    with mock.patch.object(metrics, "_CHUNK", chunk):
+        return metrics._pool_candidates(
+            dump.activations, mask, metrics._global_mask(dump, eps), k).tolist()
+
+
+@given(evidence_cases(), st.integers(1, 4), st.sampled_from([0.0, 1e-8, 0.6]))
+@settings(max_examples=helpers.examples(150), deadline=None)
+def test_chunked_top_k_candidates_match_reference(case, k, eps):
+    dump, annotations, patch_size = case
+    config = RunConfig(k=k, patch_size=patch_size, eps=eps)
+    expected = _reference_candidates(dump, annotations, k, eps)
+    whole = _chunked_candidates(dump, annotations, k, eps, 2**62)  # one run
+    assert whole == expected
+    evidence = helpers.top_k_evidence(dump, annotations, MAMMO_LEXICON, config)
+    for chunk in (1, 2, 3):
+        assert _chunked_candidates(dump, annotations, k, eps, chunk) == expected
+        with mock.patch.object(metrics, "_CHUNK", chunk):
+            assert top_k_evidence(dump, annotations, MAMMO_LEXICON, config) == evidence
+
+
+def test_chunked_top_k_candidates_pinned_case_matches_reference():
+    # k = 2. "g" scores 2.0 on "c", "a" and "k", three ties of its 2nd score
+    # in images apart, and less on "h"; "s" has fewer than k pool entries
+    # until "n", the first alone in the pool so far; "t" has one; "z" weighs
+    # zero, alone on "e" and "b"; "d" and "f" hold no entries; "i" is
+    # unannotated and "j" a test image, both outside the pool
+    g, s, t, z = "g", "s", "t", "z"
+    images = [("e", [(z, 5.0)]), ("m", [(s, 1.0)]), ("d", []), ("n", [(s, 0.5)]),
+              ("c", [(g, 2.0), (t, 1.0)]), ("b", [(z, 9.0)]), ("a", [(g, 2.0)]), ("f", []),
+              ("h", [(g, 1.0), (s, 0.25), (z, 1.0)]), ("i", [(g, 2.0)]), ("j", [(g, 3.0)]),
+              ("k", [(z, 3.0), (g, 2.0)])]
+    dump = make_dump(
+        [(g, (1.0, 0.0)), (s, (0.5, 0.5)), (t, (0.0, -0.25)), (z, (0.0, 0.0))],
+        [make_image(image_id, [(pid, score, 0, 0) for pid, score in entries],
+                    "test" if image_id == "j" else "train", 64, 64, 0, 2, 2)
+         for image_id, entries in images],
+    )
+    annotations = make_annotations(
+        [make_ann_image(image_id, [category_roi(n, bbox=(0, 0, 20, 20))], "train", 64, 64)
+         for n, (image_id, _) in enumerate(images) if image_id not in ("i", "j")]
+        + [make_ann_image("j", [make_roi((0, 0, 8, 8))], "test", 64, 64)]
+    )
+    expected = _reference_candidates(dump, annotations, 2, 1e-8)
+    assert expected == [1, 2, 3, 4, 6, 13]  # s's top 2, g's three ties, t
+    config = RunConfig(k=2, patch_size=16)
+    evidence = top_k_evidence(dump, annotations, MAMMO_LEXICON, config)
+    assert [[item.image_id for item in ev.items] for ev in evidence] == [
+        ["a", "c"], ["m", "n"], ["c"]]
+    assert evidence == helpers.top_k_evidence(dump, annotations, MAMMO_LEXICON, config)
+    table, is_global = dump.activations, metrics._global_mask(dump, 1e-8)
+    for chunk in (1, 2, 3):
+        assert _chunked_candidates(dump, annotations, 2, 1e-8, chunk) == expected
+        with mock.patch.object(metrics, "_CHUNK", chunk):
+            assert top_k_evidence(dump, annotations, MAMMO_LEXICON, config) == evidence
+        assert len(metrics._image_runs(table.offsets, chunk)) > 2
+    # with runs of one entry, "e" and "b" each make a run that holds entries
+    # but no global prototype
+    assert [(a, b) for a, b in metrics._image_runs(table.offsets, 1)
+            if table.offsets[a] < table.offsets[b]
+            and not is_global[table.proto[table.offsets[a]:table.offsets[b]]].any()
+            ] == [(0, 1), (5, 6)]
+
+
+def _dense_dump_obj(n_images, n_prototypes, seed=3):
+    """A valid dump with an entry for every prototype on every train image,
+    distinct random scores, and every tenth prototype of zero weight."""
+    rng = random.Random(seed)
+    return {
+        "format": "pefcoh-dump/1", "model_name": "m", "seed": 1,
+        "class_names": ["benign", "malignant"],
+        "prototypes": [{"id": f"p{j}", "class_weights": [0.0, 0.0] if j % 10 == 0 else [1.0, -0.5]}
+                       for j in range(n_prototypes)],
+        "images": [
+            {"image_id": f"img{i}", "split": "train", "width": 100, "height": 100,
+             "class_label": i % 2, "feature_h": 4, "feature_w": 4,
+             "entries": [{"prototype_id": f"p{j}", "score": rng.random(),
+                          "row": rng.randrange(4), "col": rng.randrange(4)}
+                         for j in range(n_prototypes)]}
+            for i in range(n_images)
+        ],
+    }
+
+
+def test_top_k_peak_memory_bounded_by_the_chunk(tmp_path):
+    # 131072 and 262144 entries, 4 and 8 runs of 2**15 entries (the chunk
+    # these bounds were set at); one pass over the whole pool took 1.44x the
+    # table's bytes on both
+    peaks = []
+    for n_images in (1024, 2048):
+        path = tmp_path / f"d{n_images}.json"
+        path.write_text(json.dumps(_dense_dump_obj(n_images, 128)), encoding="utf-8")
+        dump = parse_dump(path)
+        annotations = make_annotations(
+            [make_ann_image(f"img{i}", [category_roi(i % 3, bbox=(10, 10, 40, 40))], "train",
+                            100, 100, i % 2) for i in range(n_images)])
+        t = dump.activations
+        table_bytes = sum(a.nbytes for a in (t.offsets, t.proto, t.score, t.row, t.col))
+        tracemalloc.start()
+        try:
+            top_k_evidence(dump, annotations, MAMMO_LEXICON, RunConfig(k=10, patch_size=30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * table_bytes
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 @st.composite
