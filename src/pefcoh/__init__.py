@@ -27,8 +27,8 @@ _PUBLIC = {
     "geometry": ("resolve_patch_box",),
     "metrics": (
         "EvaluationReport", "PrototypeVerdict", "TopKEvidence", "class_specific", "coverage",
-        "evaluate", "global_prototypes", "local_prototypes", "localization", "relevance",
-        "specialization", "top_k_evidence", "uniqueness",
+        "evaluate", "global_prototypes", "local_prototypes", "relevance", "specialization",
+        "top_k_evidence", "uniqueness",
     ),
     "oracle": ("brute_force_scores",),
     "records": ("AnnotationSet", "CategoryId", "EvidenceDump", "Lexicon", "ROIAnnotation"),

@@ -126,6 +126,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write a rendered table as UTF-8 and say so."""
+    path.write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     # the array code loads before any input is read: loaded after the first
@@ -154,13 +160,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             {reports[0].model_name: properties}, list(reports[0].scores.specialization)
         )
         if args.format == "markdown":
-            (out_dir / "summary.md").write_text(
-                report.render_markdown(table, dumpio.to_json(config)), encoding="utf-8"
-            )
-            print(f"wrote {out_dir / 'summary.md'}")
+            _write_text(out_dir / "summary.md",
+                        report.render_markdown(table, dumpio.to_json(config)))
         else:
-            (out_dir / "summary.csv").write_text(report.render_csv(table), encoding="utf-8")
-            print(f"wrote {out_dir / 'summary.csv'}")
+            _write_text(out_dir / "summary.csv", report.render_csv(table))
     return 0
 
 
@@ -176,13 +179,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         dumpio.write_json(out_dir / "comparison.json", payload)
         print(f"wrote {out_dir / 'comparison.json'}")
     if "markdown" in wanted:
-        (out_dir / "comparison.md").write_text(
-            report.render_markdown(table, payload["config"]), encoding="utf-8"
-        )
-        print(f"wrote {out_dir / 'comparison.md'}")
+        _write_text(out_dir / "comparison.md", report.render_markdown(table, payload["config"]))
     if "csv" in wanted:
-        (out_dir / "comparison.csv").write_text(report.render_csv(table), encoding="utf-8")
-        print(f"wrote {out_dir / 'comparison.csv'}")
+        _write_text(out_dir / "comparison.csv", report.render_csv(table))
     return 0
 
 

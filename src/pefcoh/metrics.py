@@ -113,26 +113,20 @@ class EvaluationReport:
 # compactness
 
 
-def _is_global(weights: Sequence[float], eps: float) -> bool:
-    return any(abs(w) > eps for w in weights)
-
-
-def global_prototype_ids(dump: EvidenceDump, eps: float) -> tuple[str, ...]:
-    return tuple(p.prototype_id for p in dump.prototypes if _is_global(p.class_weights, eps))
+def _global_mask(dump: EvidenceDump, eps: float) -> np.ndarray:
+    """Per prototype index: whether the prototype is global, that is, has a
+    class weight of magnitude above ``eps``."""
+    return np.array([any(abs(w) > eps for w in p.class_weights) for p in dump.prototypes],
+                    dtype=bool)
 
 
 def global_prototypes(dump: EvidenceDump, eps: float) -> tuple[int, float]:
     """Count of prototypes with any non-zero class weight, and the sparsity
     ratio (fraction whose weights are all zero)."""
-    count = len(global_prototype_ids(dump, eps))
+    count = int(np.count_nonzero(_global_mask(dump, eps)))
     total = len(dump.prototypes)
     sparsity = float(1 - Fraction(count, total)) if total else 0.0
     return count, sparsity
-
-
-def _global_mask(dump: EvidenceDump, eps: float) -> np.ndarray:
-    """Per prototype index: whether the prototype is global."""
-    return np.array([_is_global(p.class_weights, eps) for p in dump.prototypes], dtype=bool)
 
 
 def _weight_matrix(dump: EvidenceDump) -> np.ndarray:
@@ -143,8 +137,25 @@ def _weight_matrix(dump: EvidenceDump) -> np.ndarray:
     return weights
 
 
-def _class_labels(dump: EvidenceDump) -> np.ndarray:
-    return np.array([img.class_label for img in dump.images], dtype=np.intp)
+def _contributions(
+    dump: EvidenceDump, in_image: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The table rows of the images that ``in_image`` marks, each row's
+    prototype and image index, and its contribution: presence score x
+    ``weights[prototype, class label of the image]``.
+
+    No more than four arrays as long as the rows, the four returned, are
+    alive at once.
+    """
+    t = dump.activations
+    rows = np.flatnonzero(t.per_row(in_image))
+    proto = t.proto[rows]
+    # each row's class label: a marked image's label repeated over its rows
+    contribution = weights[proto, np.array([img.class_label for img in dump.images],
+                                           dtype=np.intp).repeat(np.diff(t.offsets) * in_image)]
+    with np.errstate(over="ignore"):  # a product past float64 is inf, as in Python
+        contribution *= t.score[rows]
+    return rows, proto, t.image_of(rows), contribution
 
 
 def local_prototypes(
@@ -153,21 +164,17 @@ def local_prototypes(
     """Mean number of prototypes per test instance whose contribution
     (presence score x class weight) is positive resp. negative.
 
-    The weight is taken toward the instance's ground-truth class by default.
+    The weight is taken toward the instance's ground-truth class by default,
+    else it is the prototype's largest class weight.
     """
     is_test = np.array([img.split == TEST for img in dump.images], dtype=bool)
     n = int(np.count_nonzero(is_test))
     if not n:
         raise ValueError("empty test split")
-    t = dump.activations
-    rows = np.flatnonzero(t.per_row(is_test))
     weights = _weight_matrix(dump)
-    if weight_convention == GROUND_TRUTH:
-        w = weights[t.proto[rows], _class_labels(dump)[t.image_of(rows)]]
-    else:
-        w = weights.max(axis=1)[t.proto[rows]]
-    with np.errstate(over="ignore"):  # a product past float64 is inf, as in Python
-        contribution = t.score[rows] * w
+    if weight_convention != GROUND_TRUTH:
+        weights = np.broadcast_to(weights.max(axis=1, keepdims=True), weights.shape)
+    contribution = _contributions(dump, is_test, weights)[3]
     pos_total = int(np.count_nonzero(contribution > eps))
     neg_total = int(np.count_nonzero(contribution < -eps))
     return float(Fraction(pos_total, n)), float(Fraction(neg_total, n))
@@ -508,11 +515,8 @@ def _localization_detail(
     t = dump.activations
     in_image = np.zeros(len(dump.images), dtype=bool)
     in_image[localized] = True
-    entries = np.flatnonzero(t.per_row(in_image))
-    proto, image = t.proto[entries], t.image_of(entries)
-    weight = _weight_matrix(dump)[proto, _class_labels(dump)[image]]
-    with np.errstate(over="ignore"):  # a product past float64 is inf, as in Python
-        magnitude = np.abs(t.score[entries] * weight)
+    entries, proto, image, magnitude = _contributions(dump, in_image, _weight_matrix(dump))
+    np.abs(magnitude, out=magnitude)
     keep = _global_mask(dump, config.eps)[proto] & (magnitude > config.eps)
     # grouped by image, then |score x weight| descending, then prototype id
     order = np.lexsort((_ranks(t.prototype_ids)[proto[keep]], -magnitude[keep], image[keep]))
@@ -549,26 +553,6 @@ def _localization_detail(
         for variant, (i_sum, d_sum) in sums.items()
     }
     return rows, means
-
-
-def localization(
-    dump: EvidenceDump,
-    annotations: AnnotationSet,
-    variant: str,
-    config: RunConfig,
-) -> tuple[float, float]:
-    """Mean (IoU, DSC) over test images that carry at least one ROI.
-
-    Per image, global prototypes with a non-zero score x ground-truth-class
-    weight are ranked by that contribution's magnitude (ties by prototype
-    id); the variant selects the top-1, top-10 or all of them, and the union
-    of their patch boxes is compared against the union of the ROI boxes. An
-    image whose selection is empty scores 0.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    _, means = _localization_detail(dump, annotations, config)
-    return means[variant].iou, means[variant].dsc
 
 
 # ---------------------------------------------------------------------------

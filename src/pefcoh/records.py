@@ -89,9 +89,6 @@ class Lexicon:
 
     types: tuple[LexiconType, ...]
 
-    def type_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.types)
-
     def axes_for(self, type_name: str) -> tuple[str, ...]:
         for t in self.types:
             if t.name == type_name:
@@ -198,7 +195,9 @@ class ActivationTable:
 
     def image_of(self, rows: np.ndarray) -> np.ndarray:
         """The image index of each of ``rows``."""
-        return self.offsets.searchsorted(rows, side="right") - 1
+        image = self.offsets.searchsorted(rows, side="right")
+        image -= 1  # in place: one array as long as the rows, not two
+        return image
 
     def per_row(self, values: np.ndarray) -> np.ndarray:
         """``values``, an array of one per image, repeated over each image's
@@ -297,9 +296,6 @@ class EvidenceDump:
 
     def weights_by_id(self) -> dict[str, tuple[float, ...]]:
         return {p.prototype_id: p.class_weights for p in self.prototypes}
-
-    def split_images(self, split: str) -> tuple[ImageActivationRecord, ...]:
-        return tuple(img for img in self.images if img.split == split)
 
 
 def categories_for_roi(lexicon: Lexicon, roi: ROIAnnotation) -> dict[str, CategoryId]:

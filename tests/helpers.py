@@ -31,8 +31,6 @@ from pefcoh.metrics import (
     RunConfig,
     PrototypeVerdict,
     TopKEvidence,
-    _alignment,
-    global_prototype_ids,
 )
 from pefcoh.records import (
     TEST,
@@ -336,8 +334,15 @@ def _fit_span(center: Fraction, size: int, limit: int) -> tuple[Fraction, Fracti
 # Reference metrics and dump parser: the per-entry loops over
 # ActivationEntry records that the columnar ActivationTable paths in
 # pefcoh.metrics and pefcoh.dumpio replaced, kept verbatim as the reference
-# of the differential and parse-error parity tests. (This parse_dump still
+# of the differential and parse-error parity tests, with a globalness rule
+# of their own (not pefcoh.metrics._global_mask). (This parse_dump still
 # raises OverflowError on an integer too large for a float.)
+
+
+def global_prototype_ids(dump: EvidenceDump, eps: float) -> list[str]:
+    """The ids of the prototypes with a class weight of magnitude above eps."""
+    return [p.prototype_id for p in dump.prototypes
+            if any(abs(w) > eps for w in p.class_weights)]
 
 
 def _lp_weight(weights: tuple[float, ...], class_label: int, convention: str) -> float:
@@ -355,7 +360,7 @@ def local_prototypes(
     The weight is taken toward the instance's ground-truth class by default.
     """
     weights = dump.weights_by_id()
-    test_images = dump.split_images(TEST)
+    test_images = [img for img in dump.images if img.split == TEST]
     if not test_images:
         raise ValueError("empty test split")
     pos_total = 0
@@ -402,9 +407,9 @@ def top_k_evidence(
     """
     ann_by_id = annotations.by_id()
     pools: dict[str, list[tuple[float, str, AnnotatedImage, int, int, int, int]]] = {}
-    for img in dump.split_images(TRAIN):
+    for img in dump.images:
         ann = ann_by_id.get(img.image_id)
-        if ann is None:
+        if img.split != TRAIN or ann is None:
             continue
         for entry in img.entries:
             pools.setdefault(entry.prototype_id, []).append(
@@ -447,9 +452,9 @@ def _localization_detail(
     global_ids = set(global_prototype_ids(dump, config.eps))
     rows = []
     sums = {variant: [Fraction(0), Fraction(0)] for variant in VARIANTS}
-    for img in dump.split_images(TEST):
+    for img in dump.images:
         ann = ann_by_id.get(img.image_id)
-        if ann is None or not ann.rois:
+        if img.split != TEST or ann is None or not ann.rois:
             continue
         candidates = []
         for entry in img.entries:
@@ -483,7 +488,8 @@ def _localization_detail(
 
 
 # Reference verdicts: one _purity_for_level pass per level, which the
-# one-pass count of pefcoh.metrics.build_verdicts replaced, kept verbatim.
+# one-pass count of pefcoh.metrics.build_verdicts replaced, kept verbatim,
+# with an alignment rule of its own (not pefcoh.metrics._alignment).
 
 
 def _purity_for_level(
@@ -501,6 +507,25 @@ def _purity_for_level(
     # argmax with deterministic tie-break: lexicographically smallest value
     best = min(counts, key=lambda c: (-counts[c], c.value))
     return best, Fraction(counts[best], evidence.k)
+
+
+def _alignment(
+    weights: tuple[float, ...],
+    category: CategoryId,
+    class_counts: Mapping[CategoryId, tuple[int, ...]],
+) -> int | None:
+    """1 when the prototype's largest class weight (the first of equals) is
+    toward its category's majority class, else 0; None when the category is
+    absent, has fewer than two classes represented, or has no single
+    majority class."""
+    counts = class_counts.get(category)
+    if counts is None or len([c for c in counts if c > 0]) < 2:
+        return None
+    by_count = sorted(range(len(counts)), key=lambda c: -counts[c])  # stable: first of equals
+    if counts[by_count[0]] == counts[by_count[1]]:
+        return None
+    strongest = max(range(len(weights)), key=lambda c: weights[c])  # first of equals
+    return int(strongest == by_count[0])
 
 
 def build_verdicts(

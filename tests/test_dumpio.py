@@ -186,7 +186,7 @@ class TestParseAnnotations:
 
     def test_derived_lexicon_first_seen_order(self, write_file, minimal_ann_obj):
         ann, lexicon = load_annotations(write_file("a.json", minimal_ann_obj))
-        assert lexicon.type_names() == ("mass",)
+        assert tuple(t.name for t in lexicon.types) == ("mass",)
         assert lexicon.axes_for("mass") == ("shape", "margin")
 
     @pytest.mark.parametrize(

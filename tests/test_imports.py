@@ -31,8 +31,7 @@ PUBLIC = {
     "metrics": (
         "EvaluationReport", "PropertyScores", "PrototypeVerdict", "RunConfig", "TopKEvidence",
         "aggregate", "class_specific", "coverage", "evaluate", "global_prototypes",
-        "local_prototypes", "localization", "relevance", "specialization", "top_k_evidence",
-        "uniqueness",
+        "local_prototypes", "relevance", "specialization", "top_k_evidence", "uniqueness",
     ),
     "oracle": ("brute_force_scores",),
     "records": ("AnnotationSet", "CategoryId", "EvidenceDump", "Lexicon", "ROIAnnotation"),

@@ -34,7 +34,6 @@ from pefcoh.metrics import (
     flatten_scores,
     global_prototypes,
     local_prototypes,
-    localization,
     relevance,
     specialization,
     top_k_evidence,
@@ -323,7 +322,7 @@ class TestLocalization:
             [make_ann_image("t0", [make_roi((0, 0, 130, 130))],
                             split="test", width=130, height=130)]
         )
-        assert localization(dump, ann, "top1", CONFIG) == (1.0, 1.0)
+        assert _localization_detail(dump, ann, CONFIG)[1]["top1"] == LocalizationScore(1.0, 1.0)
 
     def test_partial_overlap(self):
         # patch (5,0,15,10) vs ROI (0,0,10,10): IoU 1/3, DSC 1/2
@@ -337,9 +336,9 @@ class TestLocalization:
                             split="test", width=20, height=10)]
         )
         config = RunConfig(k=10, patch_size=10)
-        i, d = localization(dump, ann, "top1", config)
-        assert i == pytest.approx(1 / 3, abs=1e-15)
-        assert d == pytest.approx(0.5, abs=1e-15)
+        top1 = _localization_detail(dump, ann, config)[1]["top1"]
+        assert top1.iou == pytest.approx(1 / 3, abs=1e-15)
+        assert top1.dsc == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_contribution_prototypes_not_activated(self):
         # weight toward the image's class is zero: selection empty, image scores 0
@@ -352,8 +351,8 @@ class TestLocalization:
             [make_ann_image("t0", [make_roi((0, 0, 130, 130))],
                             split="test", width=130, height=130)]
         )
-        assert localization(dump, ann, "top1", CONFIG) == (0.0, 0.0)
-        assert localization(dump, ann, "all", CONFIG) == (0.0, 0.0)
+        means = _localization_detail(dump, ann, CONFIG)[1]
+        assert means["top1"] == means["all"] == LocalizationScore(0.0, 0.0)
 
     def test_images_without_rois_excluded(self):
         dump = make_dump(
@@ -373,7 +372,7 @@ class TestLocalization:
             ]
         )
         # t1 has no ROI: mean over the single participating image
-        assert localization(dump, ann, "top1", CONFIG) == (1.0, 1.0)
+        assert _localization_detail(dump, ann, CONFIG)[1]["top1"] == LocalizationScore(1.0, 1.0)
 
     def test_no_localizable_instances(self):
         dump = make_dump(
@@ -382,7 +381,7 @@ class TestLocalization:
         )
         ann = make_annotations([make_ann_image("t0", [], split="test")])
         with pytest.raises(ValueError, match="no localizable instances"):
-            localization(dump, ann, "top1", CONFIG)
+            _localization_detail(dump, ann, CONFIG)
 
     def test_variant_ordering_on_dense_roi_benchmark(self):
         # with ROI-dense test images and every activation on an ROI, adding
@@ -410,8 +409,8 @@ class TestLocalization:
                             split="test", width=100, height=100)]
         )
         config = RunConfig(k=10, patch_size=50)
-        i, _ = localization(dump, ann, "top1", config)
-        assert i > 0  # p1's patch is the bottom-right cell, overlapping the ROI
+        # p1's patch is the bottom-right cell, overlapping the ROI
+        assert _localization_detail(dump, ann, config)[1]["top1"].iou > 0
 
 
 class TestEvaluate:
@@ -645,19 +644,21 @@ def evidence_cases(draw):
     """A small dump with its annotations and a patch size. Prototype and
     image ids are random strings, so their sorted order differs from file
     order; scores mix integers and floats from a short list, so equal scores
-    recur across images; some prototypes weigh zero; some train images are
-    unannotated; pools are often shorter than k. Image sides are often odd
-    and feature maps up to 7x7, so patch edges are fractional; some ROIs are
-    centered on or next to an entry's patch edge, duplicated or mirrored
-    about its patch center. The first image is a test image with an ROI, so
-    localization has an image to score."""
+    recur across images; about half the scores are 1e308, which times a
+    weight of 2.0 or -2.0 overflows, so contributions reach inf or -inf and
+    tie at an infinite magnitude; some prototypes weigh zero; some train
+    images are unannotated; pools are often shorter than k. Image sides are
+    often odd and feature maps up to 7x7, so patch edges are fractional; some
+    ROIs are centered on or next to an entry's patch edge, duplicated or
+    mirrored about its patch center. The first image is a test image with an
+    ROI, so localization has an image to score."""
     pids = draw(st.lists(st.text("abAB0_", min_size=1, max_size=3),
                          min_size=1, max_size=7, unique=True))
-    weight = st.sampled_from([0, 0.0, 1, -1, 0.5, -0.25, 2.0, 1e-9])
+    weight = st.sampled_from([0, 0.0, 1, -1, 0.5, -0.25, 2.0, -2.0, 1e-9])
     prototypes = [(pid, (draw(weight), draw(weight))) for pid in pids]
     image_ids = draw(st.lists(st.text("xyXY9", min_size=1, max_size=3),
                               min_size=1, max_size=10, unique=True))
-    score = st.sampled_from([0, 1, 2, 0.5, 2.0, 1e-9])
+    score = st.sampled_from([0, 1, 2, 0.5, 2.0, 1e-9]) | st.just(1e308)
     patch_size = draw(st.sampled_from(PATCH_SIZES))
     images, ann_images = [], []
     for i, image_id in enumerate(image_ids):
@@ -728,12 +729,18 @@ def test_table_paths_match_reference_loops(case, k, eps):
             assert all(type(row.n_candidates) is int for row in detail[1][0])
 
 
-def test_localization_ties_break_by_prototype_id_not_file_order():
-    # equal |score x weight|; "pb" comes first in the file, "pa" sorts first
-    # and its patch, cell (1, 1) of a 2x2 map, is exactly the ROI
+@pytest.mark.parametrize("pb, pa", [
+    # equal |score x weight|, 2.0 and 2.0
+    (((1.0, 1.0), 2.0), ((2.0, 2.0), 1.0)),
+    # 1e308 x 2.0 and 1e308 x -2.0 overflow to inf and -inf, equal in magnitude
+    (((2.0, 2.0), 1e308), ((-2.0, -2.0), 1e308)),
+], ids=["finite", "infinite"])
+def test_localization_ties_break_by_prototype_id_not_file_order(pb, pa):
+    # "pb" comes first in the file, "pa" sorts first and its patch, cell
+    # (1, 1) of a 2x2 map, is exactly the ROI; each is (weights, score)
     dump = make_dump(
-        [("pb", (1.0, 1.0)), ("pa", (2.0, 2.0))],
-        [make_image("te", [("pb", 2.0, 0, 0), ("pa", 1.0, 1, 1)], split="test",
+        [("pb", pb[0]), ("pa", pa[0])],
+        [make_image("te", [("pb", pb[1], 0, 0), ("pa", pa[1], 1, 1)], split="test",
                     width=100, height=100, feature_h=2, feature_w=2)],
     )
     ann = make_annotations(
