@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .records import ActivationTable
+from .records import ActivationTable, PrototypeRecord
 
 _NUMBER = {int, float}
 _INT64_MAX = 2**63 - 1
@@ -92,12 +92,14 @@ class Columns:
             part[:] = of_code[part]
         return None
 
-    def table(self, prototype_ids: tuple[str, ...], counts: Sequence[int]) -> ActivationTable:
+    def table(
+        self, prototypes: Sequence[PrototypeRecord], n_classes: int, counts: Sequence[int]
+    ) -> ActivationTable:
         """The table of images holding ``counts[i]`` entries each, once the
-        prototypes are resolved; it reads the columns in place, so they take
-        no further entries."""
+        entries are resolved to ``prototypes``; it reads the columns in
+        place, so they take no further entries."""
         return ActivationTable.from_columns(
-            prototype_ids, counts,
+            prototypes, n_classes, counts,
             np.frombuffer(self.proto, np.int64),
             np.frombuffer(self.score, np.float64),
             np.frombuffer(self.row, np.int64),

@@ -20,7 +20,10 @@ So the parse holds the window, one image's entry objects, the header fields
 and the columns, and never the whole text or the whole JSON tree. Only a
 dump that repeats a key, is not valid JSON or UTF-8, or holds a surrogate
 escape (``\\uD800`` to ``\\uDFFF``) is read whole and decoded again, by the
-strict hook, which names the fault (see :func:`parse_dump`).
+strict hook, which names the fault (see :func:`parse_dump`). The parsed
+dump is built with those columns as its one activation table, which also
+takes the class weights the parser has checked as one matrix; each image's
+``entries`` is a view of its rows (see :mod:`pefcoh.records`).
 
 This module imports no numpy. The dump's column packing is array code in
 :mod:`pefcoh.columns`, which :func:`parse_dump` imports on its first call;
@@ -225,12 +228,14 @@ def to_json(obj: Any) -> Any:
     """The JSON form of a record, equal to what :func:`json.load` reads back.
 
     A dataclass becomes an object of its fields in declared order, each keyed
-    by its ``metadata["json"]`` name or else its own; sequences other than
-    strings (tuples, lists, a parsed dump's entries) become arrays, mappings
+    by its ``metadata["json"]`` name or else its own, less a field whose
+    ``metadata["json"]`` is None (a dump's table); sequences other than
+    strings (tuples, lists, a dump's entries) become arrays, mappings
     objects, and every other value is kept as it is.
     """
     if is_dataclass(obj):
-        return {_json_key(f): to_json(getattr(obj, f.name)) for f in fields(obj)}
+        return {key: to_json(getattr(obj, f.name))
+                for f in fields(obj) if (key := _json_key(f)) is not None}
     if isinstance(obj, Sequence) and not isinstance(obj, str):
         return [to_json(item) for item in obj]
     if isinstance(obj, Mapping):
@@ -633,14 +638,12 @@ def _dump_from_raw(raw: Any, path: str | Path, cols: columns.Columns) -> Evidenc
         counts.append(len(entries))
         headers.append((*header, feature_h, feature_w))
 
-    table = cols.table(tuple(index), counts)
+    table = cols.table(prototypes, len(class_names), counts)
     images = tuple(
         ImageActivationRecord(*header, ActivationView(table, i))
         for i, header in enumerate(headers)
     )
-    dump = EvidenceDump(model_name, seed, class_names, tuple(prototypes), images)
-    dump.__dict__["activations"] = table  # where cached_property keeps its value
-    return dump
+    return EvidenceDump(model_name, seed, class_names, tuple(prototypes), images, table)
 
 
 _INT64_MAX = 2**63 - 1

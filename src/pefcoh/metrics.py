@@ -116,8 +116,7 @@ class EvaluationReport:
 def _global_mask(dump: EvidenceDump, eps: float) -> np.ndarray:
     """Per prototype index: whether the prototype is global, that is, has a
     class weight of magnitude above ``eps``."""
-    return np.array([any(abs(w) > eps for w in p.class_weights) for p in dump.prototypes],
-                    dtype=bool)
+    return (np.abs(dump.activations.weights) > eps).any(axis=1)
 
 
 def global_prototypes(dump: EvidenceDump, eps: float) -> tuple[int, float]:
@@ -127,14 +126,6 @@ def global_prototypes(dump: EvidenceDump, eps: float) -> tuple[int, float]:
     total = len(dump.prototypes)
     sparsity = float(1 - Fraction(count, total)) if total else 0.0
     return count, sparsity
-
-
-def _weight_matrix(dump: EvidenceDump) -> np.ndarray:
-    """Class weights as a (prototype index, class) float64 matrix."""
-    weights = np.empty((len(dump.prototypes), len(dump.class_names)), dtype=np.float64)
-    for i, p in enumerate(dump.prototypes):
-        weights[i] = p.class_weights
-    return weights
 
 
 def _contributions(
@@ -171,7 +162,7 @@ def local_prototypes(
     n = int(np.count_nonzero(is_test))
     if not n:
         raise ValueError("empty test split")
-    weights = _weight_matrix(dump)
+    weights = dump.activations.weights
     if weight_convention != GROUND_TRUTH:
         weights = np.broadcast_to(weights.max(axis=1, keepdims=True), weights.shape)
     contribution = _contributions(dump, is_test, weights)[3]
@@ -395,13 +386,14 @@ def _majorities(evidence: TopKEvidence) -> dict[str, tuple[CategoryId, Fraction]
 
 
 def _alignment(
-    weights: tuple[float, ...],
+    weights: np.ndarray,
     category: CategoryId,
     class_counts: Mapping[CategoryId, tuple[int, ...]],
 ) -> int | None:
-    """1/0 when the prototype's strongest class matches/misses the majority
-    class of its category; None when the category is ineligible (absent, has
-    fewer than two classes represented, or its class counts tie)."""
+    """1/0 when the prototype's strongest class (the first of its largest
+    ``weights``) matches/misses the majority class of its category; None
+    when the category is ineligible (absent, has fewer than two classes
+    represented, or its class counts tie)."""
     counts = class_counts.get(category)
     if counts is None or sum(1 for c in counts if c > 0) < 2:
         return None
@@ -409,8 +401,7 @@ def _alignment(
     if sum(1 for c in counts if c == top) > 1:
         return None  # tied class counts: excluded
     majority = counts.index(top)
-    strongest = weights.index(max(weights))
-    return 1 if strongest == majority else 0
+    return 1 if weights.argmax() == majority else 0
 
 
 _NO_MAJORITY: tuple[CategoryId | None, Fraction] = (None, Fraction(0))
@@ -425,9 +416,8 @@ def build_verdicts(
 ) -> tuple[PrototypeVerdict, ...]:
     """Assemble one verdict per prototype (dump order), global or not."""
     evidence_by_id = {ev.prototype_id: ev for ev in evidence}
-    weights = dump.weights_by_id()
     out = []
-    for proto in dump.prototypes:
+    for proto, weights in zip(dump.prototypes, dump.activations.weights):
         ev = evidence_by_id.get(proto.prototype_id)
         if ev is None:
             out.append(
@@ -443,7 +433,7 @@ def build_verdicts(
             combined = majority.get(COMBINED_LEVEL, _NO_MAJORITY)[0]
             assigned = majority.get(class_specific_level, _NO_MAJORITY)[0]
             if assigned is not None:
-                align = _alignment(weights[proto.prototype_id], assigned, class_counts)
+                align = _alignment(weights, assigned, class_counts)
         out.append(
             PrototypeVerdict(
                 proto.prototype_id, True, relevant, purity, combined, align, ev
@@ -515,7 +505,7 @@ def _localization_detail(
     t = dump.activations
     in_image = np.zeros(len(dump.images), dtype=bool)
     in_image[localized] = True
-    entries, proto, image, magnitude = _contributions(dump, in_image, _weight_matrix(dump))
+    entries, proto, image, magnitude = _contributions(dump, in_image, t.weights)
     np.abs(magnitude, out=magnitude)
     keep = _global_mask(dump, config.eps)[proto] & (magnitude > config.eps)
     # grouped by image, then |score x weight| descending, then prototype id

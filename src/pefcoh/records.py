@@ -6,10 +6,14 @@ invariants already hold. A record stored in a file lists its fields in the
 order the file format writes them, and a field whose JSON key differs from
 its name carries that key as ``metadata["json"]`` (see ``dumpio.to_json``).
 
-A dump's activations are also held as one columnar :class:`ActivationTable`,
-which the metrics read. The dump parser builds that table once and hands it
-to the dump, whose ``entries`` are views of it; a dump built in code derives
-it from its records on first use.
+A dump holds its activations as one columnar :class:`ActivationTable`,
+with its prototypes' class weights as one matrix, which the metrics read. A
+dump is built with its table (by the dump parser, or by the synth generator
+from the columns it draws), and each image's ``entries`` are a view of the
+image's rows of it. The views read as tuples of :class:`ActivationEntry`,
+which is how a dump file writes its entries and how the brute-force oracle
+walks them. A record field that a file does not hold carries
+``metadata["json"] = None``.
 
 This module imports no numpy: the table's columns are numpy arrays, but only
 :meth:`ActivationTable.from_columns` builds them (the table's other methods
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -154,13 +157,14 @@ class ActivationTable:
     image order and, within an image, in entry order.
 
     The rows of image ``i`` are ``offsets[i]:offsets[i + 1]``, and ``proto``
-    indexes ``prototype_ids`` (the dump's prototypes). No column names a
-    row's image: :meth:`image_of` finds it from the offsets for the rows
-    that need it, and :meth:`per_row` spreads a value per image over the
-    rows.
+    indexes ``prototype_ids`` (the dump's prototypes) and the rows of
+    ``weights``, their class weights. No column names a row's image:
+    :meth:`image_of` finds it from the offsets for the rows that need it,
+    and :meth:`per_row` spreads a value per image over the rows.
     """
 
     prototype_ids: tuple[str, ...]
+    weights: np.ndarray  # float64, (prototype, class)
     offsets: np.ndarray  # intp, one more than the images
     proto: np.ndarray  # intp
     score: np.ndarray  # float64
@@ -170,7 +174,8 @@ class ActivationTable:
     @classmethod
     def from_columns(
         cls,
-        prototype_ids: tuple[str, ...],
+        prototypes: Sequence[PrototypeRecord],
+        n_classes: int,
         counts: Sequence[int],
         proto: Sequence[int],
         score: Sequence[float],
@@ -178,14 +183,17 @@ class ActivationTable:
         col: Sequence[int],
     ) -> ActivationTable:
         """The table of images holding ``counts[i]`` entries each, from the
-        concatenated entry columns; a column already an array of its dtype
-        is kept, not copied."""
+        concatenated entry columns, whose prototype indices index
+        ``prototypes``, each with ``n_classes`` class weights; a column
+        already an array of its dtype is kept, not copied."""
         import numpy as np  # off the import path
 
         offsets = np.zeros(len(counts) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         return cls(
-            prototype_ids,
+            tuple(p.prototype_id for p in prototypes),
+            np.array([p.class_weights for p in prototypes],
+                     dtype=np.float64).reshape(len(prototypes), n_classes),
             offsets,
             np.asarray(proto, dtype=np.intp),
             np.asarray(score, dtype=np.float64),
@@ -264,38 +272,23 @@ class ImageActivationRecord:
     class_label: int
     feature_h: int
     feature_w: int
-    entries: Sequence[ActivationEntry]  # a tuple, or a view of the dump's table
+    entries: ActivationView  # the image's rows of the dump's table
 
 
 @dataclass(frozen=True)
 class EvidenceDump:
-    """One model run's prototypes, classification weights, and activations."""
+    """One model run's prototypes, classification weights, and activations.
+
+    ``activations`` is every entry and class weight as one table, which the
+    images' entries view; it is neither written to a dump file nor compared.
+    """
 
     model_name: str
     seed: int
     class_names: tuple[str, ...]
     prototypes: tuple[PrototypeRecord, ...]
     images: tuple[ImageActivationRecord, ...]
-
-    @cached_property
-    def activations(self) -> ActivationTable:
-        """Every entry as one table. A parsed dump comes with the table its
-        entries view; a dump built in code derives it once from its records
-        (an entry naming an unknown prototype raises ``KeyError``)."""
-        prototype_ids = tuple(p.prototype_id for p in self.prototypes)
-        index = {pid: i for i, pid in enumerate(prototype_ids)}
-        entries = [e for img in self.images for e in img.entries]
-        return ActivationTable.from_columns(
-            prototype_ids,
-            [len(img.entries) for img in self.images],
-            [index[e.prototype_id] for e in entries],
-            [e.score for e in entries],
-            [e.row for e in entries],
-            [e.col for e in entries],
-        )
-
-    def weights_by_id(self) -> dict[str, tuple[float, ...]]:
-        return {p.prototype_id: p.class_weights for p in self.prototypes}
+    activations: ActivationTable = field(compare=False, repr=False, metadata={"json": None})
 
 
 def categories_for_roi(lexicon: Lexicon, roi: ROIAnnotation) -> dict[str, CategoryId]:

@@ -37,7 +37,8 @@ from .records import (
     TYPE_LEVEL,
     AnnotatedImage,
     AnnotationSet,
-    ActivationEntry,
+    ActivationTable,
+    ActivationView,
     EvidenceDump,
     ImageActivationRecord,
     Lexicon,
@@ -476,31 +477,36 @@ def generate(
             entries_by_image[plan.image_id].append((pid, rng.uniform(0.1, 2.0), cell[0], cell[1]))
 
     # --- assemble records ------------------------------------------------------
+    # every image's entries, by prototype index, as the table's columns
     proto_index = {pid: i for i, pid in enumerate(proto_ids)}
-    dump_images = []
+    image_ids = train_ids + test_ids
+    rows = [
+        sorted((proto_index[pid], score, row, col)
+               for pid, score, row, col in entries_by_image[image_id])
+        for image_id in image_ids
+    ]
+    prototypes = tuple(PrototypeRecord(pid, weights[pid]) for pid in proto_ids)
+    table = ActivationTable.from_columns(
+        prototypes, len(CLASS_NAMES), list(map(len, rows)),
+        *zip(*(entry for image_rows in rows for entry in image_rows)),
+    )
     test_labels = {plan.image_id: plan.label for plan in test_plans}
     train_labels = {image_id: srng.randrange(2) for image_id in train_ids}
-    for image_id in train_ids + test_ids:
-        split = TRAIN if image_id in train_labels else TEST
-        label = train_labels.get(image_id, test_labels.get(image_id))
-        entries = tuple(
-            ActivationEntry(pid, score, row, col)
-            for pid, score, row, col in sorted(
-                entries_by_image[image_id], key=lambda t: proto_index[t[0]]
-            )
-        )
-        dump_images.append(
-            ImageActivationRecord(
-                image_id, split, spec.image_width, spec.image_height,
-                label, spec.feature_h, spec.feature_w, entries,
-            )
-        )
     dump = EvidenceDump(
         spec.model_name,
         spec.rng_seed,
         CLASS_NAMES,
-        tuple(PrototypeRecord(pid, weights[pid]) for pid in proto_ids),
-        tuple(dump_images),
+        prototypes,
+        tuple(
+            ImageActivationRecord(
+                image_id, TRAIN if image_id in train_labels else TEST,
+                spec.image_width, spec.image_height,
+                train_labels.get(image_id, test_labels.get(image_id)),
+                spec.feature_h, spec.feature_w, ActivationView(table, i),
+            )
+            for i, image_id in enumerate(image_ids)
+        ),
+        table,
     )
 
     def roi_at(cell: tuple[int, int], cat: Category, cls: int) -> ROIAnnotation:

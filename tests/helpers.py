@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -38,6 +38,8 @@ from pefcoh.records import (
     AnnotatedImage,
     AnnotationSet,
     ActivationEntry,
+    ActivationTable,
+    ActivationView,
     EvidenceDump,
     ImageActivationRecord,
     Lexicon,
@@ -90,12 +92,38 @@ def make_image(
     )
 
 
-def make_dump(prototypes, images, model_name="test", seed=0, class_names=CLASSES):
+def build_dump(model_name, seed, class_names, prototypes, images) -> EvidenceDump:
+    """The dump of records built in code, as the parser would build it from
+    their file: one table of every image's entries, in image order, and of
+    the prototypes' class weights, with each image's entries a view of it.
+    An image's ``entries`` may be any sequence of ActivationEntry (another
+    dump's view included); an entry naming an unknown prototype raises
+    KeyError."""
+    prototypes = tuple(prototypes)
+    index = {p.prototype_id: i for i, p in enumerate(prototypes)}
+    entries = [e for img in images for e in img.entries]
+    table = ActivationTable.from_columns(
+        prototypes,
+        len(class_names),
+        [len(img.entries) for img in images],
+        [index[e.prototype_id] for e in entries],
+        [e.score for e in entries],
+        [e.row for e in entries],
+        [e.col for e in entries],
+    )
     return EvidenceDump(
+        model_name, seed, class_names, prototypes,
+        tuple(replace(img, entries=ActivationView(table, i)) for i, img in enumerate(images)),
+        table,
+    )
+
+
+def make_dump(prototypes, images, model_name="test", seed=0, class_names=CLASSES):
+    return build_dump(
         model_name,
         seed,
         class_names,
-        tuple(PrototypeRecord(pid, tuple(w)) for pid, w in prototypes),
+        (PrototypeRecord(pid, tuple(w)) for pid, w in prototypes),
         tuple(images),
     )
 
@@ -359,7 +387,7 @@ def local_prototypes(
 
     The weight is taken toward the instance's ground-truth class by default.
     """
-    weights = dump.weights_by_id()
+    weights = {p.prototype_id: p.class_weights for p in dump.prototypes}
     test_images = [img for img in dump.images if img.split == TEST]
     if not test_images:
         raise ValueError("empty test split")
@@ -448,7 +476,7 @@ def _localization_detail(
 ) -> tuple[list[ImageLocalizationRow], dict[str, LocalizationScore]]:
     """Per-image localization rows plus the exact per-variant means."""
     ann_by_id = annotations.by_id()
-    weights = dump.weights_by_id()
+    weights = {p.prototype_id: p.class_weights for p in dump.prototypes}
     global_ids = set(global_prototype_ids(dump, config.eps))
     rows = []
     sums = {variant: [Fraction(0), Fraction(0)] for variant in VARIANTS}
@@ -537,7 +565,7 @@ def build_verdicts(
 ) -> tuple[PrototypeVerdict, ...]:
     """Assemble one verdict per prototype (dump order), global or not."""
     evidence_by_id = {ev.prototype_id: ev for ev in evidence}
-    weights = dump.weights_by_id()
+    weights = {p.prototype_id: p.class_weights for p in dump.prototypes}
     out = []
     for proto in dump.prototypes:
         ev = evidence_by_id.get(proto.prototype_id)
@@ -632,7 +660,7 @@ def parse_dump(path: str | Path) -> EvidenceDump:
                 image_id, split, width, height, class_label, feature_h, feature_w, tuple(entries)
             )
         )
-    return EvidenceDump(model_name, seed, class_names, tuple(prototypes), tuple(images))
+    return build_dump(model_name, seed, class_names, prototypes, images)
 
 
 # ---------------------------------------------------------------------------

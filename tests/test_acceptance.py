@@ -24,7 +24,6 @@ from pefcoh.records import (
     ActivationEntry,
     AnnotatedImage,
     AnnotationSet,
-    EvidenceDump,
     ImageActivationRecord,
     PrototypeRecord,
 )
@@ -32,6 +31,7 @@ from pefcoh.synth import SynthSpec, generate
 from pefcoh.cli import main as cli_main
 from pefcoh.dumpio import write_json
 
+import helpers
 from helpers import ratio_fixture
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -156,7 +156,7 @@ def test_criterion_4_invariance_suite():
             assert abs(uc_from_coverage - base_scores.unique_categories) <= 1e-9
 
         for c in (0.5, 7.0):  # presence-score scale invariance
-            scaled = EvidenceDump(
+            scaled = helpers.build_dump(
                 dump.model_name, dump.seed, dump.class_names, dump.prototypes,
                 tuple(
                     ImageActivationRecord(
@@ -173,7 +173,7 @@ def test_criterion_4_invariance_suite():
         # relabeling invariance
         proto_map = {p.prototype_id: f"q{500 - i:03d}" for i, p in enumerate(dump.prototypes)}
         image_map = {img.image_id: f"w{700 - i:03d}" for i, img in enumerate(dump.images)}
-        renamed_dump = EvidenceDump(
+        renamed_dump = helpers.build_dump(
             dump.model_name, dump.seed, dump.class_names,
             tuple(PrototypeRecord(proto_map[p.prototype_id], p.class_weights)
                   for p in dump.prototypes),

@@ -1236,7 +1236,7 @@ class TestActivationTable:
         ]
         assert list(table.image_of(np.arange(79, 81))) == [0, 1]
 
-    def test_built_dump_derives_the_same_table(self, write_file):
+    def test_built_dump_has_the_parsed_table(self, write_file):
         obj = wide_dump_obj(n_images=3)
         parsed = parse_dump(write_file("d.json", obj))
         built = make_dump(
@@ -1249,34 +1249,35 @@ class TestActivationTable:
             model_name="m", seed=1,
         )
         assert built == parsed
-        for column in ("offsets", "proto", "score", "row", "col"):
+        assert built.activations.prototype_ids == parsed.activations.prototype_ids
+        for column in ("weights", "offsets", "proto", "score", "row", "col"):
             built_column = getattr(built.activations, column)
+            assert built_column.dtype == getattr(parsed.activations, column).dtype
             assert (built_column == getattr(parsed.activations, column)).all()
+        assert parsed.activations.weights.shape == (80, 2)
+        assert (parsed.activations.weights
+                == [p["class_weights"] for p in obj["prototypes"]]).all()
         rows = np.arange(240)
         assert (built.activations.image_of(rows) == parsed.activations.image_of(rows)).all()
 
-    def test_reordered_images_derive_their_table_from_records(self, write_file):
+    def test_table_is_neither_written_nor_compared(self, write_file):
         parsed = parse_dump(write_file("d.json", wide_dump_obj(n_images=3)))
-        reordered = dataclasses.replace(parsed, images=parsed.images[::-1])
-        records = EvidenceDump(
+        reordered = helpers.build_dump(
             parsed.model_name, parsed.seed, parsed.class_names, parsed.prototypes,
-            tuple(dataclasses.replace(img, entries=tuple(img.entries))
-                  for img in parsed.images[::-1]),
-        )
-        assert reordered.activations.prototype_ids == records.activations.prototype_ids
-        for column in ("offsets", "proto", "score", "row", "col"):
-            assert (getattr(reordered.activations, column)
-                    == getattr(records.activations, column)).all()
+            parsed.images[::-1])
         assert list(reordered.activations.offsets) == [0, 80, 160, 240]
-        rows = np.arange(240)
-        assert (reordered.activations.image_of(rows)
-                == records.activations.image_of(rows)).all()
+        for img, original in zip(reordered.images, parsed.images[::-1]):
+            assert img.entries.table is reordered.activations
+            assert img == original and img.entries == original.entries
+        assert "activations" not in dump_to_json(parsed)
+        assert dataclasses.replace(parsed, activations=reordered.activations) == parsed
+        assert "activations" not in repr(parsed)
 
     @pytest.mark.parametrize("counts", [[3, 0, 2], [0, 0, 4, 1, 0], [1], [0, 5], [2, 2, 0, 0]])
     def test_image_of_each_row(self, counts):
         n = sum(counts)
         table = ActivationTable.from_columns(
-            ("p",), counts, [0] * n, [1.0] * n, [0] * n, [0] * n)
+            (PrototypeRecord("p", (1.0, 0.0)),), 2, counts, [0] * n, [1.0] * n, [0] * n, [0] * n)
         image = np.repeat(np.arange(len(counts)), counts)
         assert (table.image_of(np.arange(n)) == image).all()
         assert list(table.image_of(np.arange(n)[::-1])) == list(image[::-1])

@@ -43,7 +43,6 @@ from pefcoh.records import (
     COMBINED_LEVEL,
     AnnotationSet,
     CategoryId,
-    EvidenceDump,
     ImageActivationRecord,
     PrototypeRecord,
     AnnotatedImage,
@@ -417,7 +416,7 @@ class TestEvaluate:
     def test_no_relevant_prototypes(self):
         dump, ann = _purity_fixture(0, 10)
         # needs a test image with an ROI for localization to be defined
-        dump = EvidenceDump(
+        dump = helpers.build_dump(
             dump.model_name, dump.seed, dump.class_names, dump.prototypes,
             dump.images + (
                 make_image("te0", [("p0", 1.0, 0, 0)], split="test"),
@@ -443,7 +442,7 @@ class TestEvaluate:
 
         proto_map = {p.prototype_id: f"z{900 - i:03d}" for i, p in enumerate(dump.prototypes)}
         image_map = {img.image_id: f"im{950 - i:03d}" for i, img in enumerate(dump.images)}
-        renamed_dump = EvidenceDump(
+        renamed_dump = helpers.build_dump(
             dump.model_name, dump.seed, dump.class_names,
             tuple(PrototypeRecord(proto_map[p.prototype_id], p.class_weights)
                   for p in dump.prototypes),
@@ -473,7 +472,7 @@ class TestEvaluate:
         dump, ann, lexicon, _ = generate(spec)
         base = flatten_scores(evaluate(dump, ann, lexicon, spec.config()).scores)
         for c in (0.5, 3.0, 1000.0):
-            scaled = EvidenceDump(
+            scaled = helpers.build_dump(
                 dump.model_name, dump.seed, dump.class_names, dump.prototypes,
                 tuple(
                     ImageActivationRecord(
@@ -759,7 +758,7 @@ def _reference_candidates(dump, annotations, k, eps):
     train images) at or above their prototype's k-th highest pool score, or
     every pool row of a prototype with fewer: one pass in plain Python."""
     annotated = {img.image_id for img in annotations.images}
-    weights = dump.weights_by_id()
+    weights = {p.prototype_id: p.class_weights for p in dump.prototypes}
     pool, row = {}, 0
     for img in dump.images:
         for e in img.entries:
