@@ -391,7 +391,12 @@ def generate(
             roi_counts[cat][cls] += 1
 
     def add_train_roi(category: Category, cls: int) -> None:
-        for image_id in srng.sample(train_ids, len(train_ids)):
+        # train images drawn one at a time, without replacement, until one
+        # has a free ROI cell: the first draws of a shuffle, not a whole one
+        unseen = list(train_ids)
+        for n in range(len(unseen), 0, -1):
+            j = srng.randrange(n)
+            image_id, unseen[j] = unseen[j], unseen[n - 1]
             free = [cell for cell in roi_cells if cell not in train_rois[image_id]]
             if free:
                 train_rois[image_id][srng.choice(free)] = (category, cls)
