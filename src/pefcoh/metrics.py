@@ -386,14 +386,13 @@ def _majorities(evidence: TopKEvidence) -> dict[str, tuple[CategoryId, Fraction]
 
 
 def _alignment(
-    weights: np.ndarray,
+    strongest: int,
     category: CategoryId,
     class_counts: Mapping[CategoryId, tuple[int, ...]],
 ) -> int | None:
-    """1/0 when the prototype's strongest class (the first of its largest
-    ``weights``) matches/misses the majority class of its category; None
-    when the category is ineligible (absent, has fewer than two classes
-    represented, or its class counts tie)."""
+    """1/0 when the prototype's strongest class matches/misses the majority
+    class of its category; None when the category is ineligible (absent, has
+    fewer than two classes represented, or its class counts tie)."""
     counts = class_counts.get(category)
     if counts is None or sum(1 for c in counts if c > 0) < 2:
         return None
@@ -401,7 +400,7 @@ def _alignment(
     if sum(1 for c in counts if c == top) > 1:
         return None  # tied class counts: excluded
     majority = counts.index(top)
-    return 1 if weights.argmax() == majority else 0
+    return 1 if strongest == majority else 0
 
 
 _NO_MAJORITY: tuple[CategoryId | None, Fraction] = (None, Fraction(0))
@@ -416,8 +415,10 @@ def build_verdicts(
 ) -> tuple[PrototypeVerdict, ...]:
     """Assemble one verdict per prototype (dump order), global or not."""
     evidence_by_id = {ev.prototype_id: ev for ev in evidence}
+    # per prototype, the first of its largest class weights
+    strongest = dump.activations.weights.argmax(axis=1).tolist()
     out = []
-    for proto, weights in zip(dump.prototypes, dump.activations.weights):
+    for proto, strong in zip(dump.prototypes, strongest):
         ev = evidence_by_id.get(proto.prototype_id)
         if ev is None:
             out.append(
@@ -433,7 +434,7 @@ def build_verdicts(
             combined = majority.get(COMBINED_LEVEL, _NO_MAJORITY)[0]
             assigned = majority.get(class_specific_level, _NO_MAJORITY)[0]
             if assigned is not None:
-                align = _alignment(weights, assigned, class_counts)
+                align = _alignment(strong, assigned, class_counts)
         out.append(
             PrototypeVerdict(
                 proto.prototype_id, True, relevant, purity, combined, align, ev

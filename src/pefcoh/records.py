@@ -6,14 +6,13 @@ invariants already hold. A record stored in a file lists its fields in the
 order the file format writes them, and a field whose JSON key differs from
 its name carries that key as ``metadata["json"]`` (see ``dumpio.to_json``).
 
-A dump holds its activations as one columnar :class:`ActivationTable`,
-with its prototypes' class weights as one matrix, which the metrics read. A
-dump is built with its table (by the dump parser, or by the synth generator
-from the columns it draws), and each image's ``entries`` are a view of the
-image's rows of it. The views read as tuples of :class:`ActivationEntry`,
-which is how a dump file writes its entries and how the brute-force oracle
-walks them. A record field that a file does not hold carries
-``metadata["json"] = None``.
+A dump holds its activations and its prototypes' class weights as one
+columnar :class:`ActivationTable`, which the metrics read, and is built with
+it, by the dump parser or the synth generator. Each image's ``entries`` is a
+view of its rows, read as a tuple of :class:`ActivationEntry`, for the
+readers that still walk entries one at a time: the dump writer, the
+brute-force oracle and the benchmark's traced counts. A field that a file
+does not hold carries ``metadata["json"] = None``.
 
 This module imports no numpy: the table's columns are numpy arrays, but only
 :meth:`ActivationTable.from_columns` builds them (the table's other methods

@@ -485,15 +485,15 @@ def generate(
     # every image's entries, by prototype index, as the table's columns
     proto_index = {pid: i for i, pid in enumerate(proto_ids)}
     image_ids = train_ids + test_ids
-    rows = [
+    entries = [
         sorted((proto_index[pid], score, row, col)
                for pid, score, row, col in entries_by_image[image_id])
         for image_id in image_ids
     ]
     prototypes = tuple(PrototypeRecord(pid, weights[pid]) for pid in proto_ids)
     table = ActivationTable.from_columns(
-        prototypes, len(CLASS_NAMES), list(map(len, rows)),
-        *zip(*(entry for image_rows in rows for entry in image_rows)),
+        prototypes, len(CLASS_NAMES), list(map(len, entries)),
+        *zip(*(entry for image_entries in entries for entry in image_entries)),
     )
     test_labels = {plan.image_id: plan.label for plan in test_plans}
     train_labels = {image_id: srng.randrange(2) for image_id in train_ids}

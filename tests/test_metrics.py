@@ -645,16 +645,23 @@ def evidence_cases(draw):
     order; scores mix integers and floats from a short list, so equal scores
     recur across images; about half the scores are 1e308, which times a
     weight of 2.0 or -2.0 overflows, so contributions reach inf or -inf and
-    tie at an infinite magnitude; some prototypes weigh zero; some train
-    images are unannotated; pools are often shorter than k. Image sides are
+    tie at an infinite magnitude; some prototypes weigh zero, -0.0 or
+    exactly +-eps of the differentials below, and some weigh both classes
+    alike, so globalness, contributions and alignment meet their boundaries
+    and ties; some train images are unannotated; pools are often shorter
+    than k. Image sides are
     often odd and feature maps up to 7x7, so patch edges are fractional; some
     ROIs are centered on or next to an entry's patch edge, duplicated or
     mirrored about its patch center. The first image is a test image with an
     ROI, so localization has an image to score."""
     pids = draw(st.lists(st.text("abAB0_", min_size=1, max_size=3),
                          min_size=1, max_size=7, unique=True))
-    weight = st.sampled_from([0, 0.0, 1, -1, 0.5, -0.25, 2.0, -2.0, 1e-9])
-    prototypes = [(pid, (draw(weight), draw(weight))) for pid in pids]
+    weight = st.sampled_from([0, 0.0, -0.0, 1, -1, 0.5, -0.25, 2.0, -2.0, 1e-9,
+                              1e-8, -1e-8, 0.6, -0.6])
+    prototypes = []
+    for pid in pids:
+        w = draw(weight)
+        prototypes.append((pid, (w, w if draw(st.booleans()) else draw(weight))))
     image_ids = draw(st.lists(st.text("xyXY9", min_size=1, max_size=3),
                               min_size=1, max_size=10, unique=True))
     score = st.sampled_from([0, 1, 2, 0.5, 2.0, 1e-9]) | st.just(1e308)
@@ -964,7 +971,7 @@ def verdict_cases(draw):
     included; unmatched items; prototypes without evidence."""
     levels = ("type", "mass-shape", "combined")
     values = st.sampled_from(["b", "a", "ab", "B", "é", "a-b", "_"])
-    weight = st.sampled_from([0.0, 1.0, -1.0, 0.5])
+    weight = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
     k = draw(st.integers(1, 6))
     prototypes, evidence = [], []
     for n in range(draw(st.integers(1, 5))):

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pefcoh.dumpio import dump_to_json, dumps_canonical, parse_dump, write_json
-from pefcoh.metrics import RunConfig, evaluate, flatten_scores
-from pefcoh.oracle import brute_force_scores
+from pefcoh.metrics import GROUND_TRUTH, MAX_WEIGHT, RunConfig, evaluate, flatten_scores
+from pefcoh.oracle import MAX_IMAGES, MAX_PROTOTYPES, MAX_SIDE, brute_force_scores
 from pefcoh.synth import (
     InfeasibleSpecError,
     SynthSpec,
@@ -12,13 +13,23 @@ from pefcoh.synth import (
     parse_synth_spec,
 )
 
-from helpers import make_dump, make_image
+import helpers
+from helpers import (
+    MAMMO_LEXICON,
+    category_roi,
+    make_ann_image,
+    make_annotations,
+    make_dump,
+    make_image,
+)
 
 
-def assert_scores_match(got, expected, context=""):
+def assert_scores_match(got, expected, context="", localization=True):
     flat_got, flat_expected = flatten_scores(got), flatten_scores(expected)
     assert flat_got.keys() == flat_expected.keys()
     for key in flat_got:
+        if not localization and key.startswith("localization."):
+            continue
         a, b = flat_got[key], flat_expected[key]
         if a is None or b is None:
             assert a is None and b is None, f"{context} {key}: {a} != {b}"
@@ -291,3 +302,97 @@ class TestOracleGuard:
         )
         with pytest.raises(ValueError, match="too large"):
             brute_force_scores(dump, ann, MAMMO_LEXICON, RunConfig())
+
+
+@st.composite
+def oracle_cases(draw):
+    """A dump within the oracle's guard with its annotations and a run
+    config, and whether every patch edge is a whole pixel. Prototype and
+    image ids are random strings, so their sorted order differs from file
+    order; scores come from a short list, so a prototype's scores tie across
+    images; some prototypes weigh zero or both classes alike; two entries of
+    an image often share a cell; some train images are unannotated; k is
+    often above a prototype's pool; ROIs are often placed on an entry's
+    cell. Usually the first prototype is global and the first image is a
+    test image with an ROI; other draws may have no global prototype, no
+    test image or no ROI, where both sides must raise. In an aligned draw
+    each side is a multiple of twice its cells and the patch side is even,
+    so every patch edge is a whole pixel."""
+    aligned = draw(st.booleans())
+    # one draw in ten may lack a global prototype or a test image with an ROI
+    usual = draw(st.sampled_from([True] * 9 + [False]))
+    pids = draw(st.lists(st.text("abAB0_", min_size=1, max_size=3),
+                         min_size=1, max_size=MAX_PROTOTYPES, unique=True))
+    weight = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 2.0, 1e-9])
+    prototypes = []
+    for pid in pids:
+        w = draw(st.sampled_from([1.0, -1.0, 2.0]) if usual and not prototypes else weight)
+        prototypes.append((pid, (w, w if draw(st.booleans()) else draw(weight))))
+    if aligned:
+        patch_size = 2 * draw(st.integers(1, 100))
+    else:
+        patch_size = draw(st.sampled_from([1, 7, 30, 63, 161]) | st.integers(1, 300))
+    image_ids = draw(st.lists(st.text("xyXY9", min_size=1, max_size=3),
+                              min_size=1, max_size=min(MAX_IMAGES, 12), unique=True))
+    score = st.sampled_from([0, 0.5, 1, 2.0, 3.5, 1e308])
+    images, ann_images = [], []
+    for i, image_id in enumerate(image_ids):
+        split = "test" if i == 0 and usual else draw(st.sampled_from(["train", "test"]))
+        label = draw(st.integers(0, 1))
+        feature_h, feature_w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        if aligned:
+            width = 2 * feature_w * draw(st.integers(1, MAX_SIDE // (2 * feature_w)))
+            height = 2 * feature_h * draw(st.integers(1, MAX_SIDE // (2 * feature_h)))
+        else:
+            width, height = draw(st.integers(9, MAX_SIDE)), draw(st.integers(9, MAX_SIDE))
+        entries = []
+        for pid in draw(st.permutations(pids))[:draw(st.integers(0, len(pids)))]:
+            if entries and draw(st.booleans()):
+                cell = entries[-1][2:]  # a cell shared with the entry before
+            else:
+                cell = (draw(st.integers(0, feature_h - 1)), draw(st.integers(0, feature_w - 1)))
+            entries.append((pid, draw(score), *cell))
+        images.append(make_image(image_id, entries, split, width, height, label,
+                                 feature_h, feature_w))
+        if split == "train" and draw(st.integers(0, 3)) == 0:
+            continue  # unannotated
+        boxes = []
+        for _ in range(draw(st.integers(1 if i == 0 and usual else 0, 3))):
+            if entries and draw(st.booleans()):  # around an entry's cell center
+                _, _, row, col = draw(st.sampled_from(entries))
+                cx = (2 * col + 1) * width // (2 * feature_w)
+                cy = (2 * row + 1) * height // (2 * feature_h)
+                a, b = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+                boxes.append((max(0, cx - a), max(0, cy - b),
+                              min(width, cx + a), min(height, cy + b)))
+            else:
+                x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+                boxes.append((x0, y0, draw(st.integers(x0 + 1, width)),
+                              draw(st.integers(y0 + 1, height))))
+        rois = [category_roi(draw(st.integers(0, 2)),
+                             draw(st.sampled_from(["mass", "calcification"])),
+                             roi_class=draw(st.integers(0, 1)), bbox=bbox)
+                for bbox in boxes]
+        ann_images.append(make_ann_image(image_id, rois, split, width, height, label))
+    config = RunConfig(
+        k=draw(st.integers(1, 5) | st.just(50)), patch_size=patch_size,
+        eps=draw(st.sampled_from([0.0, 1e-8, 0.5])),
+        lp_weight_class=draw(st.sampled_from([GROUND_TRUTH, MAX_WEIGHT])),
+    )
+    return make_dump(prototypes, images), make_annotations(ann_images), config, aligned
+
+
+@given(oracle_cases())
+@settings(max_examples=helpers.examples(200), deadline=None)
+def test_scores_match_oracle_reference(case):
+    # the oracle rasterizes boxes at whole pixels, so localization is
+    # compared only when every edge is one
+    dump, annotations, config, aligned = case
+    try:
+        expected = brute_force_scores(dump, annotations, MAMMO_LEXICON, config)
+    except (ValueError, ArithmeticError):
+        with pytest.raises((ValueError, ArithmeticError)):
+            evaluate(dump, annotations, MAMMO_LEXICON, config)
+        return
+    got = evaluate(dump, annotations, MAMMO_LEXICON, config).scores
+    assert_scores_match(got, expected, localization=aligned)
