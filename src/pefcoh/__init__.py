@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "dumpio": (
         "ConsistencyError", "FormatError", "cross_validate", "derive_category_universe",
-        "dump_to_json", "load_annotations", "parse_annotations", "parse_dump",
-        "parse_lexicon", "total_categories",
+        "load_annotations", "parse_annotations", "parse_dump", "parse_lexicon",
+        "total_categories", "write_dump",
     ),
     "geometry": ("resolve_patch_box",),
     "metrics": (

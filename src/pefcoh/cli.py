@@ -203,7 +203,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     dump, annotations, lexicon, ledger = synth.generate(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dumpio.write_json(out_dir / "dump.json", dumpio.dump_to_json(dump))
+    dumpio.write_dump(out_dir / "dump.json", dump)
     dumpio.write_json(out_dir / "annotations.json", dumpio.annotations_to_json(annotations))
     dumpio.write_json(out_dir / "lexicon.json", dumpio.lexicon_to_json(lexicon))
     dumpio.write_json(out_dir / "ledger.json", synth.ledger_to_json(ledger))

@@ -28,19 +28,28 @@ takes the class weights the parser has checked as one matrix; each image's
 This module imports no numpy. The dump's column packing is array code in
 :mod:`pefcoh.columns`, which :func:`parse_dump` imports on its first call;
 every other reader and writer here, the report reader of ``compare``
-included, runs without it.
+included, runs without it, and :func:`write_dump` only calls the methods of
+the table's arrays.
 
-Every file is written as :func:`to_json` gives its record. The input formats
-are read by hand-written parsers; the schema dataclasses (scores, run config,
-synth spec, ledger) are read back with :func:`read_dataclass`.
+The dump and the per-run report are the large files, and both are written
+by one streamed writer, :func:`write_streamed`: a header value per line,
+then one encoded row per line, into a temporary file that replaces the
+target once it is whole. :func:`write_dump` builds each image's row from
+its slice of the dump's table. Every other file is small and is written
+with a 2-space indent (:func:`write_json`), as :func:`to_json` gives its
+record. The input formats are read by hand-written parsers; the schema
+dataclasses (scores, run config, synth spec, ledger) are read back with
+:func:`read_dataclass`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
-from collections.abc import Callable, Mapping, Sequence
+import threading
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import Field, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -218,6 +227,54 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+# indent=None keeps encode() on the C encoder; an indent would switch it to
+# the pure-Python one, which holds every token of the document in a list
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def write_streamed(
+    path: str | Path, header: Mapping[str, Any], arrays: Mapping[str, Iterable[Any]]
+) -> None:
+    """Write one JSON object to ``path`` as its values are encoded.
+
+    ``{`` is on the first line, then each ``header`` value on a line of its
+    own, then each of ``arrays`` as ``"key": [`` with one encoded row per
+    line, keys in their given order. Each value is encoded by the C encoder
+    as soon as it is built, so the write holds one row at a time. The text
+    goes to a temporary file beside ``path``, which replaces ``path`` once
+    it is whole: a write that fails (a string holding a lone surrogate,
+    which UTF-8 cannot encode) leaves ``path`` as it was and no other file.
+    The temporary name is short, so a target whose name takes the longest a
+    file system allows has one, and it is unique to the writing thread.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".pefcoh-{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        f = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:  # a missing or unwritable directory: name the target
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            f.write("{")
+            separator = "\n"
+            for key, value in header.items():
+                f.write(f'{separator}  "{key}": {_encode(value)}')
+                separator = ",\n"
+            for key, rows in arrays.items():
+                f.write(f'{separator}  "{key}": [')
+                row_separator = "\n    "
+                for row in rows:
+                    f.write(row_separator + _encode(row))
+                    row_separator = ",\n    "
+                f.write("\n  ]")
+                separator = ",\n"
+            f.write("\n}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # dataclass <-> JSON
 
@@ -228,14 +285,12 @@ def to_json(obj: Any) -> Any:
     """The JSON form of a record, equal to what :func:`json.load` reads back.
 
     A dataclass becomes an object of its fields in declared order, each keyed
-    by its ``metadata["json"]`` name or else its own, less a field whose
-    ``metadata["json"]`` is None (a dump's table); sequences other than
-    strings (tuples, lists, a dump's entries) become arrays, mappings
-    objects, and every other value is kept as it is.
+    by its ``metadata["json"]`` name or else its own; sequences other than
+    strings (tuples, lists) become arrays, mappings objects, and every other
+    value is kept as it is.
     """
     if is_dataclass(obj):
-        return {key: to_json(getattr(obj, f.name))
-                for f in fields(obj) if (key := _json_key(f)) is not None}
+        return {_json_key(f): to_json(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, Sequence) and not isinstance(obj, str):
         return [to_json(item) for item in obj]
     if isinstance(obj, Mapping):
@@ -715,8 +770,40 @@ def _raise_entry_fault(
     raise AssertionError(f"{where}: entries failed a bulk check but no entry check")
 
 
-def dump_to_json(dump: EvidenceDump) -> dict:
-    return {"format": DUMP_FORMAT, **to_json(dump)}
+def write_dump(path: str | Path, dump: EvidenceDump) -> None:
+    """Write ``dump`` to ``path`` as a ``pefcoh-dump/1`` file, one prototype
+    and one image per line (see :func:`write_streamed`); each image's
+    entries are built from its rows of the dump's table as the image is
+    written."""
+    table = dump.activations
+    ids = table.prototype_ids
+
+    def image(i: int, img: ImageActivationRecord) -> dict:
+        rows = slice(*table.offsets[i : i + 2].tolist())
+        return {
+            "image_id": img.image_id,
+            "split": img.split,
+            "width": img.width,
+            "height": img.height,
+            "class_label": img.class_label,
+            "feature_h": img.feature_h,
+            "feature_w": img.feature_w,
+            "entries": [
+                {"prototype_id": ids[p], "score": score, "row": row, "col": col}
+                for p, score, row, col in zip(
+                    table.proto[rows].tolist(), table.score[rows].tolist(),
+                    table.row[rows].tolist(), table.col[rows].tolist(),
+                )
+            ],
+        }
+
+    write_streamed(
+        path,
+        {"format": DUMP_FORMAT, "model_name": dump.model_name, "seed": dump.seed,
+         "class_names": dump.class_names},
+        {"prototypes": map(to_json, dump.prototypes),
+         "images": map(image, range(len(dump.images)), dump.images)},
+    )
 
 
 # ---------------------------------------------------------------------------

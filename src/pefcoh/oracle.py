@@ -92,6 +92,17 @@ def _roi_categories(lexicon: Lexicon, roi) -> dict[str, str]:
     return cats
 
 
+def _image_rows(dump: EvidenceDump) -> list[list[tuple[str, float, int, int]]]:
+    """Each image's ``(prototype_id, score, row, col)`` entries, read row by
+    row from the dump's table."""
+    t = dump.activations
+    return [
+        [(t.prototype_ids[int(t.proto[r])], float(t.score[r]), int(t.row[r]), int(t.col[r]))
+         for r in range(int(t.offsets[i]), int(t.offsets[i + 1]))]
+        for i in range(len(dump.images))
+    ]
+
+
 def brute_force_scores(
     dump: EvidenceDump,
     annotations: AnnotationSet,
@@ -103,6 +114,7 @@ def brute_force_scores(
     _guard(dump)
     ann_by_id = {img.image_id: img for img in annotations.images}
     weights = {p.prototype_id: p.class_weights for p in dump.prototypes}
+    images = list(zip(dump.images, _image_rows(dump)))
 
     global_ids = [
         p.prototype_id
@@ -114,16 +126,16 @@ def brute_force_scores(
     sparsity = 1.0 - len(global_ids) / len(dump.prototypes)
 
     # local prototypes per test instance
-    test_images = [img for img in dump.images if img.split == TEST]
+    test_images = [(img, rows) for img, rows in images if img.split == TEST]
     if not test_images:
         raise ValueError("empty test split")
     pos_counts, neg_counts = [], []
-    for img in test_images:
+    for img, rows in test_images:
         pos = neg = 0
-        for entry in img.entries:
-            ws = weights[entry.prototype_id]
+        for pid, score, _, _ in rows:
+            ws = weights[pid]
             w = ws[img.class_label] if config.lp_weight_class == GROUND_TRUTH else max(ws)
-            c = entry.score * w
+            c = score * w
             if c > config.eps:
                 pos += 1
             elif c < -config.eps:
@@ -136,18 +148,18 @@ def brute_force_scores(
     per_proto_cats: dict[str, list[dict[str, str]]] = {}
     for pid in global_ids:
         pool = []
-        for img in dump.images:
+        for img, rows in images:
             if img.split != TRAIN or img.image_id not in ann_by_id:
                 continue
-            for entry in img.entries:
-                if entry.prototype_id == pid:
-                    pool.append((entry.score, img.image_id, img, entry))
+            for entry_pid, score, row, col in rows:
+                if entry_pid == pid:
+                    pool.append((score, img.image_id, img, row, col))
         pool.sort(key=lambda t: (-t[0], t[1]))
         matched = []
-        for _, _, img, entry in pool[: config.k]:
+        for _, _, img, row, col in pool[: config.k]:
             ann = ann_by_id[img.image_id]
             x0, y0, x1, y1 = _patch_bounds(
-                entry.row, entry.col, img.feature_h, img.feature_w,
+                row, col, img.feature_h, img.feature_w,
                 img.width, img.height, config.patch_size,
             )
             px, py = (x0 + x1) / 2, (y0 + y1) / 2
@@ -227,18 +239,18 @@ def brute_force_scores(
     # localization by rasterized masks
     per_variant_values: dict[str, list[tuple[float, float]]] = {v: [] for v in VARIANTS}
     any_roi = False
-    for img in test_images:
+    for img, rows in test_images:
         ann = ann_by_id.get(img.image_id)
         if ann is None or not ann.rois:
             continue
         any_roi = True
         scored = []
-        for entry in img.entries:
-            if entry.prototype_id not in global_ids:
+        for pid, score, row, col in rows:
+            if pid not in global_ids:
                 continue
-            c = entry.score * weights[entry.prototype_id][img.class_label]
+            c = score * weights[pid][img.class_label]
             if abs(c) > config.eps:
-                scored.append((abs(c), entry.prototype_id, entry))
+                scored.append((abs(c), pid, (row, col)))
         scored.sort(key=lambda t: (-t[0], t[1]))
         roi_mask = _rasterize([tuple(map(float, r.bbox)) for r in ann.rois], img.width, img.height)
         for variant, limit in (("top1", 1), ("top10", 10), ("all", len(scored))):
@@ -249,10 +261,10 @@ def brute_force_scores(
             patch_mask = _rasterize(
                 [
                     _patch_bounds(
-                        e.row, e.col, img.feature_h, img.feature_w,
+                        row, col, img.feature_h, img.feature_w,
                         img.width, img.height, config.patch_size,
                     )
-                    for _, _, e in chosen
+                    for _, _, (row, col) in chosen
                 ],
                 img.width,
                 img.height,

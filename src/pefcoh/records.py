@@ -7,12 +7,12 @@ order the file format writes them, and a field whose JSON key differs from
 its name carries that key as ``metadata["json"]`` (see ``dumpio.to_json``).
 
 A dump holds its activations and its prototypes' class weights as one
-columnar :class:`ActivationTable`, which the metrics read, and is built with
-it, by the dump parser or the synth generator. Each image's ``entries`` is a
-view of its rows, read as a tuple of :class:`ActivationEntry`, for the
-readers that still walk entries one at a time: the dump writer, the
-brute-force oracle and the benchmark's traced counts. A field that a file
-does not hold carries ``metadata["json"] = None``.
+columnar :class:`ActivationTable`, which the metrics, the dump writer and
+the brute-force oracle read, and is built with it, by the dump parser or the
+synth generator. Each image's ``entries`` is a view of its rows, read as a
+tuple of :class:`ActivationEntry`. No module of the package walks them: the
+views stay only for the tests and for the benchmark's traced counts, until
+those read the table.
 
 This module imports no numpy: the table's columns are numpy arrays, but only
 :meth:`ActivationTable.from_columns` builds them (the table's other methods
@@ -279,7 +279,9 @@ class EvidenceDump:
     """One model run's prototypes, classification weights, and activations.
 
     ``activations`` is every entry and class weight as one table, which the
-    images' entries view; it is neither written to a dump file nor compared.
+    images' entries view, image ``i`` its rows ``i``; it is not compared. A
+    dump whose images do not view its own table in their order raises
+    ValueError naming the first image that does not.
     """
 
     model_name: str
@@ -287,7 +289,20 @@ class EvidenceDump:
     class_names: tuple[str, ...]
     prototypes: tuple[PrototypeRecord, ...]
     images: tuple[ImageActivationRecord, ...]
-    activations: ActivationTable = field(compare=False, repr=False, metadata={"json": None})
+    activations: ActivationTable = field(compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.activations.offsets) - 1
+        if n != len(self.images):
+            raise ValueError(f"the dump's table holds {n} images, not {len(self.images)}")
+        for i, img in enumerate(self.images):
+            entries = img.entries
+            if not (isinstance(entries, ActivationView)
+                    and entries.table is self.activations and entries.index == i):
+                raise ValueError(
+                    f"images[{i}] ({img.image_id!r}): its entries are not "
+                    f"image {i} of the dump's table"
+                )
 
 
 def categories_for_roi(lexicon: Lexicon, roi: ROIAnnotation) -> dict[str, CategoryId]:

@@ -1,11 +1,12 @@
 """Report files and the cross-model comparison table.
 
 A per-run report (``pefcoh-report/1``) is one JSON document written in one
-pass: ``{`` on the first line, then the header keys ``format`` through
-``scores`` one per line, then ``"prototypes": [`` with one verdict per line
-and ``"localization_rows": [`` with one row per line. Each value is encoded
-by the C JSON encoder as soon as it is built. Every other file keeps the
-2-space indent of :func:`pefcoh.dumpio.dumps_canonical`.
+pass by :func:`pefcoh.dumpio.write_streamed`: ``{`` on the first line, then
+the header keys ``format`` through ``scores`` one per line, then
+``"prototypes": [`` with one verdict per line and ``"localization_rows": [``
+with one row per line. Each row is built and encoded as it is written. The
+aggregate and comparison files keep the 2-space indent of
+:func:`pefcoh.dumpio.write_json`.
 
 Machine-readable outputs keep full float precision; the Markdown/CSV tables
 round for display only (two decimals, sparsity as a percentage), mark each
@@ -17,11 +18,10 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .dumpio import _check_format, _load_json, _require, read_dataclass, to_json
+from .dumpio import _check_format, _load_json, _require, read_dataclass, to_json, write_streamed
 from .records import COMBINED_LEVEL
 from .scores import VARIANTS, AggregateProperty, PropertyScores, RunConfig, pool
 
@@ -47,11 +47,6 @@ def timestamp(fixed: bool) -> str:
 
 # ---------------------------------------------------------------------------
 # JSON shapes
-
-# indent=None keeps encode() on the C encoder; an indent would switch it to
-# the pure-Python one, which holds every token of the report in a list
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
 
 def _header(report: EvaluationReport, fixed_timestamp: bool) -> dict:
     return {
@@ -108,33 +103,11 @@ def _localization_row(row: ImageLocalizationRow) -> dict:
             **to_json(row.per_variant)}
 
 
-def _array(key: str, rows: Iterable[dict]) -> Iterator[str]:
-    """``"key": [`` then one encoded row per line, without a trailing newline."""
-    yield f'  "{key}": ['
-    separator = "\n    "
-    for row in rows:
-        yield separator + _encode(row)
-        separator = ",\n    "
-    yield "\n  ]"
-
-
-def _report_text(report: EvaluationReport, fixed_timestamp: bool) -> Iterator[str]:
-    """The report's JSON text in pieces, each row encoded as soon as it is built."""
-    yield "{\n"
-    for key, value in _header(report, fixed_timestamp).items():
-        yield f'  "{key}": {_encode(value)},\n'
-    yield from _array("prototypes", map(_verdict, report.verdicts))
-    yield ",\n"
-    yield from _array("localization_rows", map(_localization_row, report.localization_rows))
-    yield "\n}\n"
-
-
 def write_report(path: str | Path, report: EvaluationReport, fixed_timestamp: bool = False) -> None:
-    # the whole text is encoded before the file is opened, so a string UTF-8
-    # cannot hold (a lone surrogate) fails the write without leaving a file
-    chunks = [piece.encode("utf-8") for piece in _report_text(report, fixed_timestamp)]
-    with open(path, "wb") as f:
-        f.writelines(chunks)
+    write_streamed(path, _header(report, fixed_timestamp), {
+        "prototypes": map(_verdict, report.verdicts),
+        "localization_rows": map(_localization_row, report.localization_rows),
+    })
 
 
 def load_report(path: str | Path) -> dict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import tempfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,7 @@ from pefcoh.dumpio import (
     _load_json,
     _require,
     to_json,
+    write_dump,
 )
 from pefcoh.metrics import (
     GROUND_TRUTH,
@@ -729,3 +731,16 @@ def report_to_dict(report, fixed_timestamp: bool = False) -> dict:
 def dumps_canonical(obj) -> str:
     """Stable JSON text: fixed key order (insertion), 2-space indent, newline."""
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def dump_text(dump: EvidenceDump) -> str:
+    """The text :func:`pefcoh.dumpio.write_dump` writes for ``dump``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.json"
+        write_dump(path, dump)
+        return path.read_text(encoding="utf-8")
+
+
+def dump_tree(dump: EvidenceDump) -> dict:
+    """The JSON tree of the dump file written for ``dump``."""
+    return json.loads(dump_text(dump))

@@ -826,10 +826,12 @@ class TestSynthCommand:
 
     def test_bytes_pinned(self, tmp_path):
         # SHA-256 of what synth wrote before the writers were derived from the
-        # records; any change to a file format's bytes shows here.
+        # records; any change to a file format's bytes shows here. dump.json
+        # is pinned in the streamed layout (one prototype and one image per
+        # line), whose content is that of the 2-space-indented dump before it.
         expected = {
             "annotations.json": "85d3cfbd5e8e5226fc146349ccd0218e58c4700eedaef2cf5cfef58eb829772e",
-            "dump.json": "b0e744949d2345a916a5816fa67a8722be386a895ed846a373650279dcf2dab7",
+            "dump.json": "a03b602002a874657381b6b48dac848a2792e7007e9b01467ce48938a1c22bb4",
             "ledger.json": "b77bee0490675ac28f2cf5819d363502316e9e573bde51223f2b4d894543c4d7",
             "lexicon.json": "dd8e9f9262265a271896327b583c112d530b1b8aa85034696375551b7e176575",
         }

@@ -19,7 +19,6 @@ from pefcoh.dumpio import (
     annotations_to_json,
     cross_validate,
     derive_category_universe,
-    dump_to_json,
     dumps_canonical,
     lexicon_to_json,
     load_annotations,
@@ -29,6 +28,7 @@ from pefcoh.dumpio import (
     read_dataclass,
     to_json,
     total_categories,
+    write_dump,
 )
 from pefcoh.records import (
     ActivationEntry,
@@ -36,6 +36,7 @@ from pefcoh.records import (
     ActivationView,
     CategoryId,
     EvidenceDump,
+    ImageActivationRecord,
     PrototypeRecord,
     ROIAnnotation,
     canonical_token,
@@ -312,7 +313,7 @@ class TestRoundTrip:
     def test_dump_round_trip(self, tmp_path):
         dump, annotations, lexicon, _ = generate(SynthSpec(rng_seed=3))
         path = tmp_path / "dump.json"
-        path.write_text(dumps_canonical(dump_to_json(dump)), encoding="utf-8")
+        write_dump(path, dump)
         assert parse_dump(path) == dump
 
         ann_path = tmp_path / "ann.json"
@@ -325,9 +326,9 @@ class TestRoundTrip:
 
     def test_serialize_parse_serialize_stable(self, write_file, minimal_dump_obj):
         dump = parse_dump(write_file("d.json", minimal_dump_obj))
-        text = dumps_canonical(dump_to_json(dump))
+        text = helpers.dump_text(dump)
         reparsed = parse_dump(write_file("d2.json", json.loads(text)))
-        assert dumps_canonical(dump_to_json(reparsed)) == text
+        assert helpers.dump_text(reparsed) == text
 
 
 class TestCrossValidate:
@@ -1164,18 +1165,21 @@ class TestWindowBoundaries:
         if isinstance(expected, str):
             expected = expected.replace(str(path), "/dev/stdin", 1)
         else:
-            expected = dumps_canonical(dump_to_json(expected))
+            expected = helpers.dump_text(expected)
         script = (
-            "from pefcoh.dumpio import FormatError, dump_to_json, dumps_canonical, parse_dump\n"
+            "import sys\n"
+            "from pefcoh.dumpio import FormatError, parse_dump, write_dump\n"
             "try:\n"
-            "    print(dumps_canonical(dump_to_json(parse_dump('/dev/stdin'))), end='')\n"
+            "    write_dump(sys.argv[1], parse_dump('/dev/stdin'))\n"
+            "    print(open(sys.argv[1], encoding='utf-8').read(), end='')\n"
             "except FormatError as exc:\n"
             "    print(exc, end='')\n"
         )
         src = str(Path(dumpio.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", script], input=path.read_bytes(),
+        proc = subprocess.run([sys.executable, "-c", script, tmp_path / "out.json"],
+                              input=path.read_bytes(),
                               capture_output=True, env=env, timeout=120, check=True)
         assert proc.stdout.decode() == expected
 
@@ -1269,9 +1273,30 @@ class TestActivationTable:
         for img, original in zip(reordered.images, parsed.images[::-1]):
             assert img.entries.table is reordered.activations
             assert img == original and img.entries == original.entries
-        assert "activations" not in dump_to_json(parsed)
-        assert dataclasses.replace(parsed, activations=reordered.activations) == parsed
+        assert "activations" not in helpers.dump_tree(parsed)
+        with pytest.raises(ValueError, match=r"^images\[0\] \('img0'\): "):
+            dataclasses.replace(parsed, activations=reordered.activations)
+        rebuilt = helpers.build_dump(parsed.model_name, parsed.seed, parsed.class_names,
+                                     parsed.prototypes, parsed.images)
+        assert rebuilt.activations is not parsed.activations and rebuilt == parsed
         assert "activations" not in repr(parsed)
+
+    def test_images_must_view_their_own_rows(self, write_file):
+        parsed = parse_dump(write_file("d.json", wide_dump_obj(n_images=3)))
+        with pytest.raises(ValueError, match=r"^images\[0\] \('img2'\): its entries are not "
+                                             r"image 0 of the dump's table$"):
+            dataclasses.replace(parsed, images=parsed.images[::-1])
+        swapped = (parsed.images[0], parsed.images[2], parsed.images[1])
+        with pytest.raises(ValueError, match=r"^images\[1\] \('img2'\)"):
+            dataclasses.replace(parsed, images=swapped)
+        entries = tuple(parsed.images[1].entries)  # equal entries, but not a view
+        with pytest.raises(ValueError, match=r"^images\[1\] \('img1'\)"):
+            dataclasses.replace(parsed, images=(
+                parsed.images[0], dataclasses.replace(parsed.images[1], entries=entries),
+                parsed.images[2]))
+        with pytest.raises(ValueError, match="^the dump's table holds 3 images, not 2$"):
+            dataclasses.replace(parsed, images=parsed.images[:2])
+        assert dataclasses.replace(parsed, images=parsed.images) == parsed
 
     @pytest.mark.parametrize("counts", [[3, 0, 2], [0, 0, 4, 1, 0], [1], [0, 5], [2, 2, 0, 0]])
     def test_image_of_each_row(self, counts):
@@ -1284,10 +1309,191 @@ class TestActivationTable:
         marks = np.arange(len(counts)) % 2 == 0
         assert (table.per_row(marks) == marks[image]).all()
 
-    def test_written_parsed_dump_round_trips(self, write_file):
+    def test_written_parsed_dump_round_trips(self, write_file, tmp_path):
         dump = parse_dump(write_file("d.json", wide_dump_obj(n_images=2)))
-        text = dumps_canonical(dump_to_json(dump))
-        assert parse_dump(write_file("d2.json", json.loads(text))) == dump
+        write_dump(tmp_path / "d2.json", dump)
+        assert parse_dump(tmp_path / "d2.json") == dump
+
+
+# scores at the float boundaries: negative zero, the largest finite decades,
+# the smallest normal, subnormals
+BOUNDARY_FLOATS = [0, 0.0, -0.0, 1e308, 1.7976931348623157e308, 2.2250738585072014e-308,
+                   1e-310, 5e-324]
+
+
+@st.composite
+def drawn_dumps(draw):
+    """A dump built in code (helpers.build_dump) that the parser accepts:
+    ids of any text but a lone surrogate, weights and scores often at the
+    float boundaries, images often with no entries."""
+    number = st.sampled_from(BOUNDARY_FLOATS) | st.floats(0, allow_infinity=False)
+    class_names = draw(st.lists(st.text(max_size=3), min_size=2, max_size=3))
+    pids = draw(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True))
+    weight = number | number.map(lambda w: -w)
+    prototypes = [(pid, tuple(draw(weight) for _ in class_names)) for pid in pids]
+    images = []
+    image_ids = draw(st.lists(st.text(max_size=4), max_size=6, unique=True))
+    for image_id in image_ids:
+        feature_h, feature_w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        chosen = draw(st.permutations(pids))[:draw(st.integers(0, len(pids)) | st.just(0))]
+        entries = [(pid, draw(number), draw(st.integers(0, feature_h - 1)),
+                    draw(st.integers(0, feature_w - 1))) for pid in chosen]
+        images.append(make_image(
+            image_id, entries, draw(st.sampled_from(["train", "test"])),
+            draw(st.integers(1, 2**20)), draw(st.integers(1, 2**20)),
+            draw(st.integers(0, len(class_names) - 1)), feature_h, feature_w))
+    return make_dump(prototypes, images, draw(st.sampled_from(["m", "é 1", "a\"b"])),
+                     draw(st.integers(-2**63, 2**63 - 1)), tuple(class_names))
+
+
+def _dense_dump(n_images, n_prototypes=128):
+    """A dump with an entry for every prototype on every image, its table
+    built from arrays."""
+    prototypes = tuple(PrototypeRecord(f"p{j:03d}", (1.0, -0.5)) for j in range(n_prototypes))
+    n = n_images * n_prototypes
+    rng = np.random.default_rng(0)
+    table = ActivationTable.from_columns(
+        prototypes, 2, [n_prototypes] * n_images, np.tile(np.arange(n_prototypes), n_images),
+        rng.random(n), rng.integers(0, 4, n), rng.integers(0, 4, n))
+    images = tuple(ImageActivationRecord(f"img{i}", "train", 100, 100, i % 2, 4, 4,
+                                         ActivationView(table, i)) for i in range(n_images))
+    return EvidenceDump("m", 1, ("benign", "malignant"), prototypes, images, table)
+
+
+class TestWriteDumpRoundTrip:
+    @staticmethod
+    def _assert_round_trip(dump, tmp_path):
+        path = tmp_path / "d.json"
+        write_dump(path, dump)
+        parsed = parse_dump(path)
+        assert parsed == dump
+        assert parsed.activations.prototype_ids == dump.activations.prototype_ids
+        for column in ("weights", "offsets", "proto", "score", "row", "col"):
+            got, expected = getattr(parsed.activations, column), getattr(dump.activations, column)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, column
+            assert got.tobytes() == expected.tobytes(), column  # -0.0 keeps its sign
+        text = path.read_bytes()
+        write_dump(path, dump)
+        assert path.read_bytes() == text
+
+    @given(drawn_dumps())
+    @settings(max_examples=helpers.examples(100), deadline=None)
+    def test_drawn_dump_round_trips(self, tmp_path_factory, dump):
+        self._assert_round_trip(dump, tmp_path_factory.mktemp("d"))
+
+    def test_wide_dump_round_trips(self, write_file, tmp_path):
+        self._assert_round_trip(parse_dump(write_file("w.json", wide_dump_obj())), tmp_path)
+
+
+class TestWriteDump:
+    def test_layout_header_then_one_row_per_line(self, write_file, tmp_path):
+        obj = wide_dump_obj(n_images=3)
+        dump = parse_dump(write_file("d.json", obj))
+        write_dump(tmp_path / "out.json", dump)
+        lines = (tmp_path / "out.json").read_text(encoding="utf-8").split("\n")
+        assert lines[:5] == ["{", '  "format": "pefcoh-dump/1",', '  "model_name": "m",',
+                             '  "seed": 1,', '  "class_names": ["benign", "malignant"],']
+        assert lines[5] == '  "prototypes": ['
+        assert json.loads(lines[6].rstrip(",")) == obj["prototypes"][0]
+        at = 6 + len(obj["prototypes"])
+        assert lines[at:at + 2] == ["  ],", '  "images": [']
+        images = [json.loads(line.rstrip(",")) for line in lines[at + 2:at + 5]]
+        assert lines[at + 5:] == ["  ]", "}", ""]
+        for image, expected in zip(images, obj["images"]):
+            assert list(image) == list(expected)
+            assert image["entries"] == [{**e, "score": float(e["score"])}
+                                        for e in expected["entries"]]
+
+    def test_writes_without_the_pure_python_encoder(self, write_file, tmp_path, monkeypatch):
+        dump = parse_dump(write_file("d.json", wide_dump_obj()))
+
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("the dump went through the pure-Python JSON encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+        write_dump(tmp_path / "out.json", dump)
+        assert parse_dump(tmp_path / "out.json") == dump
+
+    def test_peak_memory_does_not_grow_with_the_images(self, tmp_path):
+        peaks = []
+        for n_images in (1024, 2048):
+            dump = _dense_dump(n_images)
+            tracemalloc.start()
+            try:
+                write_dump(tmp_path / "d.json", dump)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one image's entries (128 objects and their encoded line) set the
+        # peak; a second copy of every entry would double it
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+class TestFailedWrite:
+    """A write that fails leaves the file it was to replace as it was, and no
+    temporary file beside it."""
+
+    OLD = b"the file before\n"
+
+    def _failing_encoder(self, monkeypatch, after):
+        encode, calls = dumpio._encode, []
+
+        def failing(value):
+            calls.append(value)
+            if len(calls) > after:
+                raise RuntimeError("encoder failed")
+            return encode(value)
+
+        monkeypatch.setattr(dumpio, "_encode", failing)
+
+    def _assert_untouched(self, path):
+        assert path.read_bytes() == self.OLD
+        assert os.listdir(path.parent) == [path.name]
+
+    @pytest.mark.parametrize("after", [0, 3, 6, 20])
+    def test_dump_encoder_fails(self, tmp_path, monkeypatch, after):
+        dump = _dense_dump(16, n_prototypes=4)
+        path = tmp_path / "out" / "dump.json"
+        path.parent.mkdir()
+        path.write_bytes(self.OLD)
+        self._failing_encoder(monkeypatch, after)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            write_dump(path, dump)
+        self._assert_untouched(path)
+
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_dump_with_a_lone_surrogate(self, tmp_path, where):
+        images = [make_image(f"img{i}", [("p0", 1.0, 0, 0)]) for i in range(3)]
+        images[where] = make_image("img\ud800", [("p0", 1.0, 0, 0)])
+        dump = make_dump([("p0", (1.0, -0.5))], images)
+        path = tmp_path / "out" / "dump.json"
+        path.parent.mkdir()
+        path.write_bytes(self.OLD)
+        with pytest.raises(UnicodeEncodeError):
+            write_dump(path, dump)
+        self._assert_untouched(path)
+
+    def test_missing_directory_is_named_by_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "dump.json"
+        with pytest.raises(FileNotFoundError) as info:
+            write_dump(path, _dense_dump(2, n_prototypes=2))
+        assert info.value.filename == str(path)
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("after", [0, 7, 9])
+    def test_report_encoder_fails(self, tmp_path, monkeypatch, after):
+        from pefcoh.metrics import evaluate
+        from pefcoh.report import write_report
+
+        dump, annotations, lexicon, _ = generate(SynthSpec(rng_seed=3))
+        result = evaluate(dump, annotations, lexicon)
+        path = tmp_path / "out" / "r.json"
+        path.parent.mkdir()
+        path.write_bytes(self.OLD)
+        self._failing_encoder(monkeypatch, after)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            write_report(path, result)
+        self._assert_untouched(path)
 
 
 class TestEmptyLexiconNames:

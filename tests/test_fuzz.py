@@ -32,11 +32,12 @@ from pefcoh.cli import main
 from pefcoh.dumpio import (
     FormatError,
     annotations_to_json,
-    dump_to_json,
     dumps_canonical,
     lexicon_to_json,
 )
 from pefcoh.synth import SynthSpec, generate, ledger_to_json, parse_ledger
+
+from helpers import dump_tree
 
 FUZZ = settings(
     max_examples=settings.default.max_examples // 5,
@@ -156,7 +157,7 @@ def base(tmp_path_factory):
     """The synth files of seed 3, their evaluate outputs and report header."""
     dump, annotations, lexicon, _ = generate(SynthSpec(rng_seed=3))
     trees = {
-        "dump": dump_to_json(dump),
+        "dump": dump_tree(dump),
         "annotations": annotations_to_json(annotations),
         "lexicon": lexicon_to_json(lexicon),
     }

@@ -20,12 +20,13 @@ ARRAY_CODE = ("numpy", "pefcoh.metrics", "pefcoh.geometry", "pefcoh.oracle", "pe
 
 # every public name of pefcoh/__init__.py before its exports became lazy, by
 # the submodule that defined it then, less the Fraction box API of geometry
-# (PatchBox, contains_point, roi_center, iou, dsc), since removed
+# (PatchBox, contains_point, roi_center, iou, dsc), since removed, and with
+# dump_to_json replaced by the streamed dump writer, write_dump
 PUBLIC = {
     "dumpio": (
         "ConsistencyError", "FormatError", "cross_validate", "derive_category_universe",
-        "dump_to_json", "load_annotations", "parse_annotations", "parse_dump",
-        "parse_lexicon", "total_categories",
+        "load_annotations", "parse_annotations", "parse_dump", "parse_lexicon",
+        "total_categories", "write_dump",
     ),
     "geometry": ("resolve_patch_box",),
     "metrics": (

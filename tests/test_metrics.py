@@ -14,9 +14,8 @@ from pefcoh import metrics
 from pefcoh.dumpio import (
     ConsistencyError,
     derive_category_universe,
-    dump_to_json,
     parse_dump,
-    write_json,
+    write_dump,
 )
 from pefcoh.metrics import (
     GROUND_TRUTH,
@@ -712,7 +711,7 @@ def _outcome(fn, *args):
 def _parsed(dump):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dump.json"
-        write_json(path, dump_to_json(dump))
+        write_dump(path, dump)
         return parse_dump(path)
 
 

@@ -120,3 +120,4 @@ def test_unencodable_string_leaves_no_file(seed0, tmp_path):
     with pytest.raises(UnicodeEncodeError):
         report.write_report(path, dataclasses.replace(seed0, model_name="p\ud800"))
     assert not path.exists()
+    assert list(tmp_path.iterdir()) == []  # nor a temporary file

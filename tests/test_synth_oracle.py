@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pefcoh.dumpio import dump_to_json, dumps_canonical, parse_dump, write_json
+from pefcoh.dumpio import parse_dump, write_dump, write_json
 from pefcoh.metrics import GROUND_TRUTH, MAX_WEIGHT, RunConfig, evaluate, flatten_scores
 from pefcoh.oracle import MAX_IMAGES, MAX_PROTOTYPES, MAX_SIDE, brute_force_scores
 from pefcoh.synth import (
@@ -45,20 +45,20 @@ class TestGenerate:
         texts = []
         for _ in range(2):
             dump, ann, lexicon, ledger = generate(spec)
-            texts.append(dumps_canonical(dump_to_json(dump)))
+            texts.append(helpers.dump_text(dump))
         assert texts[0] == texts[1]
 
     def test_distinct_seeds_distinct_files(self):
         seen = set()
         for seed in range(40):
             dump, _, _, _ = generate(SynthSpec(rng_seed=seed))
-            seen.add(dumps_canonical(dump_to_json(dump)))
+            seen.add(helpers.dump_text(dump))
         assert len(seen) == 40
 
     def test_generated_dump_passes_parser(self, tmp_path):
         dump, _, _, _ = generate(SynthSpec(rng_seed=2))
         path = tmp_path / "dump.json"
-        write_json(path, dump_to_json(dump))
+        write_dump(path, dump)
         assert parse_dump(path) == dump
 
     def test_relevance_target_exact(self):
