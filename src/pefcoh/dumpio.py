@@ -22,8 +22,10 @@ dump that repeats a key, is not valid JSON or UTF-8, or holds a surrogate
 escape (``\\uD800`` to ``\\uDFFF``) is read whole and decoded again, by the
 strict hook, which names the fault (see :func:`parse_dump`). The parsed
 dump is built with those columns as its one activation table, which also
-takes the class weights the parser has checked as one matrix; each image's
-``entries`` is a view of its rows (see :mod:`pefcoh.records`).
+takes the class weights the parser has checked as one matrix, and compares
+by it; its image records compare by their headers. Each image's ``entries``
+is a view of its rows, read only for its length and its entries' prototype
+ids (see :mod:`pefcoh.records`).
 
 This module imports no numpy. The dump's column packing is array code in
 :mod:`pefcoh.columns`, which :func:`parse_dump` imports on its first call;

@@ -9,10 +9,10 @@ its name carries that key as ``metadata["json"]`` (see ``dumpio.to_json``).
 A dump holds its activations and its prototypes' class weights as one
 columnar :class:`ActivationTable`, which the metrics, the dump writer and
 the brute-force oracle read, and is built with it, by the dump parser or the
-synth generator. Each image's ``entries`` is a view of its rows, read as a
-tuple of :class:`ActivationEntry`. No module of the package walks them: the
-views stay only for the tests and for the benchmark's traced counts, until
-those read the table.
+synth generator. A dump compares by its table, and an image record by its
+header. Each image's ``entries`` is an :class:`ActivationView` of its rows,
+which no module of the package reads: it serves only the benchmark's traced
+counts, which take its length and read each entry's prototype id.
 
 This module imports no numpy: the table's columns are numpy arrays, but only
 :meth:`ActivationTable.from_columns` builds them (the table's other methods
@@ -140,16 +140,6 @@ class PrototypeRecord:
     class_weights: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ActivationEntry:
-    """Maximal activation of one prototype on one image (feature-map cell)."""
-
-    prototype_id: str
-    score: float
-    row: int
-    col: int
-
-
 @dataclass(frozen=True, eq=False)
 class ActivationTable:
     """Every activation of a dump as numpy columns, one row per entry, in
@@ -160,6 +150,9 @@ class ActivationTable:
     ``weights``, their class weights. No column names a row's image:
     :meth:`image_of` finds it from the offsets for the rows that need it,
     and :meth:`per_row` spreads a value per image over the rows.
+
+    Two tables are equal when their prototype ids and all their columns
+    are; a table is not hashable.
     """
 
     prototype_ids: tuple[str, ...]
@@ -211,11 +204,33 @@ class ActivationTable:
         rows."""
         return values.repeat(self.offsets[1:] - self.offsets[:-1])
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ActivationTable):
+            return NotImplemented
+        return self.prototype_ids == other.prototype_ids and all(
+            a.shape == b.shape and bool((a == b).all())
+            for a, b in (
+                (self.weights, other.weights), (self.offsets, other.offsets),
+                (self.proto, other.proto), (self.score, other.score),
+                (self.row, other.row), (self.col, other.col),
+            )
+        )
 
-class ActivationView(Sequence):
-    """The entries of image ``index`` of an :class:`ActivationTable`, read as
-    a tuple of :class:`ActivationEntry` (equal to the tuple of the same
-    entries)."""
+
+@dataclass(frozen=True)
+class ActivationEntry:
+    """Maximal activation of one prototype on one image (feature-map cell),
+    as an :class:`ActivationView` yields it."""
+
+    prototype_id: str
+    score: float
+    row: int
+    col: int
+
+
+class ActivationView:
+    """The entries of image ``index`` of an :class:`ActivationTable`: its
+    number of rows, and each row read as an :class:`ActivationEntry`."""
 
     __slots__ = ("table", "index")
 
@@ -239,28 +254,6 @@ class ActivationView(Sequence):
         ):
             yield ActivationEntry(ids[p], score, row, col)
 
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self)[j]
-        n = len(self)
-        if not -n <= j < n:
-            raise IndexError("entry index out of range")
-        t, r = self.table, self._rows().start + j % n
-        return ActivationEntry(
-            t.prototype_ids[t.proto[r]], float(t.score[r]), int(t.row[r]), int(t.col[r])
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, ActivationView)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 @dataclass(frozen=True)
 class ImageActivationRecord:
@@ -271,7 +264,7 @@ class ImageActivationRecord:
     class_label: int
     feature_h: int
     feature_w: int
-    entries: ActivationView  # the image's rows of the dump's table
+    entries: ActivationView = field(compare=False, repr=False)  # its rows of the dump's table
 
 
 @dataclass(frozen=True)
@@ -279,9 +272,10 @@ class EvidenceDump:
     """One model run's prototypes, classification weights, and activations.
 
     ``activations`` is every entry and class weight as one table, which the
-    images' entries view, image ``i`` its rows ``i``; it is not compared. A
-    dump whose images do not view its own table in their order raises
-    ValueError naming the first image that does not.
+    images' entries view, image ``i`` its rows ``i``; two dumps with equal
+    fields compare by it, and a dump is not hashable. A dump whose images do
+    not view its own table in their order raises ValueError naming the first
+    image that does not.
     """
 
     model_name: str
@@ -289,7 +283,7 @@ class EvidenceDump:
     class_names: tuple[str, ...]
     prototypes: tuple[PrototypeRecord, ...]
     images: tuple[ImageActivationRecord, ...]
-    activations: ActivationTable = field(compare=False, repr=False)
+    activations: ActivationTable = field(repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.activations.offsets) - 1

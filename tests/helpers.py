@@ -39,7 +39,6 @@ from pefcoh.records import (
     TRAIN,
     AnnotatedImage,
     AnnotationSet,
-    ActivationEntry,
     ActivationTable,
     ActivationView,
     EvidenceDump,
@@ -90,16 +89,16 @@ def make_image(
         class_label,
         feature_h,
         feature_w,
-        tuple(ActivationEntry(pid, score, row, col) for pid, score, row, col in entries),
+        tuple(entries),
     )
 
 
 def build_dump(model_name, seed, class_names, prototypes, images) -> EvidenceDump:
     """The dump of records built in code, as the parser would build it from
     their file: one table of every image's entries, in image order, and of
-    the prototypes' class weights, with each image's entries a view of it.
-    An image's ``entries`` may be any sequence of ActivationEntry (another
-    dump's view included); an entry naming an unknown prototype raises
+    the prototypes' class weights. An image's ``entries`` are
+    ``(prototype_id, score, row, col)`` tuples (see :func:`make_image` and
+    :func:`image_rows`); an entry naming an unknown prototype raises
     KeyError."""
     prototypes = tuple(prototypes)
     index = {p.prototype_id: i for i, p in enumerate(prototypes)}
@@ -108,16 +107,32 @@ def build_dump(model_name, seed, class_names, prototypes, images) -> EvidenceDum
         prototypes,
         len(class_names),
         [len(img.entries) for img in images],
-        [index[e.prototype_id] for e in entries],
-        [e.score for e in entries],
-        [e.row for e in entries],
-        [e.col for e in entries],
+        [index[pid] for pid, _, _, _ in entries],
+        [score for _, score, _, _ in entries],
+        [row for _, _, row, _ in entries],
+        [col for _, _, _, col in entries],
     )
+    return table_dump(model_name, seed, class_names, prototypes, images, table)
+
+
+def table_dump(model_name, seed, class_names, prototypes, images, table) -> EvidenceDump:
+    """The dump of ``table`` whose image ``i`` has the header of
+    ``images[i]`` (its ``entries`` are replaced by a view of its rows)."""
     return EvidenceDump(
         model_name, seed, class_names, prototypes,
         tuple(replace(img, entries=ActivationView(table, i)) for i, img in enumerate(images)),
         table,
     )
+
+
+def image_rows(dump: EvidenceDump) -> list[list[tuple[str, float, int, int]]]:
+    """Each image's ``(prototype_id, score, row, col)`` entries, read row by
+    row from the dump's table."""
+    t = dump.activations
+    entries = list(zip([t.prototype_ids[p] for p in t.proto.tolist()],
+                       t.score.tolist(), t.row.tolist(), t.col.tolist()))
+    bounds = t.offsets.tolist()
+    return [entries[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 def make_dump(prototypes, images, model_name="test", seed=0, class_names=CLASSES):
@@ -362,7 +377,7 @@ def _fit_span(center: Fraction, size: int, limit: int) -> tuple[Fraction, Fracti
 
 
 # Reference metrics and dump parser: the per-entry loops over
-# ActivationEntry records that the columnar ActivationTable paths in
+# (prototype_id, score, row, col) rows that the columnar ActivationTable paths in
 # pefcoh.metrics and pefcoh.dumpio replaced, kept verbatim as the reference
 # of the differential and parse-error parity tests, with a globalness rule
 # of their own (not pefcoh.metrics._global_mask). (This parse_dump still
@@ -390,15 +405,16 @@ def local_prototypes(
     The weight is taken toward the instance's ground-truth class by default.
     """
     weights = {p.prototype_id: p.class_weights for p in dump.prototypes}
-    test_images = [img for img in dump.images if img.split == TEST]
+    test_images = [(img, rows) for img, rows in zip(dump.images, image_rows(dump))
+                   if img.split == TEST]
     if not test_images:
         raise ValueError("empty test split")
     pos_total = 0
     neg_total = 0
-    for img in test_images:
-        for entry in img.entries:
-            w = _lp_weight(weights[entry.prototype_id], img.class_label, weight_convention)
-            contribution = entry.score * w
+    for img, rows in test_images:
+        for pid, score, _, _ in rows:
+            w = _lp_weight(weights[pid], img.class_label, weight_convention)
+            contribution = score * w
             if contribution > eps:
                 pos_total += 1
             elif contribution < -eps:
@@ -437,18 +453,18 @@ def top_k_evidence(
     """
     ann_by_id = annotations.by_id()
     pools: dict[str, list[tuple[float, str, AnnotatedImage, int, int, int, int]]] = {}
-    for img in dump.images:
+    for img, entries in zip(dump.images, image_rows(dump)):
         ann = ann_by_id.get(img.image_id)
         if img.split != TRAIN or ann is None:
             continue
-        for entry in img.entries:
-            pools.setdefault(entry.prototype_id, []).append(
+        for pid, score, row, col in entries:
+            pools.setdefault(pid, []).append(
                 (
-                    entry.score,
+                    score,
                     img.image_id,
                     ann,
-                    entry.row,
-                    entry.col,
+                    row,
+                    col,
                     img.feature_h,
                     img.feature_w,
                 )
@@ -482,23 +498,23 @@ def _localization_detail(
     global_ids = set(global_prototype_ids(dump, config.eps))
     rows = []
     sums = {variant: [Fraction(0), Fraction(0)] for variant in VARIANTS}
-    for img in dump.images:
+    for img, entries in zip(dump.images, image_rows(dump)):
         ann = ann_by_id.get(img.image_id)
         if img.split != TEST or ann is None or not ann.rois:
             continue
         candidates = []
-        for entry in img.entries:
-            if entry.prototype_id not in global_ids:
+        for pid, score, row, col in entries:
+            if pid not in global_ids:
                 continue
-            contribution = entry.score * weights[entry.prototype_id][img.class_label]
+            contribution = score * weights[pid][img.class_label]
             if abs(contribution) > config.eps:
-                candidates.append((abs(contribution), entry))
-        candidates.sort(key=lambda t: (-t[0], t[1].prototype_id))
+                candidates.append((abs(contribution), pid, row, col))
+        candidates.sort(key=lambda t: (-t[0], t[1]))
         roi_boxes = [PatchBox(*roi.bbox) for roi in ann.rois]
         patches = [
-            resolve_patch_box(e.row, e.col, img.feature_h, img.feature_w,
+            resolve_patch_box(row, col, img.feature_h, img.feature_w,
                               img.width, img.height, config.patch_size)
-            for _, e in candidates
+            for _, _, row, col in candidates
         ]
         per_variant = {}
         for variant, limit in (("top1", 1), ("top10", 10), ("all", len(candidates))):
@@ -656,7 +672,7 @@ def parse_dump(path: str | Path) -> EvidenceDump:
                     f"{ewhere}: activation location out of feature map "
                     f"(row={row}, col={col}, feature {feature_h}x{feature_w})"
                 )
-            entries.append(ActivationEntry(pid, float(score), row, col))
+            entries.append((pid, float(score), row, col))
         images.append(
             ImageActivationRecord(
                 image_id, split, width, height, class_label, feature_h, feature_w, tuple(entries)

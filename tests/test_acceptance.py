@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,7 @@ import numpy as np
 from pefcoh.geometry import _areas, iou_dsc_exact
 from pefcoh.metrics import RunConfig, evaluate, flatten_scores
 from pefcoh.oracle import brute_force_scores
-from pefcoh.records import (
-    ActivationEntry,
-    AnnotatedImage,
-    AnnotationSet,
-    ImageActivationRecord,
-    PrototypeRecord,
-)
+from pefcoh.records import AnnotatedImage, AnnotationSet, PrototypeRecord
 from pefcoh.synth import SynthSpec, generate
 from pefcoh.cli import main as cli_main
 from pefcoh.dumpio import write_json
@@ -158,15 +153,9 @@ def test_criterion_4_invariance_suite():
         for c in (0.5, 7.0):  # presence-score scale invariance
             scaled = helpers.build_dump(
                 dump.model_name, dump.seed, dump.class_names, dump.prototypes,
-                tuple(
-                    ImageActivationRecord(
-                        img.image_id, img.split, img.width, img.height,
-                        img.class_label, img.feature_h, img.feature_w,
-                        tuple(ActivationEntry(e.prototype_id, e.score * c, e.row, e.col)
-                              for e in img.entries),
-                    )
-                    for img in dump.images
-                ),
+                [replace(img, entries=[(pid, score * c, row, col)
+                                       for pid, score, row, col in rows])
+                 for img, rows in zip(dump.images, helpers.image_rows(dump))],
             )
             assert flatten_scores(evaluate(scaled, ann, lexicon, spec.config()).scores) == base
 
@@ -177,15 +166,9 @@ def test_criterion_4_invariance_suite():
             dump.model_name, dump.seed, dump.class_names,
             tuple(PrototypeRecord(proto_map[p.prototype_id], p.class_weights)
                   for p in dump.prototypes),
-            tuple(
-                ImageActivationRecord(
-                    image_map[img.image_id], img.split, img.width, img.height,
-                    img.class_label, img.feature_h, img.feature_w,
-                    tuple(ActivationEntry(proto_map[e.prototype_id], e.score, e.row, e.col)
-                          for e in img.entries),
-                )
-                for img in dump.images
-            ),
+            [replace(img, image_id=image_map[img.image_id],
+                     entries=[(proto_map[pid], score, row, col) for pid, score, row, col in rows])
+             for img, rows in zip(dump.images, helpers.image_rows(dump))],
         )
         renamed_ann = AnnotationSet(
             ann.class_names,

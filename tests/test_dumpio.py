@@ -31,7 +31,6 @@ from pefcoh.dumpio import (
     write_dump,
 )
 from pefcoh.records import (
-    ActivationEntry,
     ActivationTable,
     ActivationView,
     CategoryId,
@@ -62,7 +61,7 @@ class TestParseDump:
         dump = parse_dump(write_file("d.json", minimal_dump_obj))
         assert dump.model_name == "m"
         assert len(dump.prototypes) == 1
-        assert dump.images[0].entries[0].score == 1.5
+        assert dump.activations.score[0] == 1.5
 
     def test_unknown_prototype(self, write_file, minimal_dump_obj):
         minimal_dump_obj["images"][0]["entries"][0]["prototype_id"] = "p9"
@@ -501,7 +500,7 @@ class TestEntryFaults:
         obj["images"][0]["entries"][1]["score"] = 10**300
         obj["prototypes"][0]["class_weights"] = [2**70, 0]
         dump = parse_dump(write_file("d.json", obj))
-        assert dump.images[0].entries[1].score == 1e300
+        assert dump.activations.score[1] == 1e300
         assert dump.prototypes[0].class_weights == (float(2**70), 0.0)
 
     def test_feature_map_beyond_int64_rejected(self, write_file, minimal_dump_obj):
@@ -1222,37 +1221,33 @@ class TestActivationTable:
         dump = parse_dump(write_file("d.json", obj))
         table = dump.activations
         assert list(table.offsets) == [0, 80, 160, 240]
-        for i, img in enumerate(dump.images):
+        for i, (img, rows) in enumerate(zip(dump.images, helpers.image_rows(dump))):
             assert isinstance(img.entries, ActivationView) and img.entries.table is table
-            expected = tuple(
-                ActivationEntry(e["prototype_id"], float(e["score"]), e["row"], e["col"])
-                for e in obj["images"][i]["entries"]
-            )
+            expected = [(e["prototype_id"], float(e["score"]), e["row"], e["col"])
+                        for e in obj["images"][i]["entries"]]
             assert len(img.entries) == 80
-            assert img.entries == expected and expected == img.entries
-            assert tuple(img.entries) == expected
-            assert img.entries[-1] == expected[-1] and img.entries[5:9] == expected[5:9]
-            assert type(img.entries[0].score) is float
-        with pytest.raises(IndexError):
-            dump.images[0].entries[80]
+            read = [(e.prototype_id, e.score, e.row, e.col) for e in img.entries]
+            assert read == expected == rows
+            assert {type(score) for _, score, _, _ in read} == {float}
         assert [table.prototype_ids[p] for p in table.proto[80:83]] == [
             e["prototype_id"] for e in obj["images"][1]["entries"][:3]
         ]
         assert list(table.image_of(np.arange(79, 81))) == [0, 1]
 
-    def test_built_dump_has_the_parsed_table(self, write_file):
+    def test_built_and_written_dumps_equal_the_parsed(self, write_file, tmp_path):
         obj = wide_dump_obj(n_images=3)
         parsed = parse_dump(write_file("d.json", obj))
+        image_rows = helpers.image_rows(parsed)
         built = make_dump(
             [(p.prototype_id, p.class_weights) for p in parsed.prototypes],
-            [make_image(img.image_id,
-                        [(e.prototype_id, e.score, e.row, e.col) for e in img.entries],
-                        class_label=img.class_label, width=100, height=100,
-                        feature_h=4, feature_w=4)
-             for img in parsed.images],
+            [make_image(img.image_id, entries, class_label=img.class_label, width=100,
+                        height=100, feature_h=4, feature_w=4)
+             for img, entries in zip(parsed.images, image_rows)],
             model_name="m", seed=1,
         )
-        assert built == parsed
+        assert built.activations is not parsed.activations and built == parsed
+        write_dump(tmp_path / "d2.json", built)
+        assert parse_dump(tmp_path / "d2.json") == built
         assert built.activations.prototype_ids == parsed.activations.prototype_ids
         for column in ("weights", "offsets", "proto", "score", "row", "col"):
             built_column = getattr(built.activations, column)
@@ -1263,33 +1258,53 @@ class TestActivationTable:
                 == [p["class_weights"] for p in obj["prototypes"]]).all()
         rows = np.arange(240)
         assert (built.activations.image_of(rows) == parsed.activations.image_of(rows)).all()
-
-    def test_table_is_neither_written_nor_compared(self, write_file):
-        parsed = parse_dump(write_file("d.json", wide_dump_obj(n_images=3)))
         reordered = helpers.build_dump(
             parsed.model_name, parsed.seed, parsed.class_names, parsed.prototypes,
-            parsed.images[::-1])
+            [dataclasses.replace(img, entries=entries)
+             for img, entries in zip(parsed.images[::-1], image_rows[::-1])])
         assert list(reordered.activations.offsets) == [0, 80, 160, 240]
-        for img, original in zip(reordered.images, parsed.images[::-1]):
-            assert img.entries.table is reordered.activations
-            assert img == original and img.entries == original.entries
-        assert "activations" not in helpers.dump_tree(parsed)
-        with pytest.raises(ValueError, match=r"^images\[0\] \('img0'\): "):
-            dataclasses.replace(parsed, activations=reordered.activations)
-        rebuilt = helpers.build_dump(parsed.model_name, parsed.seed, parsed.class_names,
-                                     parsed.prototypes, parsed.images)
-        assert rebuilt.activations is not parsed.activations and rebuilt == parsed
-        assert "activations" not in repr(parsed)
+        assert reordered.images == parsed.images[::-1]  # image records compare by header
+        assert helpers.image_rows(reordered) == image_rows[::-1]
+
+    def test_dumps_compare_by_their_table(self):
+        base = [[("p0", 1.0, 0, 0), ("p1", 2.0, 1, 1)], [("p2", 0.5, 0, 1)]]
+        one_score = [[("p0", 1.0, 0, 0), ("p1", 2.5, 1, 1)], [("p2", 0.5, 0, 1)]]
+        one_prototype = [[("p0", 1.0, 0, 0), ("p2", 2.0, 1, 1)], [("p2", 0.5, 0, 1)]]
+        one_split = [[("p0", 1.0, 0, 0), ("p1", 2.0, 1, 1), ("p2", 0.5, 0, 1)], []]
+
+        def dump(entries):
+            return make_dump(
+                [("p0", (1.0, 0.0)), ("p1", (0.0, 1.0)), ("p2", (0.5, 0.5))],
+                [make_image(f"img{i}", rows, feature_h=2, feature_w=2)
+                 for i, rows in enumerate(entries)])
+
+        first = dump(base)
+        assert dump(base) == first
+        for entries in (one_score, one_prototype, one_split):
+            other = dump(entries)
+            assert other.images == first.images  # image records compare by header
+            assert other != first and first != other
+        split = dump(one_split).activations
+        assert split.proto.tolist() == first.activations.proto.tolist()
+        assert split.score.tolist() == first.activations.score.tolist()
+        assert split.offsets.tolist() != first.activations.offsets.tolist()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(first)
+        assert "activations" not in helpers.dump_tree(first)
+        assert "entries" not in repr(first) and "activations" not in repr(first)
 
     def test_images_must_view_their_own_rows(self, write_file):
         parsed = parse_dump(write_file("d.json", wide_dump_obj(n_images=3)))
+        other = parse_dump(write_file("d2.json", wide_dump_obj(n_images=3)))
+        with pytest.raises(ValueError, match=r"^images\[0\] \('img0'\): "):
+            dataclasses.replace(parsed, activations=other.activations)
         with pytest.raises(ValueError, match=r"^images\[0\] \('img2'\): its entries are not "
                                              r"image 0 of the dump's table$"):
             dataclasses.replace(parsed, images=parsed.images[::-1])
         swapped = (parsed.images[0], parsed.images[2], parsed.images[1])
         with pytest.raises(ValueError, match=r"^images\[1\] \('img2'\)"):
             dataclasses.replace(parsed, images=swapped)
-        entries = tuple(parsed.images[1].entries)  # equal entries, but not a view
+        entries = helpers.image_rows(parsed)[1]  # its entries, but not a view
         with pytest.raises(ValueError, match=r"^images\[1\] \('img1'\)"):
             dataclasses.replace(parsed, images=(
                 parsed.images[0], dataclasses.replace(parsed.images[1], entries=entries),
@@ -1355,9 +1370,9 @@ def _dense_dump(n_images, n_prototypes=128):
     table = ActivationTable.from_columns(
         prototypes, 2, [n_prototypes] * n_images, np.tile(np.arange(n_prototypes), n_images),
         rng.random(n), rng.integers(0, 4, n), rng.integers(0, 4, n))
-    images = tuple(ImageActivationRecord(f"img{i}", "train", 100, 100, i % 2, 4, 4,
-                                         ActivationView(table, i)) for i in range(n_images))
-    return EvidenceDump("m", 1, ("benign", "malignant"), prototypes, images, table)
+    images = [ImageActivationRecord(f"img{i}", "train", 100, 100, i % 2, 4, 4, ())
+              for i in range(n_images)]
+    return helpers.table_dump("m", 1, ("benign", "malignant"), prototypes, images, table)
 
 
 class TestWriteDumpRoundTrip:

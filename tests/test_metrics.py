@@ -3,6 +3,7 @@ import math
 import random
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -42,10 +43,8 @@ from pefcoh.records import (
     COMBINED_LEVEL,
     AnnotationSet,
     CategoryId,
-    ImageActivationRecord,
     PrototypeRecord,
     AnnotatedImage,
-    ActivationEntry,
 )
 from pefcoh.synth import SynthSpec, generate
 
@@ -417,9 +416,8 @@ class TestEvaluate:
         # needs a test image with an ROI for localization to be defined
         dump = helpers.build_dump(
             dump.model_name, dump.seed, dump.class_names, dump.prototypes,
-            dump.images + (
-                make_image("te0", [("p0", 1.0, 0, 0)], split="test"),
-            ),
+            [replace(img, entries=rows) for img, rows in zip(dump.images, helpers.image_rows(dump))]
+            + [make_image("te0", [("p0", 1.0, 0, 0)], split="test")],
         )
         ann = AnnotationSet(
             ann.class_names,
@@ -445,15 +443,9 @@ class TestEvaluate:
             dump.model_name, dump.seed, dump.class_names,
             tuple(PrototypeRecord(proto_map[p.prototype_id], p.class_weights)
                   for p in dump.prototypes),
-            tuple(
-                ImageActivationRecord(
-                    image_map[img.image_id], img.split, img.width, img.height,
-                    img.class_label, img.feature_h, img.feature_w,
-                    tuple(ActivationEntry(proto_map[e.prototype_id], e.score, e.row, e.col)
-                          for e in img.entries),
-                )
-                for img in dump.images
-            ),
+            [replace(img, image_id=image_map[img.image_id],
+                     entries=[(proto_map[pid], score, row, col) for pid, score, row, col in rows])
+             for img, rows in zip(dump.images, helpers.image_rows(dump))],
         )
         renamed_ann = AnnotationSet(
             ann.class_names,
@@ -473,15 +465,9 @@ class TestEvaluate:
         for c in (0.5, 3.0, 1000.0):
             scaled = helpers.build_dump(
                 dump.model_name, dump.seed, dump.class_names, dump.prototypes,
-                tuple(
-                    ImageActivationRecord(
-                        img.image_id, img.split, img.width, img.height,
-                        img.class_label, img.feature_h, img.feature_w,
-                        tuple(ActivationEntry(e.prototype_id, e.score * c, e.row, e.col)
-                              for e in img.entries),
-                    )
-                    for img in dump.images
-                ),
+                [replace(img, entries=[(pid, score * c, row, col)
+                                       for pid, score, row, col in rows])
+                 for img, rows in zip(dump.images, helpers.image_rows(dump))],
             )
             assert flatten_scores(evaluate(scaled, ann, lexicon, spec.config()).scores) == base
 
@@ -766,11 +752,11 @@ def _reference_candidates(dump, annotations, k, eps):
     annotated = {img.image_id for img in annotations.images}
     weights = {p.prototype_id: p.class_weights for p in dump.prototypes}
     pool, row = {}, 0
-    for img in dump.images:
-        for e in img.entries:
+    for img, rows in zip(dump.images, helpers.image_rows(dump)):
+        for pid, score, _, _ in rows:
             if (img.split == "train" and img.image_id in annotated
-                    and any(abs(w) > eps for w in weights[e.prototype_id])):
-                pool.setdefault(e.prototype_id, []).append((e.score, row))
+                    and any(abs(w) > eps for w in weights[pid])):
+                pool.setdefault(pid, []).append((score, row))
             row += 1
     rows = []
     for scored in pool.values():
