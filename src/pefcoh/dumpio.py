@@ -410,14 +410,18 @@ def parse_dump(path: str | Path) -> EvidenceDump:
 
     The file is read through a window (:class:`_Window`) and decoded one
     value at a time: each top-level field, and each image of ``images`` on
-    its own. As an image is decoded, its entries are checked in bulk against
-    the image's own ``feature_h`` and ``feature_w`` and, when they pass,
-    appended to the dump's columns (:class:`pefcoh.columns.Columns`). So the
-    parse holds the window, one image's entry objects, the other fields and
-    the columns, but never the whole text or the whole JSON tree, in any key
-    order. No record is checked before the whole file is read, so a fault in
-    the JSON anywhere in the file (a syntax error, a repeated key) wins over
-    a fault in a record.
+    its own. As an image is decoded, its entries are appended to the dump's
+    columns (:class:`pefcoh.columns.Columns`) when they pass the checks that
+    must look at each decoded object (``Columns.pack``: objects with their
+    four keys, distinct ids, exact types, values that fit their column). So
+    the parse holds the window, one image's entry objects, the other fields
+    and the columns, but never the whole text or the whole JSON tree, in any
+    key order. No record is checked before the whole file is read, so a
+    fault in the JSON anywhere in the file (a syntax error, a repeated key)
+    wins over a fault in a record. The checks of values run once per table,
+    on the packed columns, once the prototypes are read
+    (``Columns.resolve``: known prototypes, finite scores >= 0, cells inside
+    their image's feature map); they give the first faulty row.
 
     Each value is decoded by a plain decoder, which cannot see a repeated
     key, and kept when the string tokens it holds match its text's and its
@@ -430,8 +434,10 @@ def parse_dump(path: str | Path) -> EvidenceDump:
     is a file that cannot be read twice (a pipe), from the first.
 
     The columns become the dump's one ``activations`` table, which its
-    images' ``entries`` view; only an image whose entries were left unpacked
-    is walked entry by entry, to name its first bad entry.
+    images' ``entries`` view. Only :func:`_raise_entry_fault` names an entry
+    fault: it walks, entry by entry, an image whose entries were left
+    unpacked, or the entries of the faulty row's image, rebuilt from the
+    columns.
     """
     from . import columns  # the array code, loaded by the first dump parsed
 
@@ -543,8 +549,10 @@ def _read_windowed(fh: TextIO, cols: columns.Columns) -> dict:
     JSON each string token is a key, one per written pair, or a string
     value, so a value that repeats no key keeps exactly its text's unescaped
     quotes over two, and one that drops a repeated key keeps fewer. Nothing
-    in the count reads what a string says. An entry packed with only its
-    four keys keeps five (four keys and its prototype id).
+    in the count reads what a string says. A packed entry keeps at least
+    five (four keys and its prototype id), so an image whose text holds
+    exactly five per packed entry, with the rest of its tokens, repeats no
+    key, and its entries are walked only when the count disagrees.
 
     Raises :class:`_Unread` at a repeated key, at a text that is not valid
     JSON or UTF-8, at a top level that is not an object, at a key or value
@@ -581,7 +589,7 @@ def _read_windowed(fh: TextIO, cols: columns.Columns) -> dict:
 
 def _read_images(window: _Window, cols: columns.Columns) -> list:
     """The array of images at the window's cursor, read, with each image's
-    entries packed into ``cols`` when they pass the bulk checks."""
+    entries packed into ``cols`` when they pass its per-object checks."""
     images = []
     window.take("[")
     if window.peek() == "]":
@@ -590,11 +598,15 @@ def _read_images(window: _Window, cols: columns.Columns) -> list:
     while True:
         rec, start = window.value()
         entries = rec.get("entries") if type(rec) is dict else None
-        tokens = 0
-        if cols.pack(rec) is not None:  # the entries, now a range, are counted here
-            only_keys = sum(map(len, entries)) == 4 * len(entries)
-            tokens = 5 * len(entries) if only_keys else _string_tokens(entries)
-        _check_text(window, start, tokens + _string_tokens(rec))
+        packed = cols.pack(rec) is not None  # rec's entries are then a range, not walked
+        # a packed entry keeps at least five tokens, its four keys and its id;
+        # the entries are walked only when the text holds another count
+        tokens = _string_tokens(rec) + (5 * len(entries) if packed else 0)
+        quotes = _quotes(window, start)
+        if packed and 2 * tokens != quotes:
+            tokens += _string_tokens(entries) - 5 * len(entries)
+        if 2 * tokens != quotes:
+            raise _Unread
         images.append(rec)
         if window.take(",]") == "]":
             return images
@@ -603,8 +615,16 @@ def _read_images(window: _Window, cols: columns.Columns) -> list:
 def _check_text(window: _Window, start: int, tokens: int) -> None:
     """Raise :class:`_Unread` unless the text of the value just read, from
     ``start``, holds ``tokens`` string tokens (see :func:`_read_windowed`)
-    and no surrogate escape. A text read as UTF-8 holds a surrogate only as
-    a ``\\uD800`` to ``\\uDFFF`` escape, which the strict decode reads."""
+    and no surrogate escape."""
+    if 2 * tokens != _quotes(window, start):
+        raise _Unread
+
+
+def _quotes(window: _Window, start: int) -> int:
+    """The unescaped quotes in the text of the value just read, from
+    ``start``; raise :class:`_Unread` at a surrogate escape. A text read as
+    UTF-8 holds a surrogate only as a ``\\uD800`` to ``\\uDFFF`` escape,
+    which the strict decode reads."""
     buf, end = window.buf, window.pos
     quotes = buf.count('"', start, end)
     if buf.find("\\", start, end) >= 0:  # escapes, matched left to right
@@ -612,8 +632,7 @@ def _check_text(window: _Window, start: int, tokens: int) -> None:
         if any(len(escape) > 2 for escape in escapes):
             raise _Unread
         quotes -= escapes.count('\\"')
-    if 2 * tokens != quotes:
-        raise _Unread
+    return quotes
 
 
 def _string_tokens(obj: Any) -> int:
@@ -667,11 +686,12 @@ def _dump_from_raw(raw: Any, path: str | Path, cols: columns.Columns) -> Evidenc
             ws.append(float(w))
         prototypes.append(PrototypeRecord(pid, tuple(ws)))
 
-    unknown = cols.resolve(index)  # the first entry whose prototype is unknown, or None
+    records = _require(raw, "images", list, str(path))
+    fault = cols.resolve(index, records)  # a row of the first image whose check fails, or None
     headers = []
     counts = []
     seen_images: set[str] = set()
-    for i, rec in enumerate(_require(raw, "images", list, str(path))):
+    for i, rec in enumerate(records):
         where = f"{path}: images[{i}]"
         header = _image_header(rec, where, seen_images, len(class_names))
         feature_h = _require(rec, "feature_h", int, where)
@@ -687,11 +707,10 @@ def _dump_from_raw(raw: Any, path: str | Path, cols: columns.Columns) -> Evidenc
                 "(2 * width * feature_w and 2 * height * feature_h must be below 2**63)"
             )
         entries = _require(rec, "entries", (list, range), where)
-        if isinstance(entries, list):
+        if type(entries) is range and fault is not None and fault in entries:
+            entries = cols.entries(entries)
+        if type(entries) is list:  # left unpacked, or holding the fault
             _raise_entry_fault(entries, where, index, feature_h, feature_w)
-        if unknown and unknown[0] in entries:
-            at, pid = unknown
-            raise FormatError(f"{where}.entries[{at - entries.start}]: unknown prototype {pid!r}")
         counts.append(len(entries))
         headers.append((*header, feature_h, feature_w))
 
@@ -747,7 +766,8 @@ def _finite(x: int | float) -> bool:
 def _raise_entry_fault(
     entries: list, where: str, index: dict[str, int], feature_h: int, feature_w: int
 ) -> NoReturn:
-    """Raise :class:`FormatError` naming the first invalid entry of an image."""
+    """Raise :class:`FormatError` naming the first invalid entry of an image:
+    the one namer of an entry fault, whichever check found it."""
     seen_protos: set[str] = set()
     for j, ent in enumerate(entries):
         ewhere = f"{where}.entries[{j}]"

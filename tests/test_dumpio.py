@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pefcoh import dumpio
+from pefcoh import columns, dumpio
 from pefcoh.dumpio import (
     FormatError,
     annotations_to_json,
@@ -423,6 +423,8 @@ ENTRY_FAULTS = {
     "row-out-of-map": _set("row", 4),
     "col-out-of-map": _set("col", 4),
     "col-negative": _set("col", -1),
+    "row-beyond-int64": _set("row", 2**63),
+    "col-below-int64": _set("col", -(2**63) - 1),
 }
 
 
@@ -688,6 +690,69 @@ class TestEntryPacking:
         assert message.endswith("images[2].entries[57]: unknown prototype 'zz'")
 
 
+def _gapped_dump_obj():
+    """A valid dump of seven images holding 7, 0, 5, 0, 0, 3 and 0 entries:
+    beside each image with entries, on a 4x4 feature map, lies one without,
+    on a 1x1 map."""
+    obj = wide_dump_obj(n_images=7, n_prototypes=7)
+    for image, count in zip(obj["images"], [7, 0, 5, 0, 0, 3, 0]):
+        del image["entries"][count:]
+        if not count:
+            image.update(feature_h=1, feature_w=1)
+    return obj
+
+
+# the (image, entry) sites of ENTRY_FAULTS in _gapped_dump_obj(): the first
+# and the last entry of each image with entries; (5, 2) is the table's last row
+GAPPED_FAULT_SITES = [(0, 0), (0, 6), (2, 0), (2, 4), (5, 0), (5, 2)]
+# the values of columns._CHUNK: runs of one row, a few rows, and one run
+CHUNKS = [1, 2, 3, 2**62]
+
+
+def _chunked_outcomes(path):
+    """parse_dump's outcome for ``path`` with each of CHUNKS."""
+    outcomes = []
+    for chunk in CHUNKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(columns, "_CHUNK", chunk)
+            outcomes.append(_outcome(parse_dump, path))
+    return outcomes
+
+
+class TestChunkedResolve:
+    """Columns.resolve checks the packed rows in runs of ``_CHUNK``, from
+    per-image minima and maxima; whatever the runs, parse_dump names the
+    reference parser's first bad entry, or gives its dump."""
+
+    @pytest.mark.parametrize("site", GAPPED_FAULT_SITES, ids=str)
+    @pytest.mark.parametrize("name", sorted(ENTRY_FAULTS))
+    def test_fault_matches_reference(self, tmp_path, name, site):
+        obj = _gapped_dump_obj()
+        TestEntryFaults.place(obj, *site, name)
+        path = _written(tmp_path, obj)
+        expected = _outcome(helpers.parse_dump, path)
+        assert _chunked_outcomes(path) == [expected] * len(CHUNKS)
+        if name == "duplicate-entry" and site[1] == 0:  # the first entry is its own duplicate
+            assert isinstance(expected, EvidenceDump)
+        else:
+            assert f"images[{site[0]}].entries[{site[1]}]: " in expected
+
+    def test_clean_dump_matches_reference(self, tmp_path):
+        path = _written(tmp_path, _gapped_dump_obj())
+        assert _chunked_outcomes(path) == [helpers.parse_dump(path)] * len(CHUNKS)
+
+    @given(st.lists(st.tuples(st.sampled_from(GAPPED_FAULT_SITES + [(2, 2), (0, 3)]),
+                              st.sampled_from(sorted(ENTRY_FAULTS))),
+                    min_size=1, max_size=3, unique_by=lambda f: f[0]))
+    @settings(max_examples=helpers.examples(40), deadline=None)
+    def test_first_of_drawn_faults_named(self, tmp_path_factory, faults):
+        obj = _gapped_dump_obj()
+        for site, name in sorted(faults, reverse=True):  # an image's first entry last
+            TestEntryFaults.place(obj, *site, name)
+        path = _written(tmp_path_factory.mktemp("chunked"), obj)
+        assert _chunked_outcomes(path) == [_outcome(helpers.parse_dump, path)] * len(CHUNKS)
+
+
 def _text(obj):
     """The JSON text of ``obj``, except that a key starting with NUL is
     written without it, so it repeats a key, and the character U+0001 is
@@ -742,6 +807,8 @@ COUNTED_CASES = {
     "clean": (lambda obj: None, 0, None),
     "repeated-key-in-an-entry": (
         lambda obj: _repeat(obj["images"][2]["entries"][7], "row"), 0, "duplicate key 'row'"),
+    "extra-key-in-an-entry": (
+        lambda obj: obj["images"][2]["entries"][7].update(rank=3), 0, None),
     "repeated-key-in-an-image": (
         lambda obj: _repeat(obj["images"][1], "split", "test", at=0), 0,
         "duplicate key 'split'"),
