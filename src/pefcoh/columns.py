@@ -7,12 +7,16 @@ runs, per image, the checks that must look at each decoded object: every
 entry is an object with its four keys, the prototype ids are distinct
 strings, the score is an int or a float and the row and column ints (no
 bool), and each value fits its column. :meth:`Columns.resolve` runs, per
-table on the packed columns, the checks of values: each prototype is one of
-the dump's, each score is finite and >= 0, and each cell lies inside its
-image's feature map. Neither names a fault: an image that fails the first is
-left unpacked, and the second gives a row of the first image that fails it;
-``dumpio._raise_entry_fault`` walks that image's entries and names the
-first bad one.
+run of whole images on the packed columns, the checks of values: each
+prototype is one of the dump's, each score is finite and >= 0, and each
+cell lies inside its image's feature map. Neither names a fault: an image
+that fails the first is left unpacked, and the second gives a row of the
+first image that fails it; ``dumpio._raise_entry_fault`` walks that image's
+entries and names the first bad one.
+
+:func:`_image_runs` is the one definition of a run of whole images, of
+about ``_CHUNK`` entries: every stage that reads a table in pieces, here
+and in :mod:`pefcoh.metrics`, walks its runs.
 
 This is the array code of the dump parser. :func:`pefcoh.dumpio.parse_dump`
 imports it on its first call, so reading any other file (a report for
@@ -32,7 +36,18 @@ from .records import ActivationTable, PrototypeRecord
 _NUMBER = {int, float}
 _INT = {int}
 _STR = {str}
-_CHUNK = 1 << 14  # entries resolved at a time
+_CHUNK = 1 << 15  # entries of whole images read at a time
+
+
+def _image_runs(offsets: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive runs ``(a, b)`` of images ``a:b`` that cover every image
+    of a table whose image ``i`` holds rows ``offsets[i]:offsets[i + 1]``: a
+    run starts at the first image to start at or past a multiple of
+    ``_CHUNK`` rows, so it holds about ``_CHUNK`` rows, or one larger
+    image."""
+    starts = offsets.searchsorted(np.arange(_CHUNK, offsets[-1], _CHUNK)).tolist()
+    bounds = [0, *starts, len(offsets) - 1]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 class Columns:
@@ -100,66 +115,40 @@ class Columns:
         """Check the packed entries against the dump's prototypes, whose ids
         ``index`` maps to their indices, and against their images, the
         records of ``images`` whose entries were packed (see the module
-        docstring), one run of ``_CHUNK`` rows at a time. A row of the first
-        image with an entry that fails, with the columns left as they are;
-        or None, once each entry's prototype code is replaced, in place, by
-        the index of its prototype."""
+        docstring), one run of whole images (:func:`_image_runs`) at a time,
+        each from the minima and maxima of its images' rows. Each run that
+        passes has its prototype codes replaced, in place, by the indices of
+        their prototypes. A row of the first image with an entry that fails,
+        with its run left as it was packed; or None."""
         of_code = np.array([index.get(pid, -1) for pid in self._codes], dtype=np.int64)
         # per image that holds packed entries: its first row, feature_h and
         # feature_w; an image without entries is left out, so the first rows
         # rise strictly, as reduceat needs
-        bounds = np.array(
+        starts, heights, widths = np.array(
             [(rows.start, rec["feature_h"], rec["feature_w"]) for rec in images
              if type(rec) is dict and type(rows := rec.get("entries")) is range and rows],
             dtype=np.int64,
         ).reshape(-1, 3).T
-        proto = np.frombuffer(self.proto, np.int64)
-        runs = range(0, len(proto), _CHUNK)
-        for start in runs:
-            fault = self._fault(start, of_code, *bounds)
-            if fault is not None:
-                return fault
-        for start in runs:  # no copy of the whole column
-            part = proto[start:start + _CHUNK]
-            part[:] = of_code[part]
+        offsets = np.append(starts, len(self.proto))
+        proto, score, row, col = (np.frombuffer(column, column.typecode)
+                                  for column in (self.proto, self.score, self.row, self.col))
+        for a, b in _image_runs(offsets):
+            lo, hi = offsets[a], offsets[b]
+            heads = starts[a:b] - lo
+            code = of_code[proto[lo:hi]]
+            ok = np.minimum.reduceat(code, heads) >= 0
+            for column, bound in ((score, np.inf), (row, heights[a:b]), (col, widths[a:b])):
+                values = column[lo:hi]
+                ok &= np.minimum.reduceat(values, heads) >= 0  # False at a NaN
+                ok &= np.maximum.reduceat(values, heads) < bound
+            if not ok.all():
+                return int(starts[a + ok.argmin()])
+            proto[lo:hi] = code
         return None
 
-    def _fault(
-        self, start: int, of_code: np.ndarray,
-        starts: np.ndarray, heights: np.ndarray, widths: np.ndarray,
-    ) -> int | None:
-        """A row of the first image whose rows among the ``_CHUNK`` from
-        ``start`` on hold an unknown prototype (one that ``of_code``, the
-        index of each code, maps to -1), a score that is not finite and >= 0,
-        or a cell outside the image's feature map; or None. ``starts``,
-        ``heights`` and ``widths`` give each image's first row and feature
-        map. Each check reads only the minima and maxima of an image's rows."""
-        stop = min(start + _CHUNK, len(self.proto))
-        # the images with rows in the run, and where each one's rows start in it
-        first = int(starts.searchsorted(start, "right")) - 1
-        last = int(starts.searchsorted(stop))
-        heads = starts[first:last] - start
-        heads[0] = 0
-
-        def run(column: array) -> np.ndarray:
-            return np.frombuffer(column, column.typecode)[start:stop]
-
-        def low(values: np.ndarray) -> np.ndarray:
-            return np.minimum.reduceat(values, heads)
-
-        def high(values: np.ndarray) -> np.ndarray:
-            return np.maximum.reduceat(values, heads)
-
-        score, row, col = run(self.score), run(self.row), run(self.col)
-        ok = (low(score) >= 0) & (high(score) < np.inf)  # False at a NaN
-        ok &= (low(row) >= 0) & (high(row) < heights[first:last])
-        ok &= (low(col) >= 0) & (high(col) < widths[first:last])
-        ok &= low(of_code[run(self.proto)]) >= 0
-        return None if ok.all() else start + int(heads[ok.argmin()])
-
     def entries(self, rows: range) -> list[dict]:
-        """The packed entries at ``rows``, unresolved, as objects of their
-        four keys."""
+        """The packed entries at ``rows``, in a run that :meth:`resolve` left
+        as it was packed, as objects of their four keys."""
         ids = list(self._codes)
         at = slice(rows.start, rows.stop)
         return [

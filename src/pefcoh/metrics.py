@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .columns import _image_runs
 from .dumpio import derive_category_universe, require_consistent, total_categories
 from .geometry import iou_dsc_exact, lattice_sizes, patch_lattice, resolve_patch_box
 from .records import (
@@ -129,21 +130,23 @@ def global_prototypes(dump: EvidenceDump, eps: float) -> tuple[int, float]:
 
 
 def _contributions(
-    dump: EvidenceDump, in_image: np.ndarray, weights: np.ndarray
+    dump: EvidenceDump, run: tuple[int, int], in_image: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The table rows of the images that ``in_image`` marks, each row's
-    prototype and image index, and its contribution: presence score x
-    ``weights[prototype, class label of the image]``.
+    """The table rows of the images of ``run``, a run ``(a, b)`` of images
+    ``a:b`` (:func:`~pefcoh.columns._image_runs`), that ``in_image`` marks,
+    each row's prototype and image index, and its contribution: presence
+    score x ``weights[prototype, class label of the image]``.
 
-    No more than four arrays as long as the rows, the four returned, are
-    alive at once.
+    No array is longer than the run's rows.
     """
     t = dump.activations
-    rows = np.flatnonzero(t.per_row(in_image))
+    a, b = run
+    counts = np.diff(t.offsets[a:b + 1])
+    rows = t.offsets[a] + np.flatnonzero(in_image[a:b].repeat(counts))
     proto = t.proto[rows]
     # each row's class label: a marked image's label repeated over its rows
-    contribution = weights[proto, np.array([img.class_label for img in dump.images],
-                                           dtype=np.intp).repeat(np.diff(t.offsets) * in_image)]
+    contribution = weights[proto, np.array([img.class_label for img in dump.images[a:b]],
+                                           dtype=np.intp).repeat(counts * in_image[a:b])]
     with np.errstate(over="ignore"):  # a product past float64 is inf, as in Python
         contribution *= t.score[rows]
     return rows, proto, t.image_of(rows), contribution
@@ -153,7 +156,8 @@ def local_prototypes(
     dump: EvidenceDump, eps: float, weight_convention: str = GROUND_TRUTH
 ) -> tuple[float, float]:
     """Mean number of prototypes per test instance whose contribution
-    (presence score x class weight) is positive resp. negative.
+    (presence score x class weight) is positive resp. negative, counted one
+    run of images at a time (:func:`_contributions`).
 
     The weight is taken toward the instance's ground-truth class by default,
     else it is the prototype's largest class weight.
@@ -165,9 +169,11 @@ def local_prototypes(
     weights = dump.activations.weights
     if weight_convention != GROUND_TRUTH:
         weights = np.broadcast_to(weights.max(axis=1, keepdims=True), weights.shape)
-    contribution = _contributions(dump, is_test, weights)[3]
-    pos_total = int(np.count_nonzero(contribution > eps))
-    neg_total = int(np.count_nonzero(contribution < -eps))
+    pos_total = neg_total = 0
+    for run in _image_runs(dump.activations.offsets):
+        contribution = _contributions(dump, run, is_test, weights)[3]
+        pos_total += int(np.count_nonzero(contribution > eps))
+        neg_total += int(np.count_nonzero(contribution < -eps))
     return float(Fraction(pos_total, n)), float(Fraction(neg_total, n))
 
 
@@ -259,20 +265,6 @@ def _kth_scores(proto: np.ndarray, score: np.ndarray, n: int, k: int) -> np.ndar
     return threshold
 
 
-# entries of whole images read at a time while top-k candidates are picked
-_CHUNK = 1 << 15
-
-
-def _image_runs(offsets: np.ndarray, size: int) -> list[tuple[int, int]]:
-    """Consecutive runs ``(a, b)`` of images ``a:b`` that cover every image:
-    a run starts at the first image to start at or past a multiple of
-    ``size`` entries, so it holds about ``size`` entries, or one larger
-    image."""
-    starts = offsets.searchsorted(np.arange(size, offsets[-1], size)).tolist()
-    bounds = [0, *starts, len(offsets) - 1]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-
-
 def _pool_candidates(
     t: ActivationTable, annotated: np.ndarray, is_global: np.ndarray, k: int
 ) -> np.ndarray:
@@ -280,7 +272,8 @@ def _pool_candidates(
     annotated images) that score at least their prototype's k-th highest
     score in the pool (see :func:`_kth_scores`).
 
-    They are picked one run of images at a time (:func:`_image_runs`): the
+    They are picked one run of images at a time
+    (:func:`~pefcoh.columns._image_runs`): the
     run's pool rows that reach their prototype's k-th score among the rows
     kept so far join those rows, and the k-th scores of the union decide
     which are kept. A prototype's k-th score in part of the pool is never
@@ -291,7 +284,7 @@ def _pool_candidates(
     counts = t.offsets[1:] - t.offsets[:-1]
     threshold = np.full(len(is_global), -np.inf)
     kept = np.empty(0, dtype=np.intp)
-    for a, b in _image_runs(t.offsets, _CHUNK):
+    for a, b in _image_runs(t.offsets):
         lo, hi = t.offsets[a], t.offsets[b]
         proto = t.proto[lo:hi]
         in_pool = np.repeat(annotated[a:b], counts[a:b]) & is_global[proto]
@@ -319,9 +312,8 @@ def top_k_evidence(
     shortfall.
 
     Only the candidates, every entry at or above its prototype's k-th score,
-    are sorted; they are picked one run of about ``_CHUNK`` entries of whole
-    images at a time (:func:`_pool_candidates`), so no temporary is as long
-    as the table.
+    are sorted; they are picked one run of whole images at a time
+    (:func:`_pool_candidates`), so no temporary is as long as the table.
     """
     ann_by_id = annotations.by_id()
     anns = [ann_by_id.get(img.image_id) if img.split == TRAIN else None for img in dump.images]
@@ -499,43 +491,47 @@ def _localization_detail(
     annotations: AnnotationSet,
     config: RunConfig,
 ) -> tuple[list[ImageLocalizationRow], dict[str, LocalizationScore]]:
-    """Per-image localization rows plus the exact per-variant means."""
+    """Per-image localization rows plus the exact per-variant means, the
+    candidates ranked one run of images at a time (:func:`_contributions`)."""
     ann_by_id = annotations.by_id()
     anns = [ann_by_id.get(img.image_id) if img.split == TEST else None for img in dump.images]
-    localized = [i for i, ann in enumerate(anns) if ann is not None and ann.rois]
+    localized = np.array([ann is not None and bool(ann.rois) for ann in anns], dtype=bool)
     t = dump.activations
-    in_image = np.zeros(len(dump.images), dtype=bool)
-    in_image[localized] = True
-    entries, proto, image, magnitude = _contributions(dump, in_image, t.weights)
-    np.abs(magnitude, out=magnitude)
-    keep = _global_mask(dump, config.eps)[proto] & (magnitude > config.eps)
-    # grouped by image, then |score x weight| descending, then prototype id
-    order = np.lexsort((_ranks(t.prototype_ids)[proto[keep]], -magnitude[keep], image[keep]))
-    candidates = entries[keep][order]
-    image = image[keep][order]
-    image_start = _group_starts(image, len(dump.images)).tolist()
-    grid = np.zeros((len(dump.images), 4), dtype=np.int64)
-    grid[localized] = lattice_sizes([(dump.images[i].feature_h, dump.images[i].feature_w,
-                                      dump.images[i].width, dump.images[i].height)
-                                     for i in localized])
-    patches = patch_lattice(t.row[candidates], t.col[candidates],
-                            *grid[image].T, config.patch_size)
+    is_global = _global_mask(dump, config.eps)
+    ranks = _ranks(t.prototype_ids)
     rows = []
     sums = {variant: [Fraction(0), Fraction(0)] for variant in VARIANTS}
-    for i in localized:
-        img = dump.images[i]
-        chosen = patches[image_start[i]: image_start[i + 1]]
-        sx, sy = 2 * img.feature_w, 2 * img.feature_h
-        roi_boxes = np.array([(x0 * sx, y0 * sy, x1 * sx, y1 * sy)
-                              for x0, y0, x1, y1 in (roi.bbox for roi in anns[i].rois)],
-                             dtype=np.int64)
-        per_variant = {}
-        for variant, limit in (("top1", 1), ("top10", 10), ("all", len(chosen))):
-            iou, dsc = iou_dsc_exact(chosen[:limit], roi_boxes)
-            sums[variant][0] += iou
-            sums[variant][1] += dsc
-            per_variant[variant] = LocalizationScore(float(iou), float(dsc))
-        rows.append(ImageLocalizationRow(img.image_id, len(chosen), per_variant))
+    for a, b in _image_runs(t.offsets):
+        run_images = (a + np.flatnonzero(localized[a:b])).tolist()
+        if not run_images:
+            continue
+        entries, proto, image, magnitude = _contributions(dump, (a, b), localized, t.weights)
+        np.abs(magnitude, out=magnitude)
+        keep = is_global[proto] & (magnitude > config.eps)
+        # grouped by image, then |score x weight| descending, then prototype id
+        order = np.lexsort((ranks[proto[keep]], -magnitude[keep], image[keep]))
+        candidates = entries[keep][order]
+        at = np.searchsorted(run_images, image[keep][order])  # its image in run_images
+        grid = lattice_sizes([(dump.images[i].feature_h, dump.images[i].feature_w,
+                               dump.images[i].width, dump.images[i].height)
+                              for i in run_images])
+        patches = patch_lattice(t.row[candidates], t.col[candidates],
+                                *grid[at].T, config.patch_size)
+        start = _group_starts(at, len(run_images)).tolist()
+        for j, i in enumerate(run_images):
+            img = dump.images[i]
+            chosen = patches[start[j]: start[j + 1]]
+            sx, sy = 2 * img.feature_w, 2 * img.feature_h
+            roi_boxes = np.array([(x0 * sx, y0 * sy, x1 * sx, y1 * sy)
+                                  for x0, y0, x1, y1 in (roi.bbox for roi in anns[i].rois)],
+                                 dtype=np.int64)
+            per_variant = {}
+            for variant, limit in (("top1", 1), ("top10", 10), ("all", len(chosen))):
+                iou, dsc = iou_dsc_exact(chosen[:limit], roi_boxes)
+                sums[variant][0] += iou
+                sums[variant][1] += dsc
+                per_variant[variant] = LocalizationScore(float(iou), float(dsc))
+            rows.append(ImageLocalizationRow(img.image_id, len(chosen), per_variant))
     if not rows:
         raise ValueError("no localizable instances")
     n = len(rows)

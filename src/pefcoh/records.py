@@ -148,8 +148,9 @@ class ActivationTable:
     The rows of image ``i`` are ``offsets[i]:offsets[i + 1]``, and ``proto``
     indexes ``prototype_ids`` (the dump's prototypes) and the rows of
     ``weights``, their class weights. No column names a row's image:
-    :meth:`image_of` finds it from the offsets for the rows that need it,
-    and :meth:`per_row` spreads a value per image over the rows.
+    :meth:`image_of` finds it from the offsets for the rows that need it.
+    A stage that reads the table in pieces reads runs of whole images
+    (:func:`pefcoh.columns._image_runs`).
 
     Two tables are equal when their prototype ids and all their columns
     are; a table is not hashable.
@@ -198,11 +199,6 @@ class ActivationTable:
         image = self.offsets.searchsorted(rows, side="right")
         image -= 1  # in place: one array as long as the rows, not two
         return image
-
-    def per_row(self, values: np.ndarray) -> np.ndarray:
-        """``values``, an array of one per image, repeated over each image's
-        rows."""
-        return values.repeat(self.offsets[1:] - self.offsets[:-1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ActivationTable):

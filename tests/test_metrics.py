@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pefcoh import metrics
+from pefcoh import columns, metrics
 from pefcoh.dumpio import (
     ConsistencyError,
     derive_category_universe,
@@ -41,8 +41,10 @@ from pefcoh.metrics import (
 )
 from pefcoh.records import (
     COMBINED_LEVEL,
+    ActivationTable,
     AnnotationSet,
     CategoryId,
+    ImageActivationRecord,
     PrototypeRecord,
     AnnotatedImage,
 )
@@ -766,13 +768,23 @@ def _reference_candidates(dump, annotations, k, eps):
     return sorted(rows)
 
 
+def _runs_of(chunk):
+    """Runs of whole images of about ``chunk`` entries, for every stage that
+    reads the table in pieces (``columns._image_runs``)."""
+    return mock.patch.object(columns, "_CHUNK", chunk)
+
+
+# the values of columns._CHUNK: runs of one entry, a few entries, and one run
+CHUNKS = [1, 2, 3, 2**62]
+
+
 def _chunked_candidates(dump, annotations, k, eps, chunk):
     """``metrics._pool_candidates`` as ``top_k_evidence`` calls it, picking
     from runs of about ``chunk`` entries."""
     annotated = {img.image_id for img in annotations.images}
     mask = np.array([img.split == "train" and img.image_id in annotated
                      for img in dump.images], dtype=bool)
-    with mock.patch.object(metrics, "_CHUNK", chunk):
+    with _runs_of(chunk):
         return metrics._pool_candidates(
             dump.activations, mask, metrics._global_mask(dump, eps), k).tolist()
 
@@ -783,12 +795,12 @@ def test_chunked_top_k_candidates_match_reference(case, k, eps):
     dump, annotations, patch_size = case
     config = RunConfig(k=k, patch_size=patch_size, eps=eps)
     expected = _reference_candidates(dump, annotations, k, eps)
-    whole = _chunked_candidates(dump, annotations, k, eps, 2**62)  # one run
+    whole = _chunked_candidates(dump, annotations, k, eps, CHUNKS[-1])  # one run
     assert whole == expected
     evidence = helpers.top_k_evidence(dump, annotations, MAMMO_LEXICON, config)
     for chunk in (1, 2, 3):
         assert _chunked_candidates(dump, annotations, k, eps, chunk) == expected
-        with mock.patch.object(metrics, "_CHUNK", chunk):
+        with _runs_of(chunk):
             assert top_k_evidence(dump, annotations, MAMMO_LEXICON, config) == evidence
 
 
@@ -824,15 +836,32 @@ def test_chunked_top_k_candidates_pinned_case_matches_reference():
     table, is_global = dump.activations, metrics._global_mask(dump, 1e-8)
     for chunk in (1, 2, 3):
         assert _chunked_candidates(dump, annotations, 2, 1e-8, chunk) == expected
-        with mock.patch.object(metrics, "_CHUNK", chunk):
+        with _runs_of(chunk):
             assert top_k_evidence(dump, annotations, MAMMO_LEXICON, config) == evidence
-        assert len(metrics._image_runs(table.offsets, chunk)) > 2
+            assert len(columns._image_runs(table.offsets)) > 2
     # with runs of one entry, "e" and "b" each make a run that holds entries
     # but no global prototype
-    assert [(a, b) for a, b in metrics._image_runs(table.offsets, 1)
+    with _runs_of(1):
+        runs = columns._image_runs(table.offsets)
+    assert [(a, b) for a, b in runs
             if table.offsets[a] < table.offsets[b]
             and not is_global[table.proto[table.offsets[a]:table.offsets[b]]].any()
             ] == [(0, 1), (5, 6)]
+
+
+@given(evidence_cases(), st.sampled_from([0.0, 1e-8, 0.6]))
+@settings(max_examples=helpers.examples(100), deadline=None)
+def test_chunked_test_split_stages_match_reference(case, eps):
+    dump, annotations, patch_size = case
+    stages = [(local_prototypes, helpers.local_prototypes, (dump, eps, convention))
+              for convention in (GROUND_TRUTH, MAX_WEIGHT)]
+    stages.append((_localization_detail, helpers._localization_detail,
+                   (dump, annotations, RunConfig(patch_size=patch_size, eps=eps))))
+    for stage, reference, args in stages:
+        expected = _outcome(reference, *args)
+        for chunk in CHUNKS:
+            with _runs_of(chunk):
+                assert _outcome(stage, *args) == expected
 
 
 def _dense_dump_obj(n_images, n_prototypes, seed=3):
@@ -878,6 +907,53 @@ def test_top_k_peak_memory_bounded_by_the_chunk(tmp_path):
         assert peak <= 0.5 * table_bytes
         peaks.append(peak)
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _dense_test_case(n_images, n_prototypes=1024):
+    """A dump, built from arrays, with an entry for every prototype on every
+    test image, each image annotated with one ROI; one prototype in 64 has
+    a non-zero weight, so each image has 16 localization candidates. Also
+    the bytes of the dump's table."""
+    prototypes = tuple(PrototypeRecord(f"p{j:04d}", (1.0, -0.5) if j % 64 == 0 else (0.0, 0.0))
+                       for j in range(n_prototypes))
+    n = n_images * n_prototypes
+    rng = np.random.default_rng(0)
+    table = ActivationTable.from_columns(
+        prototypes, 2, [n_prototypes] * n_images, np.tile(np.arange(n_prototypes), n_images),
+        rng.random(n), rng.integers(0, 4, n), rng.integers(0, 4, n))
+    images = [ImageActivationRecord(f"img{i}", "test", 100, 100, i % 2, 4, 4, ())
+              for i in range(n_images)]
+    dump = helpers.table_dump("m", 1, ("benign", "malignant"), prototypes, images, table)
+    annotations = make_annotations(
+        [make_ann_image(f"img{i}", [make_roi((10, 10, 40, 40))], "test", 100, 100, i % 2)
+         for i in range(n_images)])
+    return dump, annotations, sum(a.nbytes for a in (table.offsets, table.proto, table.score,
+                                                     table.row, table.col))
+
+
+@pytest.mark.parametrize("stage", ["local_prototypes", "localization"])
+def test_test_split_peak_memory_bounded_by_the_chunk(stage):
+    # 131072 and 262144 entries, 4 and 8 runs of 2**15 entries (the chunk
+    # these bounds were set at), in 128 and 256 images as wide as a
+    # paper-scale dump's (fewer, wider images keep the traced per-image work
+    # short). The peak above the result read 0.31 (local_prototypes) and
+    # 0.51 (localization) of the table's bytes at 128 images; read over the
+    # whole test split at once, it was 1.00 and 1.03-1.06 on both sizes
+    peaks = []
+    for n_images in (128, 256):
+        dump, annotations, table_bytes = _dense_test_case(n_images)
+        tracemalloc.start()
+        try:
+            if stage == "local_prototypes":
+                result = local_prototypes(dump, 1e-8)
+            else:
+                result = _localization_detail(dump, annotations, RunConfig(patch_size=30))
+            held, peak = tracemalloc.get_traced_memory()  # held: the result, still alive
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 0.6 * table_bytes
+        peaks.append(peak - held)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @st.composite
