@@ -13,13 +13,6 @@ import math
 
 import numpy as np
 
-from .metrics import (
-    GROUND_TRUTH,
-    VARIANTS,
-    LocalizationScore,
-    PropertyScores,
-    RunConfig,
-)
 from .records import (
     COMBINED_LEVEL,
     MISSING_VALUE,
@@ -30,6 +23,7 @@ from .records import (
     Lexicon,
     axis_level_name,
 )
+from .scores import GROUND_TRUTH, VARIANTS, LocalizationScore, PropertyScores, RunConfig
 
 MAX_PROTOTYPES = 20
 MAX_IMAGES = 50

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -237,12 +238,17 @@ def comparison_table(
     return table
 
 
+def _markdown_row(cells: Sequence[str]) -> str:
+    # a "|" in a cell is escaped, and the backslashes right before it doubled,
+    # so that it does not end the cell (a model name or a lexicon level may hold one)
+    return "| " + " | ".join(re.sub(r"(\\*)\|", r"\1\1\\|", cell) for cell in cells) + " |"
+
+
 def render_markdown(table: list[list[str]], config: Mapping) -> str:
     out = ["# Prototype evaluation comparison", ""]
-    out.append("| " + " | ".join(table[0]) + " |")
-    out.append("| " + " | ".join("---" for _ in table[0]) + " |")
-    for row in table[1:]:
-        out.append("| " + " | ".join(row) + " |")
+    out.append(_markdown_row(table[0]))
+    out.append(_markdown_row(["---"] * len(table[0])))
+    out.extend(_markdown_row(row) for row in table[1:])
     out.append("")
     config_text = ", ".join(f"{key}={value}" for key, value in config.items())
     out.append(f"Config: {config_text}. Values are mean ± sample std across runs; "

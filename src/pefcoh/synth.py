@@ -54,8 +54,8 @@ SYNTHSPEC_FORMAT = "pefcoh-synthspec/1"
 LEDGER_FORMAT = "pefcoh-ledger/1"
 
 CLASS_NAMES = ("benign", "malignant")
-MASS_AXES = ("shape", "margin")
-CALC_AXES = ("morphology", "distribution")
+AXES = {"mass": ("shape", "margin"), "calcification": ("morphology", "distribution")}
+LEXICON = Lexicon(tuple(LexiconType(tname, axes) for tname, axes in AXES.items()))
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,11 @@ Category = tuple[str, str, str]  # (type, first axis value, second axis value)
 
 def _level_values(cat: Category) -> dict[str, str]:
     tname, v1, v2 = cat
-    axes = MASS_AXES if tname == "mass" else CALC_AXES
+    first, second = AXES[tname]
     return {
         TYPE_LEVEL: tname,
-        axis_level_name(tname, axes[0]): v1,
-        axis_level_name(tname, axes[1]): v2,
+        axis_level_name(tname, first): v1,
+        axis_level_name(tname, second): v2,
         COMBINED_LEVEL: f"{tname}-{v1}-{v2}",
     }
 
@@ -163,8 +163,9 @@ _LOOPED_COUNTS = (
 )
 
 
-def _validate(spec: SynthSpec) -> tuple[int, int, int, int]:
-    """Returns (cell_w, cell_h, roi_w, roi_h)."""
+def _validate(spec: SynthSpec) -> tuple[int, int, int]:
+    """Returns (cell_w, cell_h, roi): every planted ROI is a square of side
+    roi, at most half a patch."""
     for name in _LOOPED_COUNTS:
         _check(getattr(spec, name) <= _MAX_COUNT, f"{name} must be at most 10**6")
     _check(spec.feature_w >= 1 and spec.feature_h >= 1, "feature_w and feature_h must be >= 1")
@@ -225,8 +226,7 @@ def _validate(spec: SynthSpec) -> tuple[int, int, int, int]:
         spec.n_mass_categories >= 1 and spec.n_calc_categories >= 1,
         "need at least one category per abnormality type",
     )
-    roi = 2 * (spec.patch_size // 4)
-    return cell_w, cell_h, roi, roi
+    return cell_w, cell_h, 2 * (spec.patch_size // 4)
 
 
 def generate(
@@ -234,15 +234,10 @@ def generate(
 ) -> tuple[EvidenceDump, AnnotationSet, Lexicon, GroundTruthLedger]:
     """Deterministically build a dump/annotation pair realizing the spec's
     planted targets, plus the ledger of exact expected property values."""
-    cell_w, cell_h, roi_w, roi_h = _validate(spec)
+    cell_w, cell_h, roi = _validate(spec)
     rng = random.Random(spec.rng_seed)
     srng = random.Random(spec.structure_seed) if spec.structure_seed is not None else rng
     k = spec.k
-    config = spec.config()
-
-    lexicon = Lexicon(
-        (LexiconType("mass", MASS_AXES), LexiconType("calcification", CALC_AXES))
-    )
     categories: list[Category] = [
         ("mass", f"shape{i:02d}", f"margin{i:02d}") for i in range(spec.n_mass_categories)
     ] + [
@@ -269,9 +264,8 @@ def generate(
             f"prototype at k={k} (purity_target, k)",
         )
     relevant_ids = srng.sample(global_ids, n_rel)
-    relevant_set = set(relevant_ids)
 
-    n_unique = round(spec.uniqueness_target * n_rel) if n_rel else 0
+    n_unique = round(spec.uniqueness_target * n_rel)
     if n_rel:
         _check(
             n_unique >= 1,
@@ -283,7 +277,7 @@ def generate(
             f"uniqueness_target needs {n_unique} unique categories but only {tc} are "
             "planted (uniqueness_target, n_mass_categories, n_calc_categories)",
         )
-    distinct = srng.sample(categories, n_unique) if n_unique else []
+    distinct = srng.sample(categories, n_unique)
     majority_cat: dict[str, Category] = {}
     for idx, pid in enumerate(relevant_ids):
         majority_cat[pid] = distinct[idx] if idx < n_unique else srng.choice(distinct)
@@ -323,7 +317,7 @@ def generate(
     for pid in global_ids:
         pool_images = srng.sample(train_ids, k)
         plans: list[tuple[str, tuple[int, int], Category | None]] = []
-        if pid in relevant_set:
+        if pid in majority_cat:
             major = majority_cat[pid]
             matched_slots = set(srng.sample(range(k), m_major))
             distractor_counts: dict[Category, int] = {}
@@ -420,19 +414,18 @@ def generate(
             add_train_roi(cat, srng.randrange(2))
 
     # --- weights -------------------------------------------------------------
-    n_align = round(spec.class_specific_target * n_rel) if n_rel else 0
-    aligned_set = set(rng.sample(relevant_ids, n_align))
+    # a relevant prototype is aligned when its top class is its category's
+    # majority class
+    aligned_set = set(rng.sample(relevant_ids, round(spec.class_specific_target * n_rel)))
 
     def signed(lo: float, hi: float) -> float:
         return rng.choice([-1.0, 1.0]) * rng.uniform(lo, hi)
 
     weights: dict[str, tuple[float, float]] = {}
-    aligns: dict[str, int | None] = {}
     for pid in proto_ids:
         if pid in zero_ids:
             weights[pid] = (0.0, 0.0)
-            aligns[pid] = None
-        elif pid in relevant_set:
+        elif pid in majority_cat:
             counts = roi_counts[majority_cat[pid]]
             majority_class = 0 if counts[0] > counts[1] else 1
             top_class = majority_class if pid in aligned_set else 1 - majority_class
@@ -440,14 +433,9 @@ def generate(
             w_other = w_top - rng.uniform(0.3, 0.9)
             while abs(w_other) < 0.05:
                 w_other = w_top - rng.uniform(0.3, 0.9)
-            w = [0.0, 0.0]
-            w[top_class] = w_top
-            w[1 - top_class] = w_other
-            weights[pid] = (w[0], w[1])
-            aligns[pid] = 1 if pid in aligned_set else 0
+            weights[pid] = (w_top, w_other) if top_class == 0 else (w_other, w_top)
         else:
             weights[pid] = (signed(0.3, 1.0), signed(0.3, 1.0))
-            aligns[pid] = None
 
     # --- presence scores -----------------------------------------------------
     jitter = 0.45 * spec.noise_level  # bounded below half the 1.0 slot gap
@@ -482,21 +470,25 @@ def generate(
             entries_by_image[plan.image_id].append((pid, rng.uniform(0.1, 2.0), cell[0], cell[1]))
 
     # --- assemble records ------------------------------------------------------
-    # every image's entries, by prototype index, as the table's columns
+    # each image's id, split, label and ROIs by cell, train then test: the
+    # dump's images and entry columns and the annotations follow this order
+    train_labels = [srng.randrange(2) for _ in train_ids]  # after every other draw
+    layout = [
+        (image_id, TRAIN, label, train_rois[image_id])
+        for image_id, label in zip(train_ids, train_labels)
+    ] + [(plan.image_id, TEST, plan.label, plan.rois) for plan in test_plans]
+
     proto_index = {pid: i for i, pid in enumerate(proto_ids)}
-    image_ids = train_ids + test_ids
     entries = [
         sorted((proto_index[pid], score, row, col)
                for pid, score, row, col in entries_by_image[image_id])
-        for image_id in image_ids
+        for image_id, *_ in layout
     ]
     prototypes = tuple(PrototypeRecord(pid, weights[pid]) for pid in proto_ids)
     table = ActivationTable.from_columns(
         prototypes, len(CLASS_NAMES), list(map(len, entries)),
         *zip(*(entry for image_entries in entries for entry in image_entries)),
     )
-    test_labels = {plan.image_id: plan.label for plan in test_plans}
-    train_labels = {image_id: srng.randrange(2) for image_id in train_ids}
     dump = EvidenceDump(
         spec.model_name,
         spec.rng_seed,
@@ -504,12 +496,10 @@ def generate(
         prototypes,
         tuple(
             ImageActivationRecord(
-                image_id, TRAIN if image_id in train_labels else TEST,
-                spec.image_width, spec.image_height,
-                train_labels.get(image_id, test_labels.get(image_id)),
+                image_id, split, spec.image_width, spec.image_height, label,
                 spec.feature_h, spec.feature_w, ActivationView(table, i),
             )
-            for i, image_id in enumerate(image_ids)
+            for i, (image_id, split, label, _) in enumerate(layout)
         ),
         table,
     )
@@ -517,69 +507,49 @@ def generate(
     def roi_at(cell: tuple[int, int], cat: Category, cls: int) -> ROIAnnotation:
         cx = cell[1] * cell_w + cell_w // 2
         cy = cell[0] * cell_h + cell_h // 2
-        bbox = (cx - roi_w // 2, cy - roi_h // 2, cx + roi_w // 2, cy + roi_h // 2)
-        tname, v1, v2 = cat
-        axes = MASS_AXES if tname == "mass" else CALC_AXES
-        return ROIAnnotation(bbox, tname, {axes[0]: v1, axes[1]: v2}, cls)
+        bbox = (cx - roi // 2, cy - roi // 2, cx + roi // 2, cy + roi // 2)
+        tname, *values = cat
+        return ROIAnnotation(bbox, tname, dict(zip(AXES[tname], values)), cls)
 
-    ann_images = []
-    for image_id in train_ids:
-        rois = tuple(
-            roi_at(cell, cat, cls)
-            for cell, (cat, cls) in sorted(train_rois[image_id].items())
+    annotations = AnnotationSet(CLASS_NAMES, tuple(
+        AnnotatedImage(
+            image_id, spec.image_width, spec.image_height, split, label,
+            tuple(roi_at(cell, cat, cls) for cell, (cat, cls) in sorted(rois.items())),
         )
-        ann_images.append(
-            AnnotatedImage(
-                image_id, spec.image_width, spec.image_height, TRAIN,
-                train_labels[image_id], rois,
-            )
-        )
-    for plan in test_plans:
-        rois = tuple(
-            roi_at(cell, cat, cls) for cell, (cat, cls) in sorted(plan.rois.items())
-        )
-        ann_images.append(
-            AnnotatedImage(
-                plan.image_id, spec.image_width, spec.image_height, TEST,
-                plan.label, rois,
-            )
-        )
-    annotations = AnnotationSet(CLASS_NAMES, tuple(ann_images))
+        for image_id, split, label, rois in layout
+    ))
 
     ledger = _build_ledger(
-        spec, config, lexicon, proto_ids, zero_ids, relevant_set, slot_plans,
-        majority_cat, aligns, weights, test_plans, tc, roi_w, roi_h,
+        spec, proto_ids, slot_plans, majority_cat, aligned_set, weights, test_plans, tc, roi,
     )
-    return dump, annotations, lexicon, ledger
+    return dump, annotations, LEXICON, ledger
 
 
 def _build_ledger(
     spec: SynthSpec,
-    config: RunConfig,
-    lexicon: Lexicon,
     proto_ids: list[str],
-    zero_ids: set[str],
-    relevant_set: set[str],
     slot_plans: dict,
     majority_cat: dict,
-    aligns: dict,
+    aligned_set: set[str],
     weights: dict,
     test_plans: list,
     tc: int,
-    roi_w: int,
-    roi_h: int,
+    roi: int,
 ) -> GroundTruthLedger:
+    """The planted scores: the global prototypes are those with slot plans,
+    the relevant ones those with a majority category."""
     k = spec.k
-    levels = lexicon.levels()
-    n_global = len(proto_ids) - len(zero_ids)
-    n_rel = len(relevant_set)
+    levels = LEXICON.levels()
+    n_global = len(slot_plans)
+    n_rel = len(majority_cat)
 
     verdicts = []
     purity_sums = {level: Fraction(0) for level in levels}
     for pid in proto_ids:
-        if pid in zero_ids:
+        if pid not in slot_plans:
             verdicts.append(LedgerVerdict(pid, False, False, None, None, {}))
             continue
+        relevant = pid in majority_cat
         counts: dict[str, dict[str, int]] = {level: {} for level in levels}
         for _, _, cat in slot_plans[pid]:
             if cat is None:
@@ -597,12 +567,12 @@ def _build_ledger(
             else:
                 share = Fraction(0)
             purity[level] = float(share)
-            if pid in relevant_set:
+            if relevant:
                 purity_sums[level] += share
         verdicts.append(
             LedgerVerdict(
-                pid, True, pid in relevant_set, combined,
-                aligns[pid] if pid in relevant_set else None, purity,
+                pid, True, relevant, combined, int(pid in aligned_set) if relevant else None,
+                purity,
             )
         )
 
@@ -615,7 +585,7 @@ def _build_ledger(
     pos_total = neg_total = 0
     loc_sums = {variant: [Fraction(0), Fraction(0)] for variant in VARIANTS}
     patch_area = spec.patch_size * spec.patch_size
-    roi_area = min(spec.patch_size, roi_w) * min(spec.patch_size, roi_h)
+    roi_area = roi * roi  # a whole ROI: it is at most half a patch
     for plan in test_plans:
         for pid, _, _ in plan.actors:
             if weights[pid][plan.label] > 0:
@@ -627,22 +597,19 @@ def _build_ledger(
             selected = plan.actors[:limit]
             hits = sum(1 for _, _, hit in selected if hit)
             inter = hits * roi_area
-            union = len(selected) * patch_area + n_roi * roi_w * roi_h - inter
-            loc_sums[variant][0] += Fraction(inter, union)
-            loc_sums[variant][1] += Fraction(
-                2 * inter, len(selected) * patch_area + n_roi * roi_w * roi_h
-            )
+            areas = len(selected) * patch_area + n_roi * roi_area
+            loc_sums[variant][0] += Fraction(inter, areas - inter)
+            loc_sums[variant][1] += Fraction(2 * inter, areas)
     n_test = len(test_plans)
     localization = {
         variant: LocalizationScore(float(i_sum / n_test), float(d_sum / n_test))
         for variant, (i_sum, d_sum) in loc_sums.items()
     }
 
-    n_align = sum(1 for pid in relevant_set if aligns[pid] == 1)
     scores = PropertyScores(
         total_prototypes=len(proto_ids),
         global_prototypes=n_global,
-        sparsity_ratio=float(Fraction(len(zero_ids), len(proto_ids))),
+        sparsity_ratio=float(Fraction(len(proto_ids) - n_global, len(proto_ids))),
         local_positive=float(Fraction(pos_total, n_test)),
         local_negative=float(Fraction(neg_total, n_test)),
         relevance=float(Fraction(n_rel, n_global)),
@@ -652,8 +619,8 @@ def _build_ledger(
         unique_categories=n_unique,
         coverage=float(Fraction(n_unique, tc)),
         total_categories=tc,
-        class_specific=float(Fraction(n_align, n_rel)) if n_rel else None,
+        class_specific=float(Fraction(len(aligned_set), n_rel)) if n_rel else None,
         class_specific_eligible=n_rel,
         localization=localization,
     )
-    return GroundTruthLedger(config, scores, tuple(verdicts))
+    return GroundTruthLedger(spec.config(), scores, tuple(verdicts))

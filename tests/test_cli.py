@@ -824,19 +824,39 @@ class TestSynthCommand:
         for name in ("dump.json", "annotations.json", "lexicon.json", "ledger.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_bytes_pinned(self, tmp_path):
-        # SHA-256 of what synth wrote before the writers were derived from the
-        # records; any change to a file format's bytes shows here. dump.json
-        # is pinned in the streamed layout (one prototype and one image per
-        # line), whose content is that of the 2-space-indented dump before it.
-        expected = {
+    @pytest.mark.parametrize("spec, seeds, expected", [
+        pytest.param(None, ["--seed", 7, "--structure-seed", 77], {
             "annotations.json": "85d3cfbd5e8e5226fc146349ccd0218e58c4700eedaef2cf5cfef58eb829772e",
             "dump.json": "a03b602002a874657381b6b48dac848a2792e7007e9b01467ce48938a1c22bb4",
             "ledger.json": "b77bee0490675ac28f2cf5819d363502316e9e573bde51223f2b4d894543c4d7",
             "lexicon.json": "dd8e9f9262265a271896327b583c112d530b1b8aa85034696375551b7e176575",
-        }
+        }, id="default"),
+        # more prototypes and images than the default, unequal category
+        # counts, an 8x8 map, ROIs of 16 pixels and a structure seed
+        pytest.param({
+            "n_prototypes": 30, "n_train_images": 40, "n_mass_categories": 8,
+            "n_calc_categories": 6, "feature_w": 8, "feature_h": 8, "patch_size": 32,
+            "structure_seed": 11,
+        }, ["--seed", 3], {
+            "annotations.json": "7963138f2789e8f0fd9fff69d60c61ff292f075b51866d9367dbaf378ef8ee10",
+            "dump.json": "87f19b95813c67616ce7a342de62d6da32bc688dfae2607c62159cb3fe0c376b",
+            "ledger.json": "1f1758514b8df3ecfbb47c0503ca185b97168c8c464fddcfbfdcb759b98f02e0",
+            "lexicon.json": "dd8e9f9262265a271896327b583c112d530b1b8aa85034696375551b7e176575",
+        }, id="second-shape"),
+    ])
+    def test_bytes_pinned(self, tmp_path, spec, seeds, expected):
+        # SHA-256 of what synth wrote before the writers were derived from the
+        # records (the second shape: before one image layout built the dump's
+        # records and the annotations); any change to a file format's bytes
+        # shows here. dump.json is pinned in the streamed layout (one
+        # prototype and one image per line), whose content is that of the
+        # 2-space-indented dump before it.
+        argv = []
+        if spec is not None:
+            write_json(tmp_path / "spec.json", {"format": "pefcoh-synthspec/1", **spec})
+            argv = ["--spec", tmp_path / "spec.json"]
         out = tmp_path / "s"
-        assert run_cli("synth", "--out", out, "--seed", 7, "--structure-seed", 77) == 0
+        assert run_cli("synth", *argv, "--out", out, *seeds) == 0
         for name, digest in expected.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
@@ -1061,3 +1081,28 @@ class TestComparisonRendering:
         for row in table[1:]:
             assert row[1] in md
             assert row[1] in csv_text
+
+    def test_pipe_in_a_cell_is_escaped(self, tmp_path):
+        # a "|" in the model name and in a lexicon level: every row of both
+        # Markdown tables keeps as many cell borders as the header
+        synth = tmp_path / "synth"
+        assert run_cli("synth", "--out", synth, "--seed", 3, "--model-name", "net|v2") == 0
+        for name in ("lexicon.json", "annotations.json"):
+            path = synth / name
+            path.write_text(path.read_text().replace('"shape"', '"sh|ape"'))
+        assert run_cli("evaluate", "--dump", synth / "dump.json",
+                       "--annotations", synth / "annotations.json",
+                       "--lexicon", synth / "lexicon.json", "--out", tmp_path / "eval",
+                       "--format", "markdown", "--fixed-timestamp") == 0
+        assert run_cli("compare", tmp_path / "eval" / "net|v2-seed3.report.json",
+                       "--out", tmp_path / "cmp", "--fixed-timestamp") == 0
+        for path in (tmp_path / "eval" / "summary.md", tmp_path / "cmp" / "comparison.md"):
+            text = path.read_text(encoding="utf-8")
+            assert "| Property | net\\|v2 |" in text
+            assert "| Specialization: mass-sh\\|ape ↑ |" in text
+            rows = [line for line in text.splitlines() if line.startswith("|")]
+            assert len(rows) > 2
+            assert {row.count("|") - row.count("\\|") for row in rows} == {3}
+        # the backslashes right before a "|" are doubled, so none escapes it
+        md = render_markdown([["Property", "a\\|b"], ["x", "1"]], {})
+        assert "| Property | a\\\\\\|b |" in md

@@ -1,7 +1,7 @@
 """The import graph: ``pefcoh.cli`` and a whole ``compare`` run stay off the
-array code, only ``synth`` loads the generator, the program starts numpy
-with one OpenBLAS thread, and the package's public names resolve lazily to
-the objects of their submodules."""
+array code, only ``synth`` loads the generator, the oracle loads none of the
+code it checks, the program starts numpy with one OpenBLAS thread, and the
+package's public names resolve lazily to the objects of their submodules."""
 
 import importlib
 import json
@@ -113,6 +113,11 @@ def synth_run(tmp_path_factory):
 def test_run_loads_no_synth(synth_run, command):
     script = f"from pefcoh import cli\nassert cli.main({synth_run[command]!r}) == 0"
     assert loaded(script, ("pefcoh.synth",)) == []
+
+
+def test_import_oracle_loads_no_metrics_or_geometry():
+    # the brute-force oracle stays apart from the code it checks
+    assert loaded("import pefcoh.oracle", ("pefcoh.metrics", "pefcoh.geometry")) == []
 
 
 def test_import_cli_loads_no_synth():

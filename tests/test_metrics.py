@@ -1,6 +1,4 @@
-import json
 import math
-import random
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -864,40 +862,35 @@ def test_chunked_test_split_stages_match_reference(case, eps):
                 assert _outcome(stage, *args) == expected
 
 
-def _dense_dump_obj(n_images, n_prototypes, seed=3):
-    """A valid dump with an entry for every prototype on every train image,
-    distinct random scores, and every tenth prototype of zero weight."""
-    rng = random.Random(seed)
-    return {
-        "format": "pefcoh-dump/1", "model_name": "m", "seed": 1,
-        "class_names": ["benign", "malignant"],
-        "prototypes": [{"id": f"p{j}", "class_weights": [0.0, 0.0] if j % 10 == 0 else [1.0, -0.5]}
-                       for j in range(n_prototypes)],
-        "images": [
-            {"image_id": f"img{i}", "split": "train", "width": 100, "height": 100,
-             "class_label": i % 2, "feature_h": 4, "feature_w": 4,
-             "entries": [{"prototype_id": f"p{j}", "score": rng.random(),
-                          "row": rng.randrange(4), "col": rng.randrange(4)}
-                         for j in range(n_prototypes)]}
-            for i in range(n_images)
-        ],
-    }
+def _dense_dump(n_images, n_prototypes, split, weights):
+    """A dump, built from arrays, with an entry for every prototype on every
+    image of ``split``, random scores and cells; prototype ``j`` has the
+    class weights ``weights(j)``. Also the bytes of the dump's table."""
+    prototypes = tuple(PrototypeRecord(f"p{j:04d}", weights(j)) for j in range(n_prototypes))
+    n = n_images * n_prototypes
+    rng = np.random.default_rng(0)
+    table = ActivationTable.from_columns(
+        prototypes, 2, [n_prototypes] * n_images, np.tile(np.arange(n_prototypes), n_images),
+        rng.random(n), rng.integers(0, 4, n), rng.integers(0, 4, n))
+    images = [ImageActivationRecord(f"img{i}", split, 100, 100, i % 2, 4, 4, ())
+              for i in range(n_images)]
+    dump = helpers.table_dump("m", 1, ("benign", "malignant"), prototypes, images, table)
+    return dump, sum(a.nbytes for a in (table.offsets, table.proto, table.score,
+                                        table.row, table.col))
 
 
-def test_top_k_peak_memory_bounded_by_the_chunk(tmp_path):
+def test_top_k_peak_memory_bounded_by_the_chunk():
     # 131072 and 262144 entries, 4 and 8 runs of 2**15 entries (the chunk
-    # these bounds were set at); one pass over the whole pool took 1.44x the
+    # these bounds were set at), every train image annotated and every tenth
+    # prototype of zero weight; one pass over the whole pool took 1.44x the
     # table's bytes on both
     peaks = []
     for n_images in (1024, 2048):
-        path = tmp_path / f"d{n_images}.json"
-        path.write_text(json.dumps(_dense_dump_obj(n_images, 128)), encoding="utf-8")
-        dump = parse_dump(path)
+        dump, table_bytes = _dense_dump(
+            n_images, 128, "train", lambda j: (0.0, 0.0) if j % 10 == 0 else (1.0, -0.5))
         annotations = make_annotations(
             [make_ann_image(f"img{i}", [category_roi(i % 3, bbox=(10, 10, 40, 40))], "train",
                             100, 100, i % 2) for i in range(n_images)])
-        t = dump.activations
-        table_bytes = sum(a.nbytes for a in (t.offsets, t.proto, t.score, t.row, t.col))
         tracemalloc.start()
         try:
             top_k_evidence(dump, annotations, MAMMO_LEXICON, RunConfig(k=10, patch_size=30))
@@ -910,25 +903,16 @@ def test_top_k_peak_memory_bounded_by_the_chunk(tmp_path):
 
 
 def _dense_test_case(n_images, n_prototypes=1024):
-    """A dump, built from arrays, with an entry for every prototype on every
-    test image, each image annotated with one ROI; one prototype in 64 has
-    a non-zero weight, so each image has 16 localization candidates. Also
-    the bytes of the dump's table."""
-    prototypes = tuple(PrototypeRecord(f"p{j:04d}", (1.0, -0.5) if j % 64 == 0 else (0.0, 0.0))
-                       for j in range(n_prototypes))
-    n = n_images * n_prototypes
-    rng = np.random.default_rng(0)
-    table = ActivationTable.from_columns(
-        prototypes, 2, [n_prototypes] * n_images, np.tile(np.arange(n_prototypes), n_images),
-        rng.random(n), rng.integers(0, 4, n), rng.integers(0, 4, n))
-    images = [ImageActivationRecord(f"img{i}", "test", 100, 100, i % 2, 4, 4, ())
-              for i in range(n_images)]
-    dump = helpers.table_dump("m", 1, ("benign", "malignant"), prototypes, images, table)
+    """A dump with an entry for every prototype on every test image, each
+    image annotated with one ROI; one prototype in 64 has a non-zero weight,
+    so each image has 16 localization candidates. Also the bytes of the
+    dump's table."""
+    dump, table_bytes = _dense_dump(
+        n_images, n_prototypes, "test", lambda j: (1.0, -0.5) if j % 64 == 0 else (0.0, 0.0))
     annotations = make_annotations(
         [make_ann_image(f"img{i}", [make_roi((10, 10, 40, 40))], "test", 100, 100, i % 2)
          for i in range(n_images)])
-    return dump, annotations, sum(a.nbytes for a in (table.offsets, table.proto, table.score,
-                                                     table.row, table.col))
+    return dump, annotations, table_bytes
 
 
 @pytest.mark.parametrize("stage", ["local_prototypes", "localization"])
