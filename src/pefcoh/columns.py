@@ -52,8 +52,9 @@ def _image_runs(offsets: np.ndarray) -> list[tuple[int, int]]:
 
 class Columns:
     """The packed entries of a dump, image after image: per entry its
-    prototype code, score, row and column, each in one stdlib array.
-    Prototype ids are coded in first-seen order."""
+    prototype code, score, row and column, each in one stdlib array, and
+    per packed image that holds entries its first row, ``feature_h`` and
+    ``feature_w``. Prototype ids are coded in first-seen order."""
 
     def __init__(self) -> None:
         self._codes: dict[str, int] = {}
@@ -61,6 +62,7 @@ class Columns:
         self.score = array("d")
         self.row = array("q")
         self.col = array("q")
+        self._heads = array("q")  # first row, feature_h, feature_w per image
 
     def pack(self, obj) -> range | None:
         """Append the entries of ``obj``, an image whose ``feature_h`` and
@@ -109,26 +111,21 @@ class Columns:
                 del column[start:]
             return None
         span = obj["entries"] = range(start, len(self.proto))
+        if span:  # so the first rows rise strictly, as reduceat needs
+            self._heads.extend((start, feature_h, feature_w))
         return span
 
-    def resolve(self, index: dict[str, int], images: list) -> int | None:
+    def resolve(self, index: dict[str, int]) -> int | None:
         """Check the packed entries against the dump's prototypes, whose ids
-        ``index`` maps to their indices, and against their images, the
-        records of ``images`` whose entries were packed (see the module
-        docstring), one run of whole images (:func:`_image_runs`) at a time,
-        each from the minima and maxima of its images' rows. Each run that
-        passes has its prototype codes replaced, in place, by the indices of
-        their prototypes. A row of the first image with an entry that fails,
-        with its run left as it was packed; or None."""
+        ``index`` maps to their indices, and against the feature maps of
+        their images (see the module docstring), one run of whole images
+        (:func:`_image_runs`) at a time, each from the minima and maxima of
+        its images' rows. Each run that passes has its prototype codes
+        replaced, in place, by the indices of their prototypes. A row of the
+        first image with an entry that fails, with its run left as it was
+        packed; or None."""
         of_code = np.array([index.get(pid, -1) for pid in self._codes], dtype=np.int64)
-        # per image that holds packed entries: its first row, feature_h and
-        # feature_w; an image without entries is left out, so the first rows
-        # rise strictly, as reduceat needs
-        starts, heights, widths = np.array(
-            [(rows.start, rec["feature_h"], rec["feature_w"]) for rec in images
-             if type(rec) is dict and type(rows := rec.get("entries")) is range and rows],
-            dtype=np.int64,
-        ).reshape(-1, 3).T
+        starts, heights, widths = np.frombuffer(self._heads, np.int64).reshape(-1, 3).T
         offsets = np.append(starts, len(self.proto))
         proto, score, row, col = (np.frombuffer(column, column.typecode)
                                   for column in (self.proto, self.score, self.row, self.col))

@@ -21,11 +21,10 @@ and the columns, and never the whole text or the whole JSON tree. Only a
 dump that repeats a key, is not valid JSON or UTF-8, or holds a surrogate
 escape (``\\uD800`` to ``\\uDFFF``) is read whole and decoded again, by the
 strict hook, which names the fault (see :func:`parse_dump`). The parsed
-dump is built with those columns as its one activation table, which also
-takes the class weights the parser has checked as one matrix, and compares
-by it; its image records compare by their headers. Each image's ``entries``
-is a view of its rows, read only for its length and its entries' prototype
-ids (see :mod:`pefcoh.records`).
+dump is built from its run header, its image headers and those columns as
+its one activation table, which also takes the class weights the parser has
+checked as one matrix; the dump derives its image records and prototypes
+from them (see :mod:`pefcoh.records`).
 
 This module imports no numpy. The dump's column packing is array code in
 :mod:`pefcoh.columns`, which :func:`parse_dump` imports on its first call;
@@ -64,7 +63,6 @@ from .records import (
     SPLITS,
     AnnotatedImage,
     AnnotationSet,
-    ActivationView,
     CategoryId,
     EvidenceDump,
     ImageActivationRecord,
@@ -686,12 +684,11 @@ def _dump_from_raw(raw: Any, path: str | Path, cols: columns.Columns) -> Evidenc
             ws.append(float(w))
         prototypes.append(PrototypeRecord(pid, tuple(ws)))
 
-    records = _require(raw, "images", list, str(path))
-    fault = cols.resolve(index, records)  # a row of the first image whose check fails, or None
+    fault = cols.resolve(index)  # a row of the first image whose check fails, or None
     headers = []
     counts = []
     seen_images: set[str] = set()
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(_require(raw, "images", list, str(path))):
         where = f"{path}: images[{i}]"
         header = _image_header(rec, where, seen_images, len(class_names))
         feature_h = _require(rec, "feature_h", int, where)
@@ -715,15 +712,13 @@ def _dump_from_raw(raw: Any, path: str | Path, cols: columns.Columns) -> Evidenc
         headers.append((*header, feature_h, feature_w))
 
     table = cols.table(prototypes, len(class_names), counts)
-    images = tuple(
-        ImageActivationRecord(*header, ActivationView(table, i))
-        for i, header in enumerate(headers)
-    )
-    return EvidenceDump(model_name, seed, class_names, tuple(prototypes), images, table)
+    return EvidenceDump(model_name, seed, class_names, headers, table)
 
 
 _INT64_MAX = 2**63 - 1
 _NAME_MAX = 255  # bytes in one file name, on common file systems
+# a path separator, or a control character: Unicode's Cc (C0, DEL and C1)
+_NOT_IN_NAME = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 
 
 def report_file_name(model_name: str, seed: int) -> str:
@@ -733,16 +728,17 @@ def report_file_name(model_name: str, seed: int) -> str:
 
 def check_run_id(model_name: str, seed: int) -> None:
     """The rule for a run's ``model_name`` and ``seed``, which name its report
-    file (:func:`report_file_name`): the seed fits in int64, the model name is
-    one file-name component (not empty, no ``/``, ``\\`` or NUL, not ``.``
+    file (:func:`report_file_name`) and head its column of the Markdown
+    tables: the seed fits in int64, the model name is one file-name component
+    on one line (not empty, no ``/``, ``\\`` or control character, not ``.``
     or ``..``) and the report file name fits in 255 bytes of UTF-8. A
     violation raises ValueError naming the field."""
     if not -_INT64_MAX - 1 <= seed <= _INT64_MAX:
         raise ValueError("seed must fit in int64 (-2**63 to 2**63 - 1)")
-    if model_name in ("", ".", "..") or any(c in model_name for c in "/\\\0"):
+    if model_name in ("", ".", "..") or _NOT_IN_NAME.search(model_name):
         raise ValueError(
             "model_name must be one file-name component (not empty, '.' or '..', "
-            f"and without '/', '\\' or NUL), got {model_name!r}"
+            f"and without '/', '\\' or a control character), got {model_name!r}"
         )
     try:
         size = len(report_file_name(model_name, seed).encode("utf-8"))

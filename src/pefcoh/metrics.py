@@ -124,7 +124,7 @@ def global_prototypes(dump: EvidenceDump, eps: float) -> tuple[int, float]:
     """Count of prototypes with any non-zero class weight, and the sparsity
     ratio (fraction whose weights are all zero)."""
     count = int(np.count_nonzero(_global_mask(dump, eps)))
-    total = len(dump.prototypes)
+    total = len(dump.activations.prototype_ids)
     sparsity = float(1 - Fraction(count, total)) if total else 0.0
     return count, sparsity
 
@@ -410,12 +410,10 @@ def build_verdicts(
     # per prototype, the first of its largest class weights
     strongest = dump.activations.weights.argmax(axis=1).tolist()
     out = []
-    for proto, strong in zip(dump.prototypes, strongest):
-        ev = evidence_by_id.get(proto.prototype_id)
+    for pid, strong in zip(dump.activations.prototype_ids, strongest):
+        ev = evidence_by_id.get(pid)
         if ev is None:
-            out.append(
-                PrototypeVerdict(proto.prototype_id, False, False, {}, None, None, None)
-            )
+            out.append(PrototypeVerdict(pid, False, False, {}, None, None, None))
             continue
         relevant = any(item.roi_index is not None for item in ev.items)
         majority = _majorities(ev)
@@ -428,9 +426,7 @@ def build_verdicts(
             if assigned is not None:
                 align = _alignment(strong, assigned, class_counts)
         out.append(
-            PrototypeVerdict(
-                proto.prototype_id, True, relevant, purity, combined, align, ev
-            )
+            PrototypeVerdict(pid, True, relevant, purity, combined, align, ev)
         )
     return tuple(out)
 
@@ -591,7 +587,7 @@ def evaluate(
     rows, loc = _localization_detail(dump, annotations, config)
 
     scores = PropertyScores(
-        total_prototypes=len(dump.prototypes),
+        total_prototypes=len(dump.activations.prototype_ids),
         global_prototypes=n_global,
         sparsity_ratio=sparsity,
         local_positive=lp_pos,

@@ -8,11 +8,14 @@ its name carries that key as ``metadata["json"]`` (see ``dumpio.to_json``).
 
 A dump holds its activations and its prototypes' class weights as one
 columnar :class:`ActivationTable`, which the metrics, the dump writer and
-the brute-force oracle read, and is built with it, by the dump parser or the
-synth generator. A dump compares by its table, and an image record by its
-header. Each image's ``entries`` is an :class:`ActivationView` of its rows,
-which no module of the package reads: it serves only the benchmark's traced
-counts, which take its length and read each entry's prototype id.
+the brute-force oracle read. It is built from its run header, its image
+headers and that table, by the dump parser or the synth generator, and
+derives the rest: each image's record, whose ``entries`` is an
+:class:`ActivationView` of its rows, and its prototypes, read from the
+table's ids and weight rows. A dump compares by its table, and an image
+record by its header. No module of the package reads an image's
+``entries``: they serve only the benchmark's traced counts, which take
+their length and read each entry's prototype id.
 
 This module imports no numpy: the table's columns are numpy arrays, but only
 :meth:`ActivationTable.from_columns` builds them (the table's other methods
@@ -22,9 +25,9 @@ never loads the array code.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -213,8 +216,7 @@ class ActivationTable:
         )
 
 
-@dataclass(frozen=True)
-class ActivationEntry:
+class ActivationEntry(NamedTuple):
     """Maximal activation of one prototype on one image (feature-map cell),
     as an :class:`ActivationView` yields it."""
 
@@ -243,12 +245,10 @@ class ActivationView:
 
     def __iter__(self) -> Iterator[ActivationEntry]:
         t, rows = self.table, self._rows()
-        ids = t.prototype_ids
-        for p, score, row, col in zip(
-            t.proto[rows].tolist(), t.score[rows].tolist(),
-            t.row[rows].tolist(), t.col[rows].tolist(),
-        ):
-            yield ActivationEntry(ids[p], score, row, col)
+        return map(
+            ActivationEntry, map(t.prototype_ids.__getitem__, t.proto[rows].tolist()),
+            t.score[rows].tolist(), t.row[rows].tolist(), t.col[rows].tolist(),
+        )
 
 
 @dataclass(frozen=True)
@@ -265,34 +265,40 @@ class ImageActivationRecord:
 
 @dataclass(frozen=True)
 class EvidenceDump:
-    """One model run's prototypes, classification weights, and activations.
+    """One model run: its name and seed, its class names, and every entry
+    and prototype class weight as one :class:`ActivationTable`.
 
-    ``activations`` is every entry and class weight as one table, which the
-    images' entries view, image ``i`` its rows ``i``; two dumps with equal
-    fields compare by it, and a dump is not hashable. A dump whose images do
-    not view its own table in their order raises ValueError naming the first
-    image that does not.
+    The dump is built from its run header, its image headers and its table;
+    the rest is derived. ``headers`` holds each image's ``(image_id, split,
+    width, height, class_label, feature_h, feature_w)``, image ``i`` owning
+    the table's rows ``i``, and a count of headers other than the table's
+    images raises ValueError. ``images`` is then each header's
+    :class:`ImageActivationRecord`, its ``entries`` a view of its rows, and
+    :attr:`prototypes` reads the table's ids and weight rows. Two dumps with
+    equal fields compare by their table; a dump is not hashable.
     """
 
     model_name: str
     seed: int
     class_names: tuple[str, ...]
-    prototypes: tuple[PrototypeRecord, ...]
-    images: tuple[ImageActivationRecord, ...]
+    headers: InitVar[Iterable[tuple[str, str, int, int, int, int, int]]]
     activations: ActivationTable = field(repr=False)
+    images: tuple[ImageActivationRecord, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        n = len(self.activations.offsets) - 1
-        if n != len(self.images):
-            raise ValueError(f"the dump's table holds {n} images, not {len(self.images)}")
-        for i, img in enumerate(self.images):
-            entries = img.entries
-            if not (isinstance(entries, ActivationView)
-                    and entries.table is self.activations and entries.index == i):
-                raise ValueError(
-                    f"images[{i}] ({img.image_id!r}): its entries are not "
-                    f"image {i} of the dump's table"
-                )
+    def __post_init__(self, headers: Iterable[tuple[str, str, int, int, int, int, int]]) -> None:
+        table = self.activations
+        images = tuple(ImageActivationRecord(*header, ActivationView(table, i))
+                       for i, header in enumerate(headers))
+        n = len(table.offsets) - 1
+        if n != len(images):
+            raise ValueError(f"the dump's table holds {n} images, not {len(images)}")
+        object.__setattr__(self, "images", images)
+
+    @property
+    def prototypes(self) -> tuple[PrototypeRecord, ...]:
+        """Each prototype of the table, with its row of class weights."""
+        t = self.activations
+        return tuple(map(PrototypeRecord, t.prototype_ids, map(tuple, t.weights.tolist())))
 
 
 def categories_for_roi(lexicon: Lexicon, roi: ROIAnnotation) -> dict[str, CategoryId]:

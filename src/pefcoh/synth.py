@@ -38,9 +38,7 @@ from .records import (
     AnnotatedImage,
     AnnotationSet,
     ActivationTable,
-    ActivationView,
     EvidenceDump,
-    ImageActivationRecord,
     Lexicon,
     LexiconType,
     PrototypeRecord,
@@ -484,23 +482,15 @@ def generate(
                for pid, score, row, col in entries_by_image[image_id])
         for image_id, *_ in layout
     ]
-    prototypes = tuple(PrototypeRecord(pid, weights[pid]) for pid in proto_ids)
     table = ActivationTable.from_columns(
-        prototypes, len(CLASS_NAMES), list(map(len, entries)),
+        [PrototypeRecord(pid, weights[pid]) for pid in proto_ids],
+        len(CLASS_NAMES), list(map(len, entries)),
         *zip(*(entry for image_entries in entries for entry in image_entries)),
     )
     dump = EvidenceDump(
-        spec.model_name,
-        spec.rng_seed,
-        CLASS_NAMES,
-        prototypes,
-        tuple(
-            ImageActivationRecord(
-                image_id, split, spec.image_width, spec.image_height, label,
-                spec.feature_h, spec.feature_w, ActivationView(table, i),
-            )
-            for i, (image_id, split, label, _) in enumerate(layout)
-        ),
+        spec.model_name, spec.rng_seed, CLASS_NAMES,
+        [(image_id, split, spec.image_width, spec.image_height, label,
+          spec.feature_h, spec.feature_w) for image_id, split, label, _ in layout],
         table,
     )
 

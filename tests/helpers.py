@@ -6,7 +6,7 @@ import functools
 import json
 import math
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -40,7 +40,6 @@ from pefcoh.records import (
     AnnotatedImage,
     AnnotationSet,
     ActivationTable,
-    ActivationView,
     EvidenceDump,
     ImageActivationRecord,
     Lexicon,
@@ -112,17 +111,14 @@ def build_dump(model_name, seed, class_names, prototypes, images) -> EvidenceDum
         [row for _, _, row, _ in entries],
         [col for _, _, _, col in entries],
     )
-    return table_dump(model_name, seed, class_names, prototypes, images, table)
+    return EvidenceDump(model_name, seed, class_names, map(header, images), table)
 
 
-def table_dump(model_name, seed, class_names, prototypes, images, table) -> EvidenceDump:
-    """The dump of ``table`` whose image ``i`` has the header of
-    ``images[i]`` (its ``entries`` are replaced by a view of its rows)."""
-    return EvidenceDump(
-        model_name, seed, class_names, prototypes,
-        tuple(replace(img, entries=ActivationView(table, i)) for i, img in enumerate(images)),
-        table,
-    )
+def header(img: ImageActivationRecord) -> tuple[str, str, int, int, int, int, int]:
+    """The header of an image record, every field but its ``entries``, as
+    :class:`~pefcoh.records.EvidenceDump` takes it."""
+    return (img.image_id, img.split, img.width, img.height, img.class_label,
+            img.feature_h, img.feature_w)
 
 
 def image_rows(dump: EvidenceDump) -> list[list[tuple[str, float, int, int]]]:

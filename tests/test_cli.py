@@ -457,6 +457,12 @@ class TestRunNameRule:
         ("model_name", "a/b", "model_name must be one file-name component"),
         ("model_name", "a\\b", "model_name must be one file-name component"),
         ("model_name", "a\0b", "model_name must be one file-name component"),
+        ("model_name", "a\nb", "model_name must be one file-name component"),
+        ("model_name", "a\rb", "model_name must be one file-name component"),
+        ("model_name", "a\tb", "model_name must be one file-name component"),
+        ("model_name", "a\x7fb", "model_name must be one file-name component"),
+        ("model_name", "a\x85b", "model_name must be one file-name component"),
+        ("model_name", "\x9f", "model_name must be one file-name component"),
         ("model_name", "", "model_name must be one file-name component"),
         ("model_name", ".", "model_name must be one file-name component"),
         ("model_name", "..", "model_name must be one file-name component"),
@@ -466,7 +472,8 @@ class TestRunNameRule:
         ("seed", 2**63, "seed must fit in int64"),
         ("seed", -2**63 - 1, "seed must fit in int64"),
     ]
-    IDS = ["escape", "slash", "backslash", "nul", "empty", "dot", "dotdot", "long",
+    IDS = ["escape", "slash", "backslash", "nul", "newline", "cr", "tab", "del", "c1-nel",
+           "c1-last", "empty", "dot", "dotdot", "long",
            "long-utf8", "seed-huge", "seed-2**63", "seed-below-int64"]
 
     def _dump(self, synth_dir, tmp_path, field, value):
@@ -513,19 +520,35 @@ class TestRunNameRule:
     @pytest.mark.parametrize("flag, value, message", [
         ("--model-name", "../escape", "model_name must be one file-name component"),
         ("--model-name", "a/b", "model_name must be one file-name component"),
+        ("--model-name", "net\nv2", "model_name must be one file-name component"),
         ("--seed", 2**63, "seed must fit in int64"),
-    ], ids=["escape", "slash", "seed"])
+    ], ids=["escape", "slash", "newline", "seed"])
     def test_synth_flag_rejected(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "deep" / "out"
         assert run_cli("synth", flag, value, "--out", out) == 2
         assert capsys.readouterr().err.startswith(f"error: bad synth-spec override: {message}")
         assert not (tmp_path / "deep").exists()
 
+    def test_synth_flag_not_utf8_rejected(self, tmp_path):
+        """An argument that is not UTF-8 reaches the program as a lone
+        surrogate (Python's surrogateescape), which no file name takes."""
+        out = tmp_path / "deep" / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pefcoh", "synth", "--model-name", b"\xff", "--out", out],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "error: bad synth-spec override: model_name must be valid Unicode text, "
+            "got '\\udcff'")
+        assert not (tmp_path / "deep").exists()
+
     @pytest.mark.parametrize("field, value, message", [
         ("model_name", "a/b", "model_name must be one file-name component"),
         ("model_name", "..", "model_name must be one file-name component"),
+        ("model_name", "net\r\nv2", "model_name must be one file-name component"),
         ("rng_seed", 2**63, "seed must fit in int64"),
-    ], ids=["slash", "dotdot", "seed"])
+    ], ids=["slash", "dotdot", "crlf", "seed"])
     def test_synth_spec_rejected(self, tmp_path, capsys, field, value, message):
         path = tmp_path / "spec.json"
         write_json(path, {**SynthSpec().to_dict(), field: value})

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from pefcoh.records import (
     ActivationView,
     CategoryId,
     EvidenceDump,
-    ImageActivationRecord,
     PrototypeRecord,
     ROIAnnotation,
     canonical_token,
@@ -56,7 +56,49 @@ from helpers import (
 )
 
 
+def _image_set(**changes):
+    """The edit of the minimal dump or annotations that sets fields of its
+    first image."""
+    return lambda obj: obj["images"][0].update(changes)
+
+
+_DEEP = 100_000  # nesting far past the interpreter's recursion limit
+
+# name: (edit of the minimal dump object, which may instead return the
+# file's text; parse_dump's message after the file name)
+DUMP_FAULTS = {
+    "image-not-an-object": (lambda obj: obj["images"].append(5), "images[1]: must be an object"),
+    "prototype-not-an-object": (lambda obj: obj["prototypes"].insert(0, ["p9"]),
+                                "prototypes[0]: must be an object"),
+    "duplicate-image-id": (lambda obj: obj["images"].append(copy.deepcopy(obj["images"][0])),
+                           "images[1]: duplicate image_id 'img0'"),
+    "width-zero": (_image_set(width=0), "images[0]: image dimensions must be positive"),
+    "height-negative": (_image_set(height=-3), "images[0]: image dimensions must be positive"),
+    "class-label-past-the-classes": (_image_set(class_label=2),
+                                     "images[0]: class_label 2 out of range"),
+    "class-label-negative": (_image_set(class_label=-1),
+                             "images[0]: class_label -1 out of range"),
+    "empty-top-level": (lambda obj: "{}", "expected format 'pefcoh-dump/1', got None"),
+    "value-nested-too-deep": (
+        lambda obj: dumps_canonical(obj).replace(
+            '"seed": 1', '"seed": ' + "[" * _DEEP + "]" * _DEEP),
+        "not valid JSON: maximum recursion depth exceeded while decoding a JSON array "
+        "from a unicode string"),
+}
+
+
 class TestParseDump:
+    @pytest.mark.parametrize("name", list(DUMP_FAULTS))
+    def test_fault_named(self, tmp_path, minimal_dump_obj, name):
+        edit, message = DUMP_FAULTS[name]
+        text = edit(minimal_dump_obj)
+        path = tmp_path / "d.json"
+        path.write_text(dumps_canonical(minimal_dump_obj) if text is None else text,
+                        encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            parse_dump(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_minimal_dump(self, write_file, minimal_dump_obj):
         dump = parse_dump(write_file("d.json", minimal_dump_obj))
         assert dump.model_name == "m"
@@ -118,7 +160,44 @@ class TestParseDump:
             parse_dump(write_file("d.json", minimal_dump_obj))
 
 
+def _roi_set(**changes):
+    """The edit of the minimal annotations that sets fields of their first
+    ROI."""
+    return lambda obj: obj["images"][0]["rois"][0].update(changes)
+
+
+# name: (edit of the minimal annotations object, whether they are read
+# against the lexicon file, the message after the file name)
+ANNOTATION_FAULTS = {
+    "roi-not-an-object": (_image_set(rois=[5]), True, "images[0].rois[0]: must be an object"),
+    "bbox-of-three": (_roi_set(bbox=[10, 10, 30]), True,
+                      "images[0].rois[0]: bbox must be 4 integers"),
+    "bbox-with-a-float": (_roi_set(bbox=[10, 10, 30, 30.5]), False,
+                          "images[0].rois[0]: bbox must be 4 integers"),
+    "bbox-with-a-bool": (_roi_set(bbox=[10, True, 30, 30]), True,
+                         "images[0].rois[0]: bbox must be 4 integers"),
+    "descriptor-not-a-string": (_roi_set(descriptors={"shape": 3}), True,
+                                "images[0].rois[0]: descriptor 'shape' must be a string"),
+    "roi-class-past-the-classes": (_roi_set(roi_class=2), False,
+                                   "images[0].rois[0]: roi_class 2 out of range"),
+    "roi-class-negative": (_roi_set(roi_class=-1), True,
+                           "images[0].rois[0]: roi_class -1 out of range"),
+    "no-rois-to-derive-a-lexicon": (_image_set(rois=[]), False,
+                                    "cannot derive a lexicon from annotations without ROIs"),
+}
+
+
 class TestParseAnnotations:
+    @pytest.mark.parametrize("name", list(ANNOTATION_FAULTS))
+    def test_fault_named(self, write_file, minimal_ann_obj, lexicon_obj, name):
+        edit, with_lexicon, message = ANNOTATION_FAULTS[name]
+        edit(minimal_ann_obj)
+        path = write_file("a.json", minimal_ann_obj)
+        lexicon_path = write_file("lex.json", lexicon_obj) if with_lexicon else None
+        with pytest.raises(FormatError) as info:
+            load_annotations(path, lexicon_path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_combined_category(self, write_file, minimal_ann_obj, lexicon_obj):
         lexicon = parse_lexicon(write_file("lex.json", lexicon_obj))
         ann = parse_annotations(write_file("a.json", minimal_ann_obj), lexicon)
@@ -215,6 +294,30 @@ class TestParseAnnotations:
         lexicon_path = write_file("lex.json", lexicon_obj) if with_lexicon else None
         with pytest.raises(FormatError, match=r"images\[0\]\.rois\[0\]: duplicate axis 'shape'"):
             load_annotations(write_file("a.json", minimal_ann_obj), lexicon_path)
+
+
+# name: (edit of the lexicon object's types, parse_lexicon's message after
+# the file name)
+LEXICON_FAULTS = {
+    "type-not-an-object": (lambda types: types.__setitem__(0, "mass"),
+                           "types[0]: must be an object"),
+    "axis-not-a-string": (lambda types: types[1]["axes"].append(7),
+                          "types[1]: axes must be strings"),
+    "duplicate-axis": (lambda types: types[0]["axes"].append(" Shape "),
+                       "types[0]: duplicate axis 'shape'"),
+    "no-types": (lambda types: types.clear(), "lexicon declares no types"),
+}
+
+
+class TestParseLexicon:
+    @pytest.mark.parametrize("name", list(LEXICON_FAULTS))
+    def test_fault_named(self, write_file, lexicon_obj, name):
+        edit, message = LEXICON_FAULTS[name]
+        edit(lexicon_obj["types"])
+        path = write_file("lex.json", lexicon_obj)
+        with pytest.raises(FormatError) as info:
+            parse_lexicon(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 class TestDuplicateKeys:
@@ -330,7 +433,33 @@ class TestRoundTrip:
         assert helpers.dump_text(reparsed) == text
 
 
+# name: (edit of the minimal dump object, edit of the minimal annotations
+# object, the diagnostics of cross_validate as (severity, message))
+CROSS_FILE_DIAGNOSTICS = {
+    "dimensions-disagree": (
+        lambda dump: None, _image_set(width=120, height=90),
+        [("error", "image 'img0': dimensions disagree (dump=100x100, annotations=120x90)")]),
+    "class-label-disagrees": (
+        _image_set(class_label=1), lambda ann: None,
+        [("error", "image 'img0': class_label disagrees (dump=1, annotations=0)")]),
+    "image-only-in-the-annotations": (
+        lambda dump: None,
+        lambda ann: ann["images"].append({**ann["images"][0], "image_id": "only-in-ann"}),
+        [("warning", "image 'only-in-ann' in annotations but not in dump; "
+                     "it still counts toward the category universe")]),
+}
+
+
 class TestCrossValidate:
+    @pytest.mark.parametrize("name", list(CROSS_FILE_DIAGNOSTICS))
+    def test_diagnostics_named(self, write_file, minimal_dump_obj, minimal_ann_obj, name):
+        edit_dump, edit_ann, expected = CROSS_FILE_DIAGNOSTICS[name]
+        edit_dump(minimal_dump_obj)
+        edit_ann(minimal_ann_obj)
+        dump = parse_dump(write_file("d.json", minimal_dump_obj))
+        ann, _ = load_annotations(write_file("a.json", minimal_ann_obj))
+        assert [(d.severity, d.message) for d in cross_validate(dump, ann)] == expected
+
     def test_consistent_pair_no_errors(self, write_file, minimal_dump_obj, minimal_ann_obj):
         dump = parse_dump(write_file("d.json", minimal_dump_obj))
         ann, _ = load_annotations(write_file("a.json", minimal_ann_obj))
@@ -1251,6 +1380,24 @@ class TestWindowBoundaries:
                               capture_output=True, env=env, timeout=120, check=True)
         assert proc.stdout.decode() == expected
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_parses_as_its_file(self, tmp_path):
+        # a named pipe cannot be read twice either, so it is read whole, by
+        # the strict decode, from the first
+        path = tmp_path / "d.json"
+        path.write_text(dumps_canonical(wide_dump_obj()), encoding="utf-8")
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        try:
+            parsed = parse_dump(fifo)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert parsed == parse_dump(path)
+
     def test_values_are_decoded_about_once(self, tmp_path, monkeypatch):
         path = tmp_path / "d.json"
         path.write_text(dumps_canonical(wide_dump_obj(n_images=40)), encoding="utf-8")
@@ -1364,23 +1511,22 @@ class TestActivationTable:
 
     def test_images_must_view_their_own_rows(self, write_file):
         parsed = parse_dump(write_file("d.json", wide_dump_obj(n_images=3)))
-        other = parse_dump(write_file("d2.json", wide_dump_obj(n_images=3)))
-        with pytest.raises(ValueError, match=r"^images\[0\] \('img0'\): "):
-            dataclasses.replace(parsed, activations=other.activations)
-        with pytest.raises(ValueError, match=r"^images\[0\] \('img2'\): its entries are not "
-                                             r"image 0 of the dump's table$"):
-            dataclasses.replace(parsed, images=parsed.images[::-1])
-        swapped = (parsed.images[0], parsed.images[2], parsed.images[1])
-        with pytest.raises(ValueError, match=r"^images\[1\] \('img2'\)"):
-            dataclasses.replace(parsed, images=swapped)
-        entries = helpers.image_rows(parsed)[1]  # its entries, but not a view
-        with pytest.raises(ValueError, match=r"^images\[1\] \('img1'\)"):
-            dataclasses.replace(parsed, images=(
-                parsed.images[0], dataclasses.replace(parsed.images[1], entries=entries),
-                parsed.images[2]))
+        headers = list(map(helpers.header, parsed.images))
+        for i, img in enumerate(parsed.images):
+            assert img.entries.table is parsed.activations and img.entries.index == i
         with pytest.raises(ValueError, match="^the dump's table holds 3 images, not 2$"):
-            dataclasses.replace(parsed, images=parsed.images[:2])
-        assert dataclasses.replace(parsed, images=parsed.images) == parsed
+            EvidenceDump(parsed.model_name, parsed.seed, parsed.class_names, headers[:2],
+                         parsed.activations)
+        with pytest.raises(ValueError, match="^the dump's table holds 3 images, not 4$"):
+            EvidenceDump(parsed.model_name, parsed.seed, parsed.class_names,
+                         headers + headers[:1], parsed.activations)
+        rebuilt = EvidenceDump(parsed.model_name, parsed.seed, parsed.class_names, headers,
+                               parsed.activations)
+        assert rebuilt == parsed and rebuilt.images == parsed.images
+        table = parsed.activations
+        assert rebuilt.prototypes == parsed.prototypes == tuple(
+            PrototypeRecord(pid, tuple(w))
+            for pid, w in zip(table.prototype_ids, table.weights.tolist()))
 
     @pytest.mark.parametrize("counts", [[3, 0, 2], [0, 0, 4, 1, 0], [1], [0, 5], [2, 2, 0, 0]])
     def test_image_of_each_row(self, counts):
@@ -1437,9 +1583,8 @@ def _dense_dump(n_images, n_prototypes=128):
     table = ActivationTable.from_columns(
         prototypes, 2, [n_prototypes] * n_images, np.tile(np.arange(n_prototypes), n_images),
         rng.random(n), rng.integers(0, 4, n), rng.integers(0, 4, n))
-    images = [ImageActivationRecord(f"img{i}", "train", 100, 100, i % 2, 4, 4, ())
-              for i in range(n_images)]
-    return helpers.table_dump("m", 1, ("benign", "malignant"), prototypes, images, table)
+    headers = [(f"img{i}", "train", 100, 100, i % 2, 4, 4) for i in range(n_images)]
+    return EvidenceDump("m", 1, ("benign", "malignant"), headers, table)
 
 
 class TestWriteDumpRoundTrip:

@@ -42,7 +42,7 @@ from pefcoh.records import (
     ActivationTable,
     AnnotationSet,
     CategoryId,
-    ImageActivationRecord,
+    EvidenceDump,
     PrototypeRecord,
     AnnotatedImage,
 )
@@ -872,9 +872,8 @@ def _dense_dump(n_images, n_prototypes, split, weights):
     table = ActivationTable.from_columns(
         prototypes, 2, [n_prototypes] * n_images, np.tile(np.arange(n_prototypes), n_images),
         rng.random(n), rng.integers(0, 4, n), rng.integers(0, 4, n))
-    images = [ImageActivationRecord(f"img{i}", split, 100, 100, i % 2, 4, 4, ())
-              for i in range(n_images)]
-    dump = helpers.table_dump("m", 1, ("benign", "malignant"), prototypes, images, table)
+    headers = [(f"img{i}", split, 100, 100, i % 2, 4, 4) for i in range(n_images)]
+    dump = EvidenceDump("m", 1, ("benign", "malignant"), headers, table)
     return dump, sum(a.nbytes for a in (table.offsets, table.proto, table.score,
                                         table.row, table.col))
 

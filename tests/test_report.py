@@ -7,6 +7,7 @@ import pytest
 
 from helpers import dumps_canonical, report_to_dict
 from pefcoh import report
+from pefcoh.dumpio import FormatError
 from pefcoh.metrics import evaluate
 from pefcoh.synth import SynthSpec, generate
 
@@ -121,3 +122,34 @@ def test_unencodable_string_leaves_no_file(seed0, tmp_path):
         report.write_report(path, dataclasses.replace(seed0, model_name="p\ud800"))
     assert not path.exists()
     assert list(tmp_path.iterdir()) == []  # nor a temporary file
+
+
+# a report header that is not of its schema's shape: the keys of the value
+# under the report, the value put there, and load_report's message after
+# the file name
+REPORT_SHAPE_FAULTS = [
+    (("scores", "specialization"), ["combined"], "scores.specialization must be an object"),
+    (("scores", "specialization"), 0.5, "scores.specialization must be an object"),
+    (("scores", "localization", "top1"), 1.0, "scores.localization.top1 must be an object"),
+    (("config", "k"), "10", "config.k must be int, got str"),
+    (("scores",), [], "field 'scores' has wrong type (list)"),
+]
+
+
+@pytest.mark.parametrize(
+    "keys, value, message", REPORT_SHAPE_FAULTS,
+    ids=[f"{'.'.join(keys)}-{type(value).__name__}" for keys, value, _ in REPORT_SHAPE_FAULTS],
+)
+def test_report_shape_fault_named(seed0, tmp_path, keys, value, message):
+    path = tmp_path / "r.json"
+    report.write_report(path, seed0, fixed_timestamp=True)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    *parents, last = keys
+    target = raw
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        report.load_report(path)
+    assert str(info.value) == f"{path}: {message}"

@@ -313,11 +313,13 @@ def oracle_cases(draw):
     images; some prototypes weigh zero or both classes alike; two entries of
     an image often share a cell; some train images are unannotated; k is
     often above a prototype's pool; ROIs are often placed on an entry's
-    cell. Usually the first prototype is global and the first image is a
-    test image with an ROI; other draws may have no global prototype, no
-    test image or no ROI, where both sides must raise. In an aligned draw
-    each side is a multiple of twice its cells and the patch side is even,
-    so every patch edge is a whole pixel."""
+    cell; the class-specific level, the TC split and the TC override are
+    drawn too, so alignment is read at every level and TC from either split
+    or the override. Usually the first prototype is global and the first
+    image is a test image with an ROI; other draws may have no global
+    prototype, no test image or no ROI, where both sides must raise. In an
+    aligned draw each side is a multiple of twice its cells and the patch
+    side is even, so every patch edge is a whole pixel."""
     aligned = draw(st.booleans())
     # one draw in ten may lack a global prototype or a test image with an ROI
     usual = draw(st.sampled_from([True] * 9 + [False]))
@@ -378,6 +380,9 @@ def oracle_cases(draw):
         k=draw(st.integers(1, 5) | st.just(50)), patch_size=patch_size,
         eps=draw(st.sampled_from([0.0, 1e-8, 0.5])),
         lp_weight_class=draw(st.sampled_from([GROUND_TRUTH, MAX_WEIGHT])),
+        class_specific_level=draw(st.sampled_from(MAMMO_LEXICON.levels())),
+        tc_split=draw(st.sampled_from([None, "train", "test"])),
+        tc_override=draw(st.none() | st.integers(1, 20)),
     )
     return make_dump(prototypes, images), make_annotations(ann_images), config, aligned
 
