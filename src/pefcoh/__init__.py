@@ -31,7 +31,7 @@ _PUBLIC = {
         "top_k_evidence", "uniqueness",
     ),
     "oracle": ("brute_force_scores",),
-    "records": ("AnnotationSet", "CategoryId", "EvidenceDump", "Lexicon", "ROIAnnotation"),
+    "records": ("AnnotationSet", "EvidenceDump", "Lexicon", "ROIAnnotation"),
     "scores": ("PropertyScores", "RunConfig", "aggregate"),
     "synth": ("GroundTruthLedger", "InfeasibleSpecError", "SynthSpec", "generate"),
 }

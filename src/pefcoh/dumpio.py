@@ -63,7 +63,6 @@ from .records import (
     SPLITS,
     AnnotatedImage,
     AnnotationSet,
-    CategoryId,
     EvidenceDump,
     ImageActivationRecord,
     Lexicon,
@@ -965,8 +964,9 @@ def derive_category_universe(
     lexicon: Lexicon,
     level: str,
     split: str | None = None,
-) -> dict[CategoryId, tuple[int, ...]]:
-    """Distinct categories observed at one level, with ROI counts per class.
+) -> dict[str, tuple[int, ...]]:
+    """Distinct categories observed at one level, keyed by value, with ROI
+    counts per class.
 
     ``split`` restricts counting to one split; by default the whole
     annotation set is used. The total-category count TC is the size of this
@@ -975,7 +975,7 @@ def derive_category_universe(
     if level not in lexicon.levels():
         raise ValueError(f"level {level!r} not declared by lexicon (have {lexicon.levels()})")
     n_classes = len(annotations.class_names)
-    counts: dict[CategoryId, list[int]] = {}
+    counts: dict[str, list[int]] = {}
     for img in annotations.images:
         if split is not None and img.split != split:
             continue

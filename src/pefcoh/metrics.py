@@ -15,6 +15,9 @@ Properties:
 * class-specificity: whether each relevant prototype's largest class weight
   matches the majority class of its assigned category
 
+A category is its value string; every mapping of categories is keyed by,
+or limited to, one level (see :func:`pefcoh.records.categories_for_roi`).
+
 All reductions are carried out in exact rational arithmetic and converted to
 float once, so results are independent of iteration order and identical
 across platforms.
@@ -38,7 +41,6 @@ from .records import (
     ActivationTable,
     AnnotatedImage,
     AnnotationSet,
-    CategoryId,
     EvidenceDump,
     Lexicon,
     categories_for_roi,
@@ -69,7 +71,7 @@ class EvidenceItem:
     score: float
     patch: tuple[float, float, float, float]  # pixel edges (x_min, y_min, x_max, y_max)
     roi_index: int | None
-    categories: Mapping[str, CategoryId] | None
+    categories: Mapping[str, str] | None
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,8 @@ class PrototypeVerdict:
     is_global: bool
     is_relevant: bool
     # level -> (assigned category or None, purity as an exact multiple of 1/k)
-    purity_per_level: Mapping[str, tuple[CategoryId | None, Fraction]]
-    combined_category: CategoryId | None
+    purity_per_level: Mapping[str, tuple[str | None, Fraction]]
+    combined_category: str | None
     align: int | None
     evidence: TopKEvidence | None
 
@@ -338,7 +340,7 @@ def top_k_evidence(
     )
 
     items: dict[int, list[EvidenceItem]] = {int(p): [] for p in np.flatnonzero(is_global)}
-    categories: dict[tuple[int, int], dict[str, CategoryId]] = {}  # per (image, ROI)
+    categories: dict[tuple[int, int], dict[str, str]] = {}  # per (image, ROI)
     for p, i, score, row, col, roi in zip(
         t.proto[kept].tolist(), image.tolist(), t.score[kept].tolist(),
         t.row[kept].tolist(), t.col[kept].tolist(), roi_index,
@@ -359,11 +361,11 @@ def top_k_evidence(
     ]
 
 
-def _majorities(evidence: TopKEvidence) -> dict[str, tuple[CategoryId, Fraction]]:
+def _majorities(evidence: TopKEvidence) -> dict[str, tuple[str, Fraction]]:
     """Per level that a matched item names, in one pass over the items: the
     majority category (ties to the lexicographically smallest value) and its
     purity, an exact multiple of 1/k."""
-    counts: dict[str, dict[CategoryId, int]] = {}
+    counts: dict[str, dict[str, int]] = {}
     for item in evidence.items:
         if item.categories is None:
             continue
@@ -372,15 +374,15 @@ def _majorities(evidence: TopKEvidence) -> dict[str, tuple[CategoryId, Fraction]
             at_level[cat] = at_level.get(cat, 0) + 1
     out = {}
     for level, at_level in counts.items():
-        best = min(at_level, key=lambda c: (-at_level[c], c.value))
+        best = min(at_level, key=lambda c: (-at_level[c], c))
         out[level] = (best, Fraction(at_level[best], evidence.k))
     return out
 
 
 def _alignment(
     strongest: int,
-    category: CategoryId,
-    class_counts: Mapping[CategoryId, tuple[int, ...]],
+    category: str,
+    class_counts: Mapping[str, tuple[int, ...]],
 ) -> int | None:
     """1/0 when the prototype's strongest class matches/misses the majority
     class of its category; None when the category is ineligible (absent, has
@@ -395,7 +397,7 @@ def _alignment(
     return 1 if strongest == majority else 0
 
 
-_NO_MAJORITY: tuple[CategoryId | None, Fraction] = (None, Fraction(0))
+_NO_MAJORITY: tuple[str | None, Fraction] = (None, Fraction(0))
 
 
 def build_verdicts(
@@ -403,7 +405,7 @@ def build_verdicts(
     evidence: Sequence[TopKEvidence],
     levels: Sequence[str],
     class_specific_level: str,
-    class_counts: Mapping[CategoryId, tuple[int, ...]],
+    class_counts: Mapping[str, tuple[int, ...]],
 ) -> tuple[PrototypeVerdict, ...]:
     """Assemble one verdict per prototype (dump order), global or not."""
     evidence_by_id = {ev.prototype_id: ev for ev in evidence}

@@ -17,6 +17,11 @@ record by its header. No module of the package reads an image's
 ``entries``: they serve only the benchmark's traced counts, which take
 their length and read each entry's prototype id.
 
+A category is its value string at one level of the lexicon hierarchy, such
+as ``"mass"`` at the type level or ``"mass-oval-circumscribed"`` at the
+combined level. Its level is the key every mapping stores it under (see
+:func:`categories_for_roi`), so it is not stored again.
+
 This module imports no numpy: the table's columns are numpy arrays, but only
 :meth:`ActivationTable.from_columns` builds them (the table's other methods
 call the arrays' own methods), so a reader of report files (``compare``)
@@ -64,17 +69,6 @@ def fits_exact_grid(side: int, cells: int) -> bool:
     ``[0, side]`` exceeds ``2 * side * cells`` on it.
     """
     return 2 * side * cells < 2**63
-
-
-@dataclass(frozen=True)
-class CategoryId:
-    """A category at one hierarchy level, e.g. (combined, mass-oval-circumscribed)."""
-
-    level: str
-    value: str
-
-    def __str__(self) -> str:
-        return f"{self.level}:{self.value}"
 
 
 @dataclass(frozen=True)
@@ -301,20 +295,19 @@ class EvidenceDump:
         return tuple(map(PrototypeRecord, t.prototype_ids, map(tuple, t.weights.tolist())))
 
 
-def categories_for_roi(lexicon: Lexicon, roi: ROIAnnotation) -> dict[str, CategoryId]:
-    """Map each level the ROI participates in to its CategoryId.
+def categories_for_roi(lexicon: Lexicon, roi: ROIAnnotation) -> dict[str, str]:
+    """Map each level the ROI participates in to its category there, e.g.
+    ``"mass-oval-circumscribed"`` at the combined level.
 
     An ROI contributes to the type level, to the axis levels of its own type
     (missing values become the ``na`` token), and to the combined level. It
     contributes nothing to other types' axis levels.
     """
-    out = {TYPE_LEVEL: CategoryId(TYPE_LEVEL, roi.abnormality_type)}
+    out = {TYPE_LEVEL: roi.abnormality_type}
     parts = [roi.abnormality_type]
     for axis in lexicon.axes_for(roi.abnormality_type):
         value = roi.descriptors.get(axis, MISSING_VALUE)
-        out[axis_level_name(roi.abnormality_type, axis)] = CategoryId(
-            axis_level_name(roi.abnormality_type, axis), value
-        )
+        out[axis_level_name(roi.abnormality_type, axis)] = value
         parts.append(value)
-    out[COMBINED_LEVEL] = CategoryId(COMBINED_LEVEL, "-".join(parts))
+    out[COMBINED_LEVEL] = "-".join(parts)
     return out

@@ -22,7 +22,10 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .dumpio import _check_format, _load_json, _require, read_dataclass, to_json, write_streamed
+from .dumpio import (
+    FormatError, _check_format, _load_json, _require, check_run_id, read_dataclass, to_json,
+    write_streamed,
+)
 from .records import COMBINED_LEVEL
 from .scores import VARIANTS, AggregateProperty, PropertyScores, RunConfig, pool
 
@@ -67,15 +70,10 @@ def _verdict(v: PrototypeVerdict) -> dict:
         "is_global": v.is_global,
         "is_relevant": v.is_relevant,
         "purity_per_level": {
-            level: {
-                "category": cat.value if cat is not None else None,
-                "purity": float(purity),
-            }
+            level: {"category": cat, "purity": float(purity)}
             for level, (cat, purity) in v.purity_per_level.items()
         },
-        "combined_category": (
-            v.combined_category.value if v.combined_category is not None else None
-        ),
+        "combined_category": v.combined_category,
         "align": v.align,
     }
     if v.evidence is not None:
@@ -88,9 +86,7 @@ def _verdict(v: PrototypeVerdict) -> dict:
                     "patch": list(item.patch),
                     "roi_index": item.roi_index,
                     "combined_category": (
-                        item.categories[COMBINED_LEVEL].value
-                        if item.categories is not None
-                        else None
+                        item.categories[COMBINED_LEVEL] if item.categories is not None else None
                     ),
                 }
                 for item in v.evidence.items
@@ -118,6 +114,10 @@ def load_report(path: str | Path) -> dict:
     where = str(path)
     header = {key: _require(raw, key, kind, where) for key, kind in
               (("model_name", str), ("seed", int), ("config", dict), ("scores", dict))}
+    try:
+        check_run_id(header["model_name"], header["seed"])
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
     read_dataclass(RunConfig, header["config"], where, "config")
     read_dataclass(PropertyScores, header["scores"], where, "scores")
     return header

@@ -46,7 +46,6 @@ from pefcoh.records import (
     LexiconType,
     PrototypeRecord,
     COMBINED_LEVEL,
-    CategoryId,
     ROIAnnotation,
     categories_for_roi,
 )
@@ -534,10 +533,8 @@ def _localization_detail(
 # with an alignment rule of its own (not pefcoh.metrics._alignment).
 
 
-def _purity_for_level(
-    evidence: TopKEvidence, level: str
-) -> tuple[CategoryId | None, Fraction]:
-    counts: dict[CategoryId, int] = {}
+def _purity_for_level(evidence: TopKEvidence, level: str) -> tuple[str | None, Fraction]:
+    counts: dict[str, int] = {}
     for item in evidence.items:
         if item.categories is None:
             continue
@@ -547,14 +544,14 @@ def _purity_for_level(
     if not counts:
         return None, Fraction(0)
     # argmax with deterministic tie-break: lexicographically smallest value
-    best = min(counts, key=lambda c: (-counts[c], c.value))
+    best = min(counts, key=lambda c: (-counts[c], c))
     return best, Fraction(counts[best], evidence.k)
 
 
 def _alignment(
     weights: tuple[float, ...],
-    category: CategoryId,
-    class_counts: Mapping[CategoryId, tuple[int, ...]],
+    category: str,
+    class_counts: Mapping[str, tuple[int, ...]],
 ) -> int | None:
     """1 when the prototype's largest class weight (the first of equals) is
     toward its category's majority class, else 0; None when the category is
@@ -575,7 +572,7 @@ def build_verdicts(
     evidence: Sequence[TopKEvidence],
     levels: Sequence[str],
     class_specific_level: str,
-    class_counts: Mapping[CategoryId, tuple[int, ...]],
+    class_counts: Mapping[str, tuple[int, ...]],
 ) -> tuple[PrototypeVerdict, ...]:
     """Assemble one verdict per prototype (dump order), global or not."""
     evidence_by_id = {ev.prototype_id: ev for ev in evidence}
@@ -690,15 +687,10 @@ def report_to_dict(report, fixed_timestamp: bool = False) -> dict:
             "is_global": v.is_global,
             "is_relevant": v.is_relevant,
             "purity_per_level": {
-                level: {
-                    "category": cat.value if cat is not None else None,
-                    "purity": float(purity),
-                }
+                level: {"category": cat, "purity": float(purity)}
                 for level, (cat, purity) in v.purity_per_level.items()
             },
-            "combined_category": (
-                v.combined_category.value if v.combined_category is not None else None
-            ),
+            "combined_category": v.combined_category,
             "align": v.align,
         }
         if v.evidence is not None:
@@ -711,9 +703,7 @@ def report_to_dict(report, fixed_timestamp: bool = False) -> dict:
                         "patch": list(item.patch),
                         "roi_index": item.roi_index,
                         "combined_category": (
-                            item.categories[COMBINED_LEVEL].value
-                            if item.categories is not None
-                            else None
+                            item.categories[COMBINED_LEVEL] if item.categories is not None else None
                         ),
                     }
                     for item in v.evidence.items

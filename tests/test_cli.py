@@ -240,6 +240,21 @@ class TestEvaluate:
             "--out", tmp_path / "eval", "--format", "markdown", "--fixed-timestamp",
         )
 
+    def test_annotations_without_rois_exit_1(self, synth_dir, tmp_path, capsys):
+        # with a lexicon given, they load, but name no category to cover
+        annotations = json.loads((synth_dir / "annotations.json").read_text())
+        for image in annotations["images"]:
+            image["rois"] = []
+        write_json(synth_dir / "annotations.json", annotations)
+        out = tmp_path / "eval"
+        code = run_cli("evaluate", "--dump", synth_dir / "dump.json",
+                       "--annotations", synth_dir / "annotations.json",
+                       "--lexicon", synth_dir / "lexicon.json", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: total category count must be >= 1 (empty annotation universe)\n")
+        assert not out.exists()
+
     def test_different_models_rejected(self, synth_dir, tmp_path, capsys):
         code = self._evaluate_copies(synth_dir, tmp_path, model_name="zzz", seed=12)
         assert code == 2
@@ -287,12 +302,17 @@ class TestConfigFlags:
             ["evaluate", "--dump", "d.json", "--annotations", "a.json", "--out", "o", *flags])
         assert _config_from_args(args) == expected
 
-    def test_bad_tc_fails_before_any_file_is_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, message", [
+        ("--tc", "tc_override must be None or >= 1, got 0"),
+        ("--k", "k must be >= 1, got 0"),
+        ("--patch-size", "patch_size must be >= 1, got 0"),
+    ], ids=["tc", "k", "patch-size"])
+    def test_bad_setting_fails_before_any_file_is_read(self, tmp_path, capsys, flag, message):
         missing = tmp_path / "missing.json"
         code = run_cli("evaluate", "--dump", missing, "--annotations", missing,
-                       "--tc", 0, "--out", tmp_path / "out")
+                       flag, 0, "--out", tmp_path / "out")
         assert code == 1
-        assert capsys.readouterr().err == "error: tc_override must be None or >= 1, got 0\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -587,6 +607,7 @@ HEADER_RULE_FAULTS = [
      "config: tc_split must be None or one of ('train', 'test'), got 'nonsense'"),
     (("config", "tc_override"), -4, "config: tc_override must be None or >= 1, got -4"),
     (("config", "tc_override"), 0, "config: tc_override must be None or >= 1, got 0"),
+    (("config", "lp_weight_class"), "min_weight", "config: unknown lp_weight_class 'min_weight'"),
     (("scores", "localization"), {"bogus": {"iou": 0.5, "dsc": 0.5}},
      f"scores: {VARIANTS_MESSAGE} ('bogus',)"),
     (("scores", "localization", "top10"), DELETE,
@@ -713,6 +734,24 @@ class TestCompare:
         assert "'seed'" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("model_name", "syn\nthetic", "model_name must be one file-name component"),
+        ("seed", 10**29, "seed must fit in int64"),
+    ], ids=["model_name-newline", "seed-huge"])
+    def test_run_name_fault_rejected(self, tmp_path, capsys, field, value, message):
+        # the model name heads a column of the Markdown table
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        raw = json.loads(paths[0].read_text())
+        raw[field] = value
+        bad = tmp_path / "bad.report.json"
+        write_json(bad, raw)
+        capsys.readouterr()
+        code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "cmp").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("relevance", 10**400),
         ("relevance", float("nan")),
@@ -772,7 +811,8 @@ class TestCompare:
     @pytest.mark.parametrize(
         "keys, value, message", HEADER_RULE_FAULTS,
         ids=["tc_split-nonsense", "tc_override-negative", "tc_override-zero",
-             "localization-bogus-only", "localization-missing-top10", "localization-extra-top5"],
+             "lp_weight_class-unknown", "localization-bogus-only", "localization-missing-top10",
+             "localization-extra-top5"],
     )
     def test_header_rule_fault_rejected(self, tmp_path, capsys, keys, value, message):
         paths = self._reports(tmp_path, models=("m1",), seeds=(11,))

@@ -34,7 +34,6 @@ from pefcoh.dumpio import (
 from pefcoh.records import (
     ActivationTable,
     ActivationView,
-    CategoryId,
     EvidenceDump,
     PrototypeRecord,
     ROIAnnotation,
@@ -78,6 +77,8 @@ DUMP_FAULTS = {
                                      "images[0]: class_label 2 out of range"),
     "class-label-negative": (_image_set(class_label=-1),
                              "images[0]: class_label -1 out of range"),
+    "one-class-name": (lambda obj: obj.update(class_names=["benign"]),
+                       "class_names must list at least 2 strings"),
     "empty-top-level": (lambda obj: "{}", "expected format 'pefcoh-dump/1', got None"),
     "value-nested-too-deep": (
         lambda obj: dumps_canonical(obj).replace(
@@ -182,6 +183,8 @@ ANNOTATION_FAULTS = {
                                    "images[0].rois[0]: roi_class 2 out of range"),
     "roi-class-negative": (_roi_set(roi_class=-1), True,
                            "images[0].rois[0]: roi_class -1 out of range"),
+    "class-name-not-a-string": (lambda obj: obj.update(class_names=["benign", 1]), True,
+                                "class_names must list at least 2 strings"),
     "no-rois-to-derive-a-lexicon": (_image_set(rois=[]), False,
                                     "cannot derive a lexicon from annotations without ROIs"),
 }
@@ -203,7 +206,7 @@ class TestParseAnnotations:
         ann = parse_annotations(write_file("a.json", minimal_ann_obj), lexicon)
         roi = ann.images[0].rois[0]
         cats = categories_for_roi(lexicon, roi)
-        assert cats["combined"] == CategoryId("combined", "mass-oval-circumscribed")
+        assert cats["combined"] == "mass-oval-circumscribed"
 
     def test_degenerate_bbox(self, write_file, minimal_ann_obj, lexicon_obj):
         minimal_ann_obj["images"][0]["rois"][0]["bbox"] = [10, 10, 10, 30]
@@ -235,7 +238,7 @@ class TestParseAnnotations:
         lexicon = parse_lexicon(write_file("lex.json", lexicon_obj))
         ann = parse_annotations(write_file("a.json", minimal_ann_obj), lexicon)
         cats = categories_for_roi(lexicon, ann.images[0].rois[0])
-        assert cats["combined"].value == "mass-oval-na"
+        assert cats["combined"] == "mass-oval-na"
 
     def test_values_canonicalized(self, write_file, minimal_ann_obj, lexicon_obj):
         minimal_ann_obj["images"][0]["rois"][0]["descriptors"]["shape"] = "  OVAL "
@@ -305,6 +308,8 @@ LEXICON_FAULTS = {
                           "types[1]: axes must be strings"),
     "duplicate-axis": (lambda types: types[0]["axes"].append(" Shape "),
                        "types[0]: duplicate axis 'shape'"),
+    "duplicate-type": (lambda types: types.append({"name": " MASS ", "axes": []}),
+                       "types[2]: duplicate type 'mass'"),
     "no-types": (lambda types: types.clear(), "lexicon declares no types"),
 }
 
@@ -389,11 +394,16 @@ class TestCategoryUniverse:
         assert derive_category_universe(ann, MAMMO_LEXICON, "combined") == {}
 
     def test_cross_type_levels_disjoint(self):
-        # calcification ROIs contribute nothing at mass-shape level
+        # calcification ROIs contribute nothing at mass-shape level, and
+        # a level no type declares is refused
         images = [make_ann_image("img0", [category_roi(0, "calcification")])]
         ann = make_annotations(images)
         assert derive_category_universe(ann, MAMMO_LEXICON, "mass-shape") == {}
         assert len(derive_category_universe(ann, MAMMO_LEXICON, "calcification-morphology")) == 1
+        with pytest.raises(ValueError) as info:
+            derive_category_universe(ann, MAMMO_LEXICON, "calcification-shape")
+        assert str(info.value) == (
+            f"level 'calcification-shape' not declared by lexicon (have {MAMMO_LEXICON.levels()})")
 
     def test_two_type_universe_at_scale(self):
         # 70 mass + 62 calcification categories, one ROI each
@@ -408,7 +418,7 @@ class TestCategoryUniverse:
         universe = derive_category_universe(ann, MAMMO_LEXICON, "combined")
         assert len(universe) == 132
         by_type = derive_category_universe(ann, MAMMO_LEXICON, "type")
-        assert by_type[CategoryId("type", "mass")] == (35, 35)
+        assert by_type["mass"] == (35, 35)
 
 
 class TestRoundTrip:

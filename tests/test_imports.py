@@ -20,7 +20,8 @@ ARRAY_CODE = ("numpy", "pefcoh.metrics", "pefcoh.geometry", "pefcoh.oracle", "pe
 
 # every public name of pefcoh/__init__.py before its exports became lazy, by
 # the submodule that defined it then, less the Fraction box API of geometry
-# (PatchBox, contains_point, roi_center, iou, dsc), since removed, and with
+# (PatchBox, contains_point, roi_center, iou, dsc), since removed, less
+# records.CategoryId, since a category became its value string, and with
 # dump_to_json replaced by the streamed dump writer, write_dump
 PUBLIC = {
     "dumpio": (
@@ -35,7 +36,7 @@ PUBLIC = {
         "local_prototypes", "relevance", "specialization", "top_k_evidence", "uniqueness",
     ),
     "oracle": ("brute_force_scores",),
-    "records": ("AnnotationSet", "CategoryId", "EvidenceDump", "Lexicon", "ROIAnnotation"),
+    "records": ("AnnotationSet", "EvidenceDump", "Lexicon", "ROIAnnotation"),
     "synth": ("GroundTruthLedger", "InfeasibleSpecError", "SynthSpec", "generate"),
 }
 

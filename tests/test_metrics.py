@@ -41,7 +41,6 @@ from pefcoh.records import (
     COMBINED_LEVEL,
     ActivationTable,
     AnnotationSet,
-    CategoryId,
     EvidenceDump,
     PrototypeRecord,
     AnnotatedImage,
@@ -154,7 +153,7 @@ class TestTopKEvidence:
         )
         (ev,) = top_k_evidence(dump, ann, MAMMO_LEXICON, RunConfig(k=1, patch_size=100))
         assert ev.items[0].roi_index == 1
-        assert ev.items[0].categories["combined"].value == "mass-round-obscured"
+        assert ev.items[0].categories["combined"] == "mass-round-obscured"
 
     def test_equidistant_centers_take_smallest_index(self):
         dump = make_dump(
@@ -1027,14 +1026,15 @@ def verdict_cases(draw):
         for _ in range(draw(st.integers(0, k))):
             named = draw(st.lists(st.sampled_from(levels), unique=True))
             if named:
-                categories = {level: CategoryId(level, draw(values)) for level in named}
+                categories = {level: draw(values) for level in named}
                 items.append(EvidenceItem("img", 1.0, (0.0, 0.0, 1.0, 1.0), 0, categories))
             else:
                 items.append(EvidenceItem("img", 1.0, (0.0, 0.0, 1.0, 1.0), None, None))
         evidence.append(TopKEvidence(pid, k, tuple(items), k - len(items)))
+    # the class-specific level's categories only, as evaluate counts them
     class_counts = {
-        CategoryId(level, value): (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
-        for level in levels for value in draw(st.lists(values, unique=True))
+        value: (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        for value in draw(st.lists(values, unique=True))
     }
     wanted = tuple(draw(st.lists(st.sampled_from(levels), unique=True)))
     return make_dump(prototypes, []), evidence, wanted, draw(st.sampled_from(levels)), class_counts

@@ -133,6 +133,10 @@ REPORT_SHAPE_FAULTS = [
     (("scores", "localization", "top1"), 1.0, "scores.localization.top1 must be an object"),
     (("config", "k"), "10", "config.k must be int, got str"),
     (("scores",), [], "field 'scores' has wrong type (list)"),
+    (("model_name",), "syn\nthetic",
+     "model_name must be one file-name component (not empty, '.' or '..', "
+     "and without '/', '\\' or a control character), got 'syn\\nthetic'"),
+    (("seed",), 10**29, "seed must fit in int64 (-2**63 to 2**63 - 1)"),
 ]
 
 

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pefcoh.dumpio import parse_dump, write_dump, write_json
+from pefcoh.dumpio import parse_dump, total_categories, write_dump, write_json
 from pefcoh.metrics import GROUND_TRUTH, MAX_WEIGHT, RunConfig, evaluate, flatten_scores
 from pefcoh.oracle import MAX_IMAGES, MAX_PROTOTYPES, MAX_SIDE, brute_force_scores
 from pefcoh.synth import (
@@ -234,6 +236,16 @@ class TestEquivalence:
             oracle = brute_force_scores(dump, ann, lexicon, spec.config())
             assert_scores_match(report.scores, oracle, f"oracle seed={seed}")
 
+    def test_type_level_total_categories_match_oracle(self):
+        # a class-specific level other than combined, and no --tc: evaluate
+        # walks the combined universe on its own to count TC
+        spec = SynthSpec(rng_seed=3)
+        dump, ann, lexicon, _ = generate(spec)
+        config = dataclasses.replace(spec.config(), class_specific_level="type")
+        report = evaluate(dump, ann, lexicon, config)
+        assert_scores_match(report.scores, brute_force_scores(dump, ann, lexicon, config))
+        assert report.scores.total_categories == total_categories(ann, lexicon)
+
     def test_verdicts_match_ledger(self):
         spec = SynthSpec(rng_seed=8)
         dump, ann, lexicon, ledger = generate(spec)
@@ -244,9 +256,7 @@ class TestEquivalence:
             assert verdict.is_global == want.is_global
             assert verdict.is_relevant == want.is_relevant
             assert verdict.align == want.align
-            got_combined = (verdict.combined_category.value
-                            if verdict.combined_category else None)
-            assert got_combined == want.combined_category
+            assert verdict.combined_category == want.combined_category
             for level, purity in want.purity.items():
                 assert float(verdict.purity_per_level[level][1]) == pytest.approx(
                     purity, abs=1e-12
