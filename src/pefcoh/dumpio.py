@@ -69,6 +69,7 @@ from .records import (
     LexiconType,
     PrototypeRecord,
     ROIAnnotation,
+    axis_level_name,
     canonical_token,
     categories_for_roi,
     fits_exact_grid,
@@ -716,8 +717,9 @@ def _dump_from_raw(raw: Any, path: str | Path, cols: columns.Columns) -> Evidenc
 
 _INT64_MAX = 2**63 - 1
 _NAME_MAX = 255  # bytes in one file name, on common file systems
-# a path separator, or a control character: Unicode's Cc (C0, DEL and C1)
-_NOT_IN_NAME = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
+_CONTROL = r"\x00-\x1f\x7f-\x9f"  # Unicode's Cc: C0, DEL and C1
+_CONTROL_CHAR = re.compile(f"[{_CONTROL}]")
+_NOT_IN_NAME = re.compile(rf"[/\\{_CONTROL}]")  # a path separator, or a control character
 
 
 def report_file_name(model_name: str, seed: int) -> str:
@@ -835,6 +837,7 @@ def parse_lexicon(path: str | Path) -> Lexicon:
 def _lexicon_from_raw(types_raw: list, where: str) -> Lexicon:
     types = []
     seen: set[str] = set()
+    levels: set[str] = set()
     for i, rec in enumerate(types_raw):
         twhere = f"{where}: types[{i}]"
         if not isinstance(rec, dict):
@@ -853,17 +856,33 @@ def _lexicon_from_raw(types_raw: list, where: str) -> Lexicon:
                 raise FormatError(f"{twhere}: duplicate axis {axis!r}")
             axes.append(axis)
         types.append(LexiconType(name, tuple(axes)))
+        _add_levels(levels, types[-1], twhere)
     if not types:
         raise FormatError(f"{where}: lexicon declares no types")
     return Lexicon(tuple(types))
 
 
 def _name(raw: str, where: str, what: str) -> str:
-    """The canonical form of a type or axis name, which must not be empty."""
+    """The canonical form of a type or axis name, which must not be empty nor
+    hold a control character (it heads a row of the Markdown tables)."""
     name = canonical_token(raw)
     if not name:
         raise FormatError(f"{where}: empty {what} name")
+    if _CONTROL_CHAR.search(raw):
+        raise FormatError(f"{where}: {what} name {raw!r} holds a control character")
     return name
+
+
+def _add_levels(levels: set[str], t: LexiconType, where: str) -> None:
+    """Add the axis levels of type ``t`` to the ``levels`` of the types before
+    it, none of which it may repeat: ``mass`` with axis ``shape-x`` and
+    ``mass-shape`` with axis ``x`` would both declare ``mass-shape-x`` and
+    merge its specialization."""
+    for axis in t.axes:
+        level = axis_level_name(t.name, axis)
+        if level in levels:
+            raise FormatError(f"{where}: type {t.name!r} repeats level {level!r}")
+        levels.add(level)
 
 
 def lexicon_to_json(lexicon: Lexicon) -> dict:
@@ -948,6 +967,9 @@ def _annotations_from_raw(
         if not axes_of:
             raise FormatError(f"{where}: cannot derive a lexicon from annotations without ROIs")
         lexicon = Lexicon(tuple(LexiconType(name, tuple(axes)) for name, axes in axes_of.items()))
+        levels: set[str] = set()
+        for t in lexicon.types:
+            _add_levels(levels, t, f"{where}: derived lexicon")
     return AnnotationSet(class_names, tuple(images)), lexicon
 
 

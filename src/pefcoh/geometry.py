@@ -9,10 +9,11 @@ On an image of ``width`` x ``height`` pixels whose feature map has
 center is ``(2 * c + 1) * side / (2 * cells)``, half a patch adds a
 denominator of 2, and a shifted or clipped edge is an integer. ROI edges are
 integers too. So the image's patch lattice, with scale ``2 * feature_w`` on
-x and ``2 * feature_h`` on y, holds every patch and ROI edge as an integer:
-:func:`patch_lattice` resolves many cells at once as int64 edges on it, and
-:func:`resolve_patch_box` is the same arithmetic on one cell, returned as
-pixel edges: each lattice edge over its scale, correctly rounded to a float.
+x and ``2 * feature_h`` on y, holds every patch and ROI edge as an integer.
+:func:`patch_lattice` is the one mapping from cells to patches: it resolves
+many cells at once as int64 edges on that lattice. :func:`resolve_patch_box`
+turns one such patch into pixel edges: each lattice edge over its scale,
+correctly rounded to a float.
 
 Union and intersection areas are exact integer sums over the cells of one
 coordinate-compressed grid cut by the boxes' lattice edges, so the only
@@ -23,7 +24,6 @@ each image's lattice within int64.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,18 +35,13 @@ from .records import fits_exact_grid
 # the patch lattice
 
 
-def _clip(value: int, lo: int, hi: int) -> int:
-    return min(max(value, lo), hi)
-
-
-def _span(cell, cells, side, size, clip):
+def _span(cell, cells, side, size):
     """Edges, in units of ``1 / (2 * cells)`` pixel, of a patch side of
     ``size <= side`` pixels centered on cell ``cell`` of ``cells`` along an
     image side of ``side`` pixels and translated (not shrunk) back inside the
-    image. Works alike on ints (``clip`` is :func:`_clip`) and on int64
-    arrays (``np.clip``)."""
+    image; every argument is an int64 array."""
     length = 2 * cells * size
-    lo = clip((2 * cell + 1) * side - cells * size, 0, 2 * cells * side - length)
+    lo = np.clip((2 * cell + 1) * side - cells * size, 0, 2 * cells * side - length)
     return lo, lo + length
 
 
@@ -74,16 +69,18 @@ def patch_lattice(
     patch_size: int,
 ) -> np.ndarray:
     """The patch boxes of many cells at once, as an ``(n, 4)`` int64 array of
-    edges ``(x_min, y_min, x_max, y_max)``, each on its own image's lattice:
-    divided by ``2 * feature_w`` and ``2 * feature_h``, they are the edges of
-    :func:`resolve_patch_box`.
+    edges ``(x_min, y_min, x_max, y_max)``, each on its own image's lattice
+    (:func:`resolve_patch_box` turns a row into pixel edges). A box of side
+    ``patch_size`` is centered on its cell's center and translated (not
+    shrunk) back inside the image; it spans an image side shorter than
+    ``patch_size``.
 
     Every argument but ``patch_size`` is an int64 array with one value per
-    cell; the image sizes come from :func:`lattice_sizes`.
+    cell; the image sizes come from :func:`lattice_sizes`. A cell outside its
+    feature map, or a ``patch_size`` below 1, raises ``ValueError``.
     """
     if not len(rows):
         return np.empty((0, 4), dtype=np.int64)
-    # the checks of resolve_patch_box, over all cells
     bad = ~((0 <= rows) & (rows < feature_h) & (0 <= cols) & (cols < feature_w))
     if np.any(bad):
         j = int(np.argmax(bad))
@@ -95,43 +92,19 @@ def patch_lattice(
         raise ValueError(f"patch_size must be >= 1, got {patch_size}")
     # a patch is at most an image side; clamped here, a huge patch_size never meets int64
     size = min(patch_size, int(max(width.max(), height.max())))
-    x_min, x_max = _span(cols, feature_w, width, np.minimum(size, width), np.clip)
-    y_min, y_max = _span(rows, feature_h, height, np.minimum(size, height), np.clip)
+    x_min, x_max = _span(cols, feature_w, width, np.minimum(size, width))
+    y_min, y_max = _span(rows, feature_h, height, np.minimum(size, height))
     return np.stack((x_min, y_min, x_max, y_max), axis=1)
 
 
-# A pure function of seven ints returning a tuple: one dump repeats the same
-# few thousand (cell, feature map, image size) keys across its top-k evidence.
-@functools.lru_cache(maxsize=4096)
 def resolve_patch_box(
-    loc_row: int,
-    loc_col: int,
-    feature_h: int,
-    feature_w: int,
-    image_width: int,
-    image_height: int,
-    patch_size: int,
+    x_min: int, y_min: int, x_max: int, y_max: int, feature_h: int, feature_w: int
 ) -> tuple[float, float, float, float]:
-    """Map a feature-map cell to a fixed-size patch box in pixel space.
-
-    The box has side ``patch_size`` and is centered on the cell center
-    mapped into pixel coordinates. A box that overhangs the image is
-    translated (not shrunk) back inside; only when an image dimension is
-    smaller than ``patch_size`` does the box span that full dimension.
-
-    Returns the pixel edges ``(x_min, y_min, x_max, y_max)`` as floats: each
-    lattice edge over its scale, ``2 * feature_w`` or ``2 * feature_h``, as an
-    ``int / int`` division, which is correctly rounded at any size.
-    """
-    if not (0 <= loc_row < feature_h and 0 <= loc_col < feature_w):
-        raise ValueError(
-            f"activation location ({loc_row}, {loc_col}) out of feature map "
-            f"{feature_h}x{feature_w}"
-        )
-    if patch_size < 1:
-        raise ValueError(f"patch_size must be >= 1, got {patch_size}")
-    x_min, x_max = _span(loc_col, feature_w, image_width, min(patch_size, image_width), _clip)
-    y_min, y_max = _span(loc_row, feature_h, image_height, min(patch_size, image_height), _clip)
+    """The pixel edges ``(x_min, y_min, x_max, y_max)`` of one patch given by
+    its lattice edges (a row of :func:`patch_lattice`) on an image whose
+    feature map has ``feature_h`` x ``feature_w`` cells: each edge over its
+    scale, ``2 * feature_w`` or ``2 * feature_h``, as an ``int / int``
+    division, which is correctly rounded at any size."""
     sx, sy = 2 * feature_w, 2 * feature_h
     return x_min / sx, y_min / sy, x_max / sx, y_max / sy
 

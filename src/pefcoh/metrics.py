@@ -186,28 +186,24 @@ def local_prototypes(
 def _match_rois(
     images: Sequence[tuple[int, int, AnnotatedImage]],
     image: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    patch_size: int,
+    patches: np.ndarray,
 ) -> list[int | None]:
     """Per patch, the index of the ROI whose center lies in it; with several,
     the center nearest the patch center wins, then the smallest ROI index.
 
-    Patch ``j`` is cell ``(rows[j], cols[j])`` of ``images[image[j]]``, given
-    as its ``(feature_h, feature_w, annotations)``. Patches and ROI centers
-    are resolved on each image's lattice, and every (patch, ROI) pair is
-    compared at once, per axis; only a patch holding two or more centers
-    measures distances, in Python ints on one scale for both axes.
+    Patch ``j`` is row ``j`` of ``patches``, lattice edges from
+    :func:`~pefcoh.geometry.patch_lattice`, on ``images[image[j]]``, given as
+    its ``(feature_h, feature_w, annotations)``. ROI centers are resolved on
+    each image's lattice, and every (patch, ROI) pair is compared at once,
+    per axis; only a patch holding two or more centers measures distances,
+    in Python ints on one scale for both axes.
     """
-    sizes = lattice_sizes([(h, w, ann.width, ann.height) for h, w, ann in images])
     centers = np.array(
         [((x0 + x1) * w, (y0 + y1) * h) for h, w, ann in images
          for x0, y0, x1, y1 in (roi.bbox for roi in ann.rois)],
         dtype=np.int64,
     ).reshape(-1, 2)
     n_rois = np.array([len(ann.rois) for _, _, ann in images], dtype=np.intp)
-    grid = sizes[image]
-    patches = patch_lattice(rows, cols, *grid.T, patch_size)
 
     count = n_rois[image]
     pair = np.repeat(np.arange(len(image)), count)  # patch of each (patch, ROI) pair
@@ -225,7 +221,7 @@ def _match_rois(
     for j, r, x, y in zip(pair[tied].tolist(), local[tied].tolist(),
                           cx[tied].tolist(), cy[tied].tolist()):
         x0, y0, x1, y1 = patches[j].tolist()
-        h, w = grid[j, :2].tolist()
+        h, w = images[image[j]][:2]
         # offsets from the patch center in 1/(4 * feature_w) and 1/(4 * feature_h)
         # pixel, both scaled to 1/(4 * feature_w * feature_h)
         dist2 = ((2 * x - x0 - x1) * h) ** 2 + ((2 * y - y0 - y1) * w) ** 2
@@ -334,21 +330,24 @@ def top_k_evidence(
 
     # the annotated train images holding kept items, ascending
     train = np.flatnonzero(np.bincount(image, minlength=len(dump.images))).tolist()
-    roi_index = _match_rois(
-        [(dump.images[i].feature_h, dump.images[i].feature_w, anns[i]) for i in train],
-        np.searchsorted(train, image), t.row[kept], t.col[kept], config.patch_size,
-    )
+    images = [(dump.images[i].feature_h, dump.images[i].feature_w, anns[i]) for i in train]
+    at = np.searchsorted(train, image)
+    grid = lattice_sizes([(h, w, ann.width, ann.height) for h, w, ann in images])[at]
+    patches = patch_lattice(t.row[kept], t.col[kept], *grid.T, config.patch_size)
+    roi_index = _match_rois(images, at, patches)
 
     items: dict[int, list[EvidenceItem]] = {int(p): [] for p in np.flatnonzero(is_global)}
     categories: dict[tuple[int, int], dict[str, str]] = {}  # per (image, ROI)
-    for p, i, score, row, col, roi in zip(
+    # equal patches share one tuple (train-wide: 1012 for 7200 items), and rows
+    # are read one at a time, so no list of every item's edges is held
+    shared: dict[tuple[float, float, float, float], tuple[float, float, float, float]] = {}
+    for p, i, score, edges, roi in zip(
         t.proto[kept].tolist(), image.tolist(), t.score[kept].tolist(),
-        t.row[kept].tolist(), t.col[kept].tolist(), roi_index,
+        map(np.ndarray.tolist, patches), roi_index,
     ):
         img, ann = dump.images[i], anns[i]
-        patch = resolve_patch_box(
-            row, col, img.feature_h, img.feature_w, ann.width, ann.height, config.patch_size
-        )
+        patch = resolve_patch_box(*edges, img.feature_h, img.feature_w)
+        patch = shared.setdefault(patch, patch)
         cats = None
         if roi is not None:
             cats = categories.get((i, roi))

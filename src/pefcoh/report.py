@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dumpio import (
-    FormatError, _check_format, _load_json, _require, check_run_id, read_dataclass, to_json,
-    write_streamed,
+    _CONTROL_CHAR, FormatError, _check_format, _load_json, _require, check_run_id,
+    read_dataclass, to_json, write_streamed,
 )
 from .records import COMBINED_LEVEL
 from .scores import VARIANTS, AggregateProperty, PropertyScores, RunConfig, pool
@@ -119,7 +119,11 @@ def load_report(path: str | Path) -> dict:
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
     read_dataclass(RunConfig, header["config"], where, "config")
-    read_dataclass(PropertyScores, header["scores"], where, "scores")
+    for level in read_dataclass(PropertyScores, header["scores"], where, "scores").specialization:
+        if _CONTROL_CHAR.search(level):  # it would split its row of the Markdown tables
+            raise FormatError(
+                f"{where}: scores.specialization key {level!r} holds a control character"
+            )
     return header
 
 

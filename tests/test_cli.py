@@ -423,6 +423,31 @@ class TestInputFaultsExit2:
         assert capsys.readouterr().err.startswith(f"error: {not_utf8}: not valid UTF-8: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("types, message", [
+        ([{"name": "mass", "axes": ["sha\npe"]}],
+         "types[0]: axis name 'sha\\npe' holds a control character"),
+        ([{"name": "mass", "axes": ["shape-x", "margin"]},
+          {"name": "mass-shape", "axes": ["x", "distribution"]}],
+         "types[1]: type 'mass-shape' repeats level 'mass-shape-x'"),
+    ], ids=["axis-newline", "repeated-level"])
+    @pytest.mark.parametrize("command", ["validate", "evaluate"])
+    def test_lexicon_name_fault(self, synth_dir, tmp_path, capsys, command, types, message):
+        # a level heads a row of the Markdown tables and keys specialization
+        lexicon = tmp_path / "lex.json"
+        write_json(lexicon, {"format": "pefcoh-lex/1", "types": types})
+        argv = [command, "--dump", synth_dir / "dump.json",
+                "--annotations", synth_dir / "annotations.json", "--lexicon", lexicon]
+        if command == "evaluate":
+            argv += ["--out", tmp_path / "eval"]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        if command == "evaluate":
+            assert captured.err == f"error: {lexicon}: {message}\n"
+        else:
+            assert captured.out.endswith(f"annotations: ERROR {lexicon}: {message}\n")
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("side, cells", [("width", "feature_w"), ("height", "feature_h")])
     def test_largest_image_for_exact_geometry_evaluates(
         self, synth_dir, tmp_path, capsys, side, cells
@@ -750,6 +775,21 @@ class TestCompare:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "cmp").exists()
+
+    def test_specialization_level_with_control_rejected(self, tmp_path, capsys):
+        # a level heads a row of the Markdown table
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        raw = json.loads(paths[0].read_text())
+        raw["scores"]["specialization"]["mass-sha\npe"] = 0.5
+        bad = tmp_path / "bad.report.json"
+        write_json(bad, raw)
+        capsys.readouterr()
+        code = run_cli("compare", bad, "--out", tmp_path / "cmp")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: scores.specialization key 'mass-sha\\npe' holds a control character\n"
+        )
         assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("field, value", [

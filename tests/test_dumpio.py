@@ -167,6 +167,15 @@ def _roi_set(**changes):
     return lambda obj: obj["images"][0]["rois"][0].update(changes)
 
 
+def _repeat_level_in_rois(obj):
+    """ROIs of type ``mass`` with axis ``shape-x`` and of type ``mass-shape``
+    with axis ``x``: the lexicon derived from them declares level
+    ``mass-shape-x`` twice."""
+    rois = obj["images"][0]["rois"]
+    rois[0]["descriptors"] = {"shape-x": "oval"}
+    rois.append({**rois[0], "type": "mass-shape", "descriptors": {"x": "oval"}})
+
+
 # name: (edit of the minimal annotations object, whether they are read
 # against the lexicon file, the message after the file name)
 ANNOTATION_FAULTS = {
@@ -187,6 +196,12 @@ ANNOTATION_FAULTS = {
                                 "class_names must list at least 2 strings"),
     "no-rois-to-derive-a-lexicon": (_image_set(rois=[]), False,
                                     "cannot derive a lexicon from annotations without ROIs"),
+    "repeated-level": (_repeat_level_in_rois, False,
+                       "derived lexicon: type 'mass-shape' repeats level 'mass-shape-x'"),
+    "axis-with-a-newline": (_roi_set(descriptors={"sha\npe": "oval"}), False,
+                            "images[0].rois[0]: axis name 'sha\\npe' holds a control character"),
+    "type-with-a-control": (_roi_set(type="ma\x7fss"), True,
+                            "images[0].rois[0]: type name 'ma\\x7fss' holds a control character"),
 }
 
 
@@ -299,6 +314,13 @@ class TestParseAnnotations:
             load_annotations(write_file("a.json", minimal_ann_obj), lexicon_path)
 
 
+def _repeat_level(types):
+    """Axis ``shape-x`` for ``mass`` and a type ``mass-shape`` with axes ``x``
+    and ``distribution``: both declare level ``mass-shape-x``."""
+    types[0]["axes"].append("shape-x")
+    types.append({"name": "mass-shape", "axes": ["x", "distribution"]})
+
+
 # name: (edit of the lexicon object's types, parse_lexicon's message after
 # the file name)
 LEXICON_FAULTS = {
@@ -311,6 +333,11 @@ LEXICON_FAULTS = {
     "duplicate-type": (lambda types: types.append({"name": " MASS ", "axes": []}),
                        "types[2]: duplicate type 'mass'"),
     "no-types": (lambda types: types.clear(), "lexicon declares no types"),
+    "repeated-level": (_repeat_level, "types[2]: type 'mass-shape' repeats level 'mass-shape-x'"),
+    "axis-with-a-newline": (lambda types: types[0]["axes"].append("sha\npe"),
+                            "types[0]: axis name 'sha\\npe' holds a control character"),
+    "type-with-a-control": (lambda types: types[1].update(name="calci\x85fication"),
+                            "types[1]: type name 'calci\\x85fication' holds a control character"),
 }
 
 

@@ -70,31 +70,36 @@ def iou_dsc(a, b):
     return float(i), float(d)
 
 
+def pixel_patch(row, col, feature_h, feature_w, width, height, patch_size):
+    """One cell's patch as pixel edges, as evaluate resolves it: the cell
+    through :func:`patch_lattice`, then its lattice edges through
+    :func:`resolve_patch_box`."""
+    sizes = lattice_sizes([(feature_h, feature_w, width, height)])
+    (edges,) = patch_lattice(np.array([row]), np.array([col]), *sizes.T, patch_size).tolist()
+    return resolve_patch_box(*edges, feature_h, feature_w)
+
+
 class TestResolvePatchBox:
     def test_single_cell_map(self):
         # 1x1 feature map on a 768x1536 image: cell center (384, 768)
-        assert resolve_patch_box(0, 0, 1, 1, 768, 1536, 130) == (319.0, 703.0, 449.0, 833.0)
+        assert pixel_patch(0, 0, 1, 1, 768, 1536, 130) == (319.0, 703.0, 449.0, 833.0)
 
     def test_translated_into_image(self):
         # 48x24 map on 768x1536: cell (0,0) center (16,16); box slides to origin
-        assert resolve_patch_box(0, 0, 48, 24, 768, 1536, 130) == (0.0, 0.0, 130.0, 130.0)
+        assert pixel_patch(0, 0, 48, 24, 768, 1536, 130) == (0.0, 0.0, 130.0, 130.0)
 
     def test_patch_equal_to_image(self):
-        assert resolve_patch_box(0, 0, 1, 1, 130, 130, 130) == (0.0, 0.0, 130.0, 130.0)
+        assert pixel_patch(0, 0, 1, 1, 130, 130, 130) == (0.0, 0.0, 130.0, 130.0)
 
     def test_small_image_spans_dimension(self):
-        x_min, y_min, x_max, y_max = resolve_patch_box(0, 0, 1, 1, 100, 400, 130)
+        x_min, y_min, x_max, y_max = pixel_patch(0, 0, 1, 1, 100, 400, 130)
         assert (x_min, x_max) == (0, 100)
         assert y_max - y_min == 130
 
     def test_fractional_edges(self):
         # 3x3 map on a 10x10 image: cell (0, 0) center (5/3, 5/3); a 3-pixel
         # patch spans 1/6 to 19/6 on both axes
-        assert resolve_patch_box(0, 0, 3, 3, 10, 10, 3) == (1 / 6, 1 / 6, 19 / 6, 19 / 6)
-
-    def test_location_out_of_map_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_patch_box(1, 0, 1, 1, 100, 100, 10)
+        assert pixel_patch(0, 0, 3, 3, 10, 10, 3) == (1 / 6, 1 / 6, 19 / 6, 19 / 6)
 
     @given(
         st.integers(1, 8), st.integers(1, 8),
@@ -113,7 +118,7 @@ class TestResolvePatchBox:
             assert x0 <= (2 * col + 1) * width < x1
             assert y0 <= (2 * row + 1) * height < y1
             assert (x1 - x0, y1 - y0) == (2 * fw * patch, 2 * fh * patch)
-        x_min, y_min, x_max, y_max = resolve_patch_box(row, col, fh, fw, width, height, patch)
+        x_min, y_min, x_max, y_max = resolve_patch_box(x0, y0, x1, y1, fh, fw)
         assert x_min >= 0 and y_min >= 0
         assert x_max <= width and y_max <= height
 
@@ -152,7 +157,7 @@ class TestPatchLattice:
     def test_patch_floats_match_reference(self, cell, patch_size):
         """The pixel edges of a report's patch, int / int, against float() of
         the reference's Fraction edges."""
-        assert (resolve_patch_box(*cell, patch_size)
+        assert (pixel_patch(*cell, patch_size)
                 == helpers.resolve_patch_box(*cell, patch_size).as_floats())
 
     def test_patch_floats_match_reference_past_2_53(self):
@@ -162,7 +167,7 @@ class TestPatchLattice:
         wide = (2**60 + 1, 2**60 + 1)
         for cell in ((0, 0, 1, 1, 2**62 - 1, 3), (0, 0, 3, 3, *wide), (2, 2, 3, 3, *wide)):
             for patch_size in (7, 130, 2**70):
-                assert (resolve_patch_box(*cell, patch_size)
+                assert (pixel_patch(*cell, patch_size)
                         == helpers.resolve_patch_box(*cell, patch_size).as_floats())
         edge = int(patch_lattice(*(np.array([v]) for v in (0, 0, 3, 3, *wide)), 130)[0, 2])
         assert float(np.int64(edge)) / 6 != edge / 6
@@ -184,7 +189,7 @@ class TestPatchLattice:
         sizes = lattice_sizes([(1, 1, side, 3)])
         lattice = patch_lattice(np.array([0]), np.array([0]), *sizes.T, 2**70)
         assert lattice.tolist() == [[0, 0, 2 * side, 6]]
-        assert resolve_patch_box(0, 0, 1, 1, side, 3, 2**70) == (0.0, 0.0, float(side), 3.0)
+        assert resolve_patch_box(*lattice[0].tolist(), 1, 1) == (0.0, 0.0, float(side), 3.0)
 
     @pytest.mark.parametrize("size", [(1, 1, 2**62, 3), (2, 1, 3, 2**62), (1, 2**61, 2, 1)])
     def test_image_past_int64_raises(self, size):

@@ -16,6 +16,7 @@ from pefcoh.dumpio import (
     parse_dump,
     write_dump,
 )
+from pefcoh.geometry import lattice_sizes, patch_lattice
 from pefcoh.metrics import (
     GROUND_TRUTH,
     MAX_WEIGHT,
@@ -965,6 +966,13 @@ def cells_and_rois(draw):
     return images, [cells[j] for j in order], patch_size
 
 
+def lattice_patches(images, image, rows, cols, patch_size):
+    """The patches of cells ``(rows[j], cols[j])`` of ``images[image[j]]``,
+    each on its image's lattice, as top_k_evidence resolves them."""
+    sizes = lattice_sizes([(h, w, ann.width, ann.height) for h, w, ann in images])
+    return patch_lattice(rows, cols, *sizes[image].T, patch_size)
+
+
 @given(cells_and_rois())
 @settings(max_examples=helpers.examples(300), deadline=None)
 def test_match_roi_matches_reference(case):
@@ -976,7 +984,7 @@ def test_match_roi_matches_reference(case):
         patch = helpers.resolve_patch_box(row, col, feature_h, feature_w,
                                           ann.width, ann.height, patch_size)
         expected.append(helpers._match_roi(patch, ann))
-    got = _match_rois(images, image, rows, cols, patch_size)
+    got = _match_rois(images, image, lattice_patches(images, image, rows, cols, patch_size))
     assert got == expected
     assert all(type(r) in (int, type(None)) for r in got)
 
@@ -1001,8 +1009,9 @@ CONTAINMENT_CASES = {
 def test_match_roi_half_open_containment(case):
     width, height, (feature_h, feature_w), (row, col), patch_size, boxes, expected = case
     ann = make_ann_image("img", [make_roi(b) for b in boxes], width=width, height=height)
-    got = _match_rois([(feature_h, feature_w, ann)], np.array([0]), np.array([row]),
-                      np.array([col]), patch_size)
+    images, image = [(feature_h, feature_w, ann)], np.array([0])
+    got = _match_rois(images, image, lattice_patches(images, image, np.array([row]),
+                                                     np.array([col]), patch_size))
     patch = helpers.resolve_patch_box(row, col, feature_h, feature_w, width, height, patch_size)
     assert got == [expected] == [helpers._match_roi(patch, ann)]
 

@@ -137,6 +137,9 @@ REPORT_SHAPE_FAULTS = [
      "model_name must be one file-name component (not empty, '.' or '..', "
      "and without '/', '\\' or a control character), got 'syn\\nthetic'"),
     (("seed",), 10**29, "seed must fit in int64 (-2**63 to 2**63 - 1)"),
+    (("scores", "specialization"), {"mass-sha\npe": 0.5},
+     "scores.specialization key 'mass-sha\\npe' holds a control character"),
+    (("config", "levels"), "type", "config.levels must be an array"),
 ]
 
 
