@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 # the public names, by the submodule that defines them
 _PUBLIC = {
     "dumpio": (
-        "ConsistencyError", "FormatError", "cross_validate", "derive_category_universe",
-        "load_annotations", "parse_annotations", "parse_dump", "parse_lexicon",
-        "total_categories", "write_dump",
+        "cross_validate", "derive_category_universe", "load_annotations", "parse_annotations",
+        "parse_dump", "parse_lexicon", "total_categories", "write_dump",
     ),
     "geometry": ("resolve_patch_box",),
+    "jsonio": ("ConsistencyError", "FormatError"),
     "metrics": (
         "EvaluationReport", "PrototypeVerdict", "TopKEvidence", "class_specific", "coverage",
         "evaluate", "global_prototypes", "local_prototypes", "relevance", "specialization",

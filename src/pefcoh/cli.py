@@ -14,9 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import dumpio, report
-from .records import SPLITS
-from .scores import LP_WEIGHT_CLASSES, RunConfig, aggregate
+# the report layer only: the input-format parsers and their records load in
+# the commands that read those formats
+from . import jsonio, report
+from .scores import LP_WEIGHT_CLASSES, SPLITS, RunConfig, aggregate
 
 
 def evaluate(*args, **kwargs):
@@ -100,6 +101,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import dumpio
+
     failures = 0
     try:
         dump = dumpio.parse_dump(args.dump)
@@ -134,8 +137,11 @@ def _write_text(path: Path, text: str) -> None:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    # the array code loads before any input is read: loaded after the first
-    # dump's parse, it raised the peak RSS of a small dump's evaluate by 0.6 MB
+    # the parsers, their records and the array code load before any input is
+    # read: the array code loaded after the first dump's parse raised the peak
+    # RSS of a small dump's evaluate by 0.6 MB
+    from . import dumpio
+
     importlib.import_module(".metrics", __package__)
     annotations, lexicon = dumpio.load_annotations(args.annotations, args.lexicon)
 
@@ -147,7 +153,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for result in reports:
-        path = out_dir / dumpio.report_file_name(result.model_name, result.seed)
+        path = out_dir / jsonio.report_file_name(result.model_name, result.seed)
         report.write_report(path, result, args.fixed_timestamp)
         print(f"wrote {path}")
 
@@ -161,7 +167,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         if args.format == "markdown":
             _write_text(out_dir / "summary.md",
-                        report.render_markdown(table, dumpio.to_json(config)))
+                        report.render_markdown(table, jsonio.to_json(config)))
         else:
             _write_text(out_dir / "summary.csv", report.render_csv(table))
     return 0
@@ -176,7 +182,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     wanted = ("json", "csv", "markdown") if args.format == "all" else (args.format,)
     if "json" in wanted:
-        dumpio.write_json(out_dir / "comparison.json", payload)
+        jsonio.write_json(out_dir / "comparison.json", payload)
         print(f"wrote {out_dir / 'comparison.json'}")
     if "markdown" in wanted:
         _write_text(out_dir / "comparison.md", report.render_markdown(table, payload["config"]))
@@ -186,6 +192,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import dumpio
     from . import synth  # the generator, loaded by this command only
 
     spec = synth.parse_synth_spec(args.spec) if args.spec else synth.SynthSpec()
@@ -199,7 +206,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             spec, **{name: value for name, value in overrides.items() if value is not None}
         )
     except ValueError as exc:
-        raise dumpio.FormatError(f"bad synth-spec override: {exc}") from None
+        raise jsonio.FormatError(f"bad synth-spec override: {exc}") from None
     dump, annotations, lexicon, ledger = synth.generate(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -222,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (dumpio.FormatError, dumpio.ConsistencyError, dumpio.InfeasibleSpecError) as exc:
+    except (jsonio.FormatError, jsonio.ConsistencyError, jsonio.InfeasibleSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

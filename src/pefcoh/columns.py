@@ -30,7 +30,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .dumpio import _INT64_MAX
+from .jsonio import _INT64_MAX
 from .records import ActivationTable, PrototypeRecord
 
 _NUMBER = {int, float}

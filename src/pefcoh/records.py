@@ -4,7 +4,7 @@ Everything here is a plain value object. Parsing, validation, and
 serialization live in :mod:`pefcoh.dumpio`; these records assume their
 invariants already hold. A record stored in a file lists its fields in the
 order the file format writes them, and a field whose JSON key differs from
-its name carries that key as ``metadata["json"]`` (see ``dumpio.to_json``).
+its name carries that key as ``metadata["json"]`` (see ``jsonio.to_json``).
 
 A dump holds its activations and its prototypes' class weights as one
 columnar :class:`ActivationTable`, which the metrics, the dump writer and
@@ -22,10 +22,14 @@ as ``"mass"`` at the type level or ``"mass-oval-circumscribed"`` at the
 combined level. Its level is the key every mapping stores it under (see
 :func:`categories_for_roi`), so it is not stored again.
 
+The split names (``TRAIN``, ``TEST``, ``SPLITS``) and ``COMBINED_LEVEL``
+are defined in :mod:`pefcoh.scores`, beside the run config that names them,
+and imported here: ``compare`` reads them there and never builds these
+records.
+
 This module imports no numpy: the table's columns are numpy arrays, but only
 :meth:`ActivationTable.from_columns` builds them (the table's other methods
-call the arrays' own methods), so a reader of report files (``compare``)
-never loads the array code.
+call the arrays' own methods), so loading the records loads no array code.
 """
 
 from __future__ import annotations
@@ -34,18 +38,16 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
+# the split and level names, defined with the run config; re-exported from here
+from .scores import COMBINED_LEVEL, SPLITS, TEST, TRAIN  # noqa: F401
+
 if TYPE_CHECKING:
     import numpy as np
-
-TRAIN = "train"
-TEST = "test"
-SPLITS = (TRAIN, TEST)
 
 # Token used in category values when an ROI lacks a declared descriptor axis.
 MISSING_VALUE = "na"
 
 TYPE_LEVEL = "type"
-COMBINED_LEVEL = "combined"
 
 
 def canonical_token(raw: str) -> str:

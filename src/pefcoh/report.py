@@ -1,12 +1,12 @@
 """Report files and the cross-model comparison table.
 
 A per-run report (``pefcoh-report/1``) is one JSON document written in one
-pass by :func:`pefcoh.dumpio.write_streamed`: ``{`` on the first line, then
+pass by :func:`pefcoh.jsonio.write_streamed`: ``{`` on the first line, then
 the header keys ``format`` through ``scores`` one per line, then
 ``"prototypes": [`` with one verdict per line and ``"localization_rows": [``
 with one row per line. Each row is built and encoded as it is written. The
 aggregate and comparison files keep the 2-space indent of
-:func:`pefcoh.dumpio.write_json`.
+:func:`pefcoh.jsonio.write_json`.
 
 Machine-readable outputs keep full float precision; the Markdown/CSV tables
 round for display only (two decimals, sparsity as a percentage), mark each
@@ -15,19 +15,18 @@ property with its improvement direction, and bold the best value per row.
 
 from __future__ import annotations
 
-import csv
-import datetime
 import io
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .dumpio import (
+from .jsonio import (
     _CONTROL_CHAR, FormatError, _check_format, _load_json, _require, check_run_id,
     read_dataclass, to_json, write_streamed,
 )
-from .records import COMBINED_LEVEL
-from .scores import VARIANTS, AggregateProperty, PropertyScores, RunConfig, pool
+from .scores import (
+    COMBINED_LEVEL, VARIANTS, AggregateProperty, PropertyScores, RunConfig, pool,
+)
 
 if TYPE_CHECKING:
     from .metrics import EvaluationReport, ImageLocalizationRow, PrototypeVerdict
@@ -46,6 +45,8 @@ ABSENT = "—"  # em dash cell for properties a run could not compute
 def timestamp(fixed: bool) -> str:
     if fixed:
         return FIXED_TIMESTAMP
+    import datetime  # loaded only for a timestamp that is not fixed
+
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -118,12 +119,16 @@ def load_report(path: str | Path) -> dict:
         check_run_id(header["model_name"], header["seed"])
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
-    read_dataclass(RunConfig, header["config"], where, "config")
-    for level in read_dataclass(PropertyScores, header["scores"], where, "scores").specialization:
-        if _CONTROL_CHAR.search(level):  # it would split its row of the Markdown tables
-            raise FormatError(
-                f"{where}: scores.specialization key {level!r} holds a control character"
-            )
+    config = read_dataclass(RunConfig, header["config"], where, "config")
+    scores = read_dataclass(PropertyScores, header["scores"], where, "scores")
+    # a level heads a row of the Markdown tables or is written in their
+    # Config line, which a control character would split
+    levels = [("config.class_specific_level", config.class_specific_level),
+              *((f"config.levels[{i}]", level) for i, level in enumerate(config.levels or ())),
+              *(("scores.specialization key", level) for level in scores.specialization)]
+    for what, level in levels:
+        if _CONTROL_CHAR.search(level):
+            raise FormatError(f"{where}: {what} {level!r} holds a control character")
     return header
 
 
@@ -262,6 +267,8 @@ def render_markdown(table: list[list[str]], config: Mapping) -> str:
 
 
 def render_csv(table: list[list[str]]) -> str:
+    import csv  # loaded only by the commands that write a CSV table
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     for row in table:

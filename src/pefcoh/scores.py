@@ -2,24 +2,32 @@
 
 These are the schema dataclasses of a report's header (``config`` and
 ``scores``) and of its aggregates, with the dotted-key flattening and the
-mean +/- sample std that pool several runs. Nothing here imports numpy, so
-``compare``, which reads only report headers, never loads the array code of
-:mod:`pefcoh.metrics`; metrics computes these scores and re-exports the
+mean +/- sample std that pool several runs. The split names and the
+combined level, which the run config names, are defined here too, and
+:mod:`pefcoh.records` imports them. Nothing here imports numpy or the
+input-format records, so ``compare``, which reads only report headers,
+never loads the array code of :mod:`pefcoh.metrics` nor the parsers of
+:mod:`pefcoh.dumpio`; metrics computes these scores and re-exports the
 public names defined here.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .dumpio import ConsistencyError, _member, to_json
-from .records import COMBINED_LEVEL, SPLITS, Lexicon
+from .jsonio import ConsistencyError, _member, to_json
 
 if TYPE_CHECKING:
     from .metrics import EvaluationReport
+    from .records import Lexicon
+
+# the splits of a dump or annotation set, and the level of the combined category
+TRAIN = "train"
+TEST = "test"
+SPLITS = (TRAIN, TEST)
+COMBINED_LEVEL = "combined"
 
 VARIANTS = ("top1", "top10", "all")
 GROUND_TRUTH = "ground_truth"
@@ -164,6 +172,8 @@ def aggregate_flat(
         elif len(values) == 1:
             out[key] = AggregateProperty(values[0], None, 1)
         else:
+            import statistics  # loaded only when two or more values are pooled
+
             try:
                 out[key] = AggregateProperty(
                     statistics.fmean(values), statistics.stdev(values), len(values)

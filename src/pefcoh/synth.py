@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .dumpio import (
+from .jsonio import (
     InfeasibleSpecError,
     _check_format,
     _load_json,

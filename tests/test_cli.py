@@ -792,6 +792,22 @@ class TestCompare:
         )
         assert not (tmp_path / "cmp").exists()
 
+    def test_config_level_with_control_rejected(self, tmp_path, capsys):
+        # the config is written on the Config line of the Markdown table
+        paths = self._reports(tmp_path, models=("m1",), seeds=(11,))
+        raw = json.loads(paths[0].read_text())
+        raw["config"]["class_specific_level"] = "combined\n| x |"
+        bad = tmp_path / "bad.report.json"
+        write_json(bad, raw)
+        capsys.readouterr()
+        code = run_cli("compare", bad, "--out", tmp_path / "cmp", "--format", "markdown")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: config.class_specific_level 'combined\\n| x |' "
+            "holds a control character\n"
+        )
+        assert not (tmp_path / "cmp").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("relevance", 10**400),
         ("relevance", float("nan")),

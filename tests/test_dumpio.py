@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pefcoh import columns, dumpio
+from pefcoh import columns, dumpio, jsonio
 from pefcoh.dumpio import (
     FormatError,
     annotations_to_json,
@@ -1701,7 +1701,7 @@ class TestFailedWrite:
     OLD = b"the file before\n"
 
     def _failing_encoder(self, monkeypatch, after):
-        encode, calls = dumpio._encode, []
+        encode, calls = jsonio._encode, []
 
         def failing(value):
             calls.append(value)
@@ -1709,7 +1709,7 @@ class TestFailedWrite:
                 raise RuntimeError("encoder failed")
             return encode(value)
 
-        monkeypatch.setattr(dumpio, "_encode", failing)
+        monkeypatch.setattr(jsonio, "_encode", failing)
 
     def _assert_untouched(self, path):
         assert path.read_bytes() == self.OLD

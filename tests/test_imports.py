@@ -1,11 +1,14 @@
 """The import graph: ``pefcoh.cli`` and a whole ``compare`` run stay off the
-array code, only ``synth`` loads the generator, the oracle loads none of the
-code it checks, the program starts numpy with one OpenBLAS thread, and the
-package's public names resolve lazily to the objects of their submodules."""
+array code and load only the report layer, ``evaluate`` loads the parsers
+and the array code before it reads any input, only ``synth`` loads the
+generator, the oracle loads none of the code it checks, the program starts
+numpy with one OpenBLAS thread, and the package's public names resolve
+lazily to the objects of their submodules."""
 
 import importlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +20,10 @@ from pefcoh.cli import main
 
 SRC = Path(pefcoh.__file__).resolve().parents[1]
 ARRAY_CODE = ("numpy", "pefcoh.metrics", "pefcoh.geometry", "pefcoh.oracle", "pefcoh.columns")
+# the input-format parsers and their records, which compare does not read
+INPUT_FORMATS = ("pefcoh.dumpio", "pefcoh.records")
+# standard modules the report layer loads only when a command needs them
+ON_USE = ("statistics", "datetime", "csv")
 
 # every public name of pefcoh/__init__.py before its exports became lazy, by
 # the submodule that defined it then, less the Fraction box API of geometry
@@ -78,6 +85,61 @@ def test_compare_loads_no_array_code(tmp_path):
     script = f"from pefcoh import cli\nassert cli.main({argv!r}) == 0"
     assert loaded(script) == []
     assert (tmp_path / "cmp" / "comparison.md").is_file()
+
+
+def test_import_cli_loads_only_the_report_layer():
+    assert loaded("import pefcoh.cli", INPUT_FORMATS) == []
+    # against a bare interpreter, whose site may load some of them
+    assert loaded("import pefcoh.cli", ON_USE) == loaded("pass", ON_USE)
+
+
+@pytest.mark.parametrize("fmt", ["json", "all"])
+def test_compare_loads_only_the_report_layer(synth_run, tmp_path, fmt):
+    argv = [*synth_run["compare"][:-1], str(tmp_path / "cmp"), "--format", fmt,
+            "--fixed-timestamp"]
+    script = f"from pefcoh import cli\nassert cli.main({argv!r}) == 0"
+    assert loaded(script, INPUT_FORMATS) == []
+    # one report pools no values, and a fixed timestamp reads no clock
+    baseline = loaded("pass", ("statistics", "datetime"))
+    assert loaded(script, ("statistics", "datetime")) == baseline
+    assert (tmp_path / "cmp" / "comparison.json").is_file()
+
+
+def test_two_report_compare_pools(tmp_path):
+    # the pooling of two or more values loads statistics on its first use
+    reports = []
+    for seed in (3, 4):
+        synth, out = tmp_path / f"synth{seed}", tmp_path / f"eval{seed}"
+        assert main(["synth", "--out", str(synth), "--seed", str(seed)]) == 0
+        assert main(["evaluate", "--dump", str(synth / "dump.json"),
+                     "--annotations", str(synth / "annotations.json"), "--out", str(out)]) == 0
+        reports.append(out / f"synthetic-seed{seed}.report.json")
+    cmp = tmp_path / "cmp"
+    argv = ["compare", *map(str, reports), "--out", str(cmp), "--format", "json"]
+    script = f"from pefcoh import cli\nassert cli.main({argv!r}) == 0"
+    assert loaded(script, ("statistics",)) == ["statistics"]
+    pooled = json.loads((cmp / "comparison.json").read_text(encoding="utf-8"))
+    properties = pooled["models"]["synthetic"]["properties"]
+    relevance = [json.loads(path.read_text(encoding="utf-8"))["scores"]["relevance"]
+                 for path in reports]
+    assert pooled["models"]["synthetic"]["n_runs"] == 2
+    assert properties["relevance"] == {"mean": statistics.fmean(relevance),
+                                       "std": statistics.stdev(relevance), "n": 2}
+
+
+def test_evaluate_loads_the_parsers_before_reading(synth_run):
+    # loaded after the first input is read, the array code raised the peak RSS
+    script = (
+        "import sys\n"
+        "from pefcoh import cli, dumpio\n"
+        "load = dumpio.load_annotations\n"
+        "def checked(*args, **kwargs):\n"
+        "    assert 'pefcoh.metrics' in sys.modules\n"
+        "    return load(*args, **kwargs)\n"
+        "dumpio.load_annotations = checked\n"
+        f"assert cli.main({synth_run['evaluate']!r}) == 0"
+    )
+    assert loaded(script, ("pefcoh.metrics",)) == ["pefcoh.metrics"]
 
 
 def test_evaluate_loads_the_array_code(tmp_path):

@@ -140,6 +140,10 @@ REPORT_SHAPE_FAULTS = [
     (("scores", "specialization"), {"mass-sha\npe": 0.5},
      "scores.specialization key 'mass-sha\\npe' holds a control character"),
     (("config", "levels"), "type", "config.levels must be an array"),
+    (("config", "class_specific_level"), "combined\n| x |",
+     "config.class_specific_level 'combined\\n| x |' holds a control character"),
+    (("config", "levels"), ["type", "mass-sha\x85pe"],
+     "config.levels[1] 'mass-sha\\x85pe' holds a control character"),
 ]
 
 
